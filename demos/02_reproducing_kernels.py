@@ -11,7 +11,7 @@ kernel section evaluate functions pointwise.
 
 import numpy as np
 
-from rkburgers import ProductKernelPoint, product_kernel, r2, r3
+from rkburgers import r2, r3
 
 # Kernel values are symmetric and the two branches join continuously.
 print("r3(0.5, 0.5) =", r3(0.5, 0.5))
@@ -22,9 +22,9 @@ print("r2(0.5, 0.3) =", r2(0.5, 0.3), "   r2(0.3, 0.5) =", r2(0.3, 0.5))
 print("\nboundary values: r3(x, 0) =", r3(0.7, 0.0), ", r3(x, 1) =", r3(0.7, 1.0),
       ", r2(t, 0) =", r2(0.7, 0.0))
 
-# The product kernel reproduces bivariate point evaluation.
-p = ProductKernelPoint(x=0.5, t=0.5, xi=0.5, eta=0.3)
-print("product kernel at a midpoint pair:", product_kernel(p))
+# The product kernel r3(x, xi) * r2(t, eta) reproduces bivariate point
+# evaluation.
+print("product kernel at a midpoint pair:", r3(0.5, 0.5) * r2(0.5, 0.3))
 
 # Reproducing property of the time kernel for g(eta) = eta**3:
 # <g, r2(t, .)> = g(0) f(0) + g'(0) f'(0) + int g'' f''  must equal g(t).

@@ -23,14 +23,12 @@ __version__ = "0.1.0"
 
 from .fracmath import (
     DEFAULT_QUADRATURE_NODES,
-    FractionalOrder,
-    QuadratureRule,
     caputo_power,
     gamma,
-    gauss_jacobi,
+    jacobi_rule,
     weighted_moment,
 )
-from .kernels import ProductKernelPoint, product_kernel, r1, r2, r3
+from .kernels import r1, r2, r3
 from .operator import (
     BasisFunction,
     CollocationGrid,
@@ -40,7 +38,6 @@ from .operator import (
     build_basis,
     caputo_time_kernel,
     double_caputo_time_kernel,
-    gram_entry,
     psi_eval,
 )
 from .orthonormalize import NotPositiveDefiniteError, OrthonormalBasis, compute_beta
@@ -67,14 +64,10 @@ from .solver import (
 __all__ = [
     "__version__",
     "DEFAULT_QUADRATURE_NODES",
-    "FractionalOrder",
-    "QuadratureRule",
     "caputo_power",
     "gamma",
-    "gauss_jacobi",
+    "jacobi_rule",
     "weighted_moment",
-    "ProductKernelPoint",
-    "product_kernel",
     "r1",
     "r2",
     "r3",
@@ -86,7 +79,6 @@ __all__ = [
     "build_basis",
     "caputo_time_kernel",
     "double_caputo_time_kernel",
-    "gram_entry",
     "psi_eval",
     "NotPositiveDefiniteError",
     "OrthonormalBasis",

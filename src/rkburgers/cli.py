@@ -11,6 +11,7 @@ stand in for the flags; explicit flags win over config entries.
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -28,6 +29,19 @@ from .verification import run_default_checks
 __all__ = ["main", "RunConfig", "parse_mesh"]
 
 MAX_POINTS = 10_000
+
+# The flags each subcommand reads.  A config file may set the same keys,
+# apart from ``config`` itself, plus the custom-problem keys on the
+# subcommands that build a problem; any other key is a validation error.
+_COMMAND_KEYS = {
+    "solve": ("example", "config", "alpha", "p", "q", "nodes", "picard",
+              "mesh", "out", "format", "surface"),
+    "verify": ("config", "alpha", "p", "q", "nodes"),
+    "convergence": ("example", "config", "alpha", "nodes", "picard",
+                    "mesh", "out", "sizes"),
+}
+_CASTS = {"alpha": float, "p": int, "q": int, "nodes": int, "picard": int}
+_CHOICES = {"example": ("1", "2"), "format": ("csv", "json")}
 
 
 class _ValidationError(ValueError):
@@ -116,23 +130,24 @@ def _read_config_file(path: str) -> dict:
 _CUSTOM_KEYS = ("problem", "k1", "k2", "k3", "k4", "f", "exact_space", "exact_power")
 
 
-def _apply_config_file(cfg: RunConfig, explicit: set):
+def _apply_config_file(cfg: RunConfig, explicit: set, command: str):
     entries = _read_config_file(cfg.config)
-    casts = {"alpha": float, "p": int, "q": int, "nodes": int, "picard": int}
+    known = set(_CUSTOM_KEYS).union(*_COMMAND_KEYS.values()) - {"config"}
+    readable = set(_COMMAND_KEYS[command]) - {"config"}
+    if "example" in readable:
+        readable.update(_CUSTOM_KEYS)
     for key, value in entries.items():
+        if key not in known:
+            raise _ValidationError(f"unknown config key {key!r}")
+        if key not in readable:
+            raise _ValidationError(f"config key {key!r} is not read by {command}")
         if key in _CUSTOM_KEYS:
             cfg.custom[key] = value
-        elif key in ("example", "mesh", "out", "format", "surface", "sizes"):
-            if key not in explicit:
-                setattr(cfg, key, value)
-        elif key in casts:
-            if key not in explicit:
-                try:
-                    setattr(cfg, key, casts[key](value))
-                except ValueError as exc:
-                    raise _ValidationError(f"config key {key}={value!r}: {exc}") from exc
-        else:
-            raise _ValidationError(f"unknown config key {key!r}")
+        elif key not in explicit:
+            try:
+                setattr(cfg, key, _CASTS.get(key, str)(value))
+            except ValueError as exc:
+                raise _ValidationError(f"config key {key}={value!r}: {exc}") from exc
 
 
 def _build_problem(cfg: RunConfig):
@@ -182,8 +197,7 @@ def _write_text(path: Optional[str], text: str):
 
 
 def _meta_path(out: str) -> str:
-    stem, dot, _ = out.rpartition(".")
-    return (stem if dot else out) + ".meta.json"
+    return os.path.splitext(out)[0] + ".meta.json"
 
 
 def _cmd_solve(cfg: RunConfig) -> int:
@@ -198,11 +212,11 @@ def _cmd_solve(cfg: RunConfig) -> int:
     )
     wall = time.perf_counter() - t0
 
-    table = [[abs(evaluate(sol, x, e) - problem.exact(x, e)) for e in mesh] for x in mesh] \
-        if problem.exact is not None else None
-    report = error_report(sol, [(x, e) for x in mesh for e in mesh]) if problem.exact is not None else None
-
-    if table is not None:
+    report = None
+    if problem.exact is not None:
+        report = error_report(sol, [(x, e) for x in mesh for e in mesh])
+        errs = [row[3] for row in report.rows]
+        table = [errs[i : i + len(mesh)] for i in range(0, len(errs), len(mesh))]
         if cfg.format == "csv":
             _write_text(cfg.out, "\n".join(_error_table_lines(mesh, table)) + "\n")
         else:
@@ -285,22 +299,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="rkburgers", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "verify", "convergence"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--example", choices=("1", "2"), default=None)
-        sp.add_argument("--config", default=None)
-        sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--p", type=int, default=None)
-        sp.add_argument("--q", type=int, default=None)
-        sp.add_argument("--nodes", type=int, default=None)
-        sp.add_argument("--picard", type=int, default=None)
-        sp.add_argument("--mesh", default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=("csv", "json"), default=None)
-        if name == "solve":
-            sp.add_argument("--surface", default=None)
-        if name == "convergence":
-            sp.add_argument("--sizes", default=None)
+    for name, keys in _COMMAND_KEYS.items():
+        # no prefix matching: on convergence, --p would otherwise mean --picard
+        sp = sub.add_parser(name, allow_abbrev=False)
+        for key in keys:
+            sp.add_argument(f"--{key}", type=_CASTS.get(key), choices=_CHOICES.get(key))
     return parser
 
 
@@ -308,15 +311,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     cfg = RunConfig()
     explicit = set()
-    for key in ("example", "config", "alpha", "p", "q", "nodes", "picard",
-                "mesh", "out", "format", "surface", "sizes"):
-        value = getattr(args, key, None)
+    for key in _COMMAND_KEYS[args.command]:
+        value = getattr(args, key)
         if value is not None:
             setattr(cfg, key, value)
             explicit.add(key)
     try:
         if cfg.config is not None:
-            _apply_config_file(cfg, explicit)
+            _apply_config_file(cfg, explicit, args.command)
         if args.command == "solve":
             return _cmd_solve(cfg)
         if args.command == "verify":

@@ -3,25 +3,21 @@
 Everything needed for Caputo fractional calculus of order 0 < alpha <= 1
 on polynomials and power functions: the gamma function, the Caputo
 derivative of t**k in closed form, moments of the weight (c - r)**(-alpha),
-and Gauss-Jacobi quadrature rules on (0, 1) for that weight.
+and Gauss-Jacobi quadrature rules on (0, 1) for weights (1 - u)**exponent.
 
 All arithmetic is plain 64-bit floating point.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "FractionalOrder",
-    "QuadratureRule",
     "DEFAULT_QUADRATURE_NODES",
     "gamma",
     "caputo_power",
     "weighted_moment",
-    "gauss_jacobi",
     "jacobi_rule",
     "order_value",
 ]
@@ -29,22 +25,8 @@ __all__ = [
 DEFAULT_QUADRATURE_NODES = 64
 
 
-@dataclass(frozen=True)
-class FractionalOrder:
-    """Validated fractional differentiation order, 0 < alpha <= 1."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"fractional order must satisfy 0 < alpha <= 1, got {self.alpha}")
-
-    def __float__(self):
-        return self.alpha
-
-
 def order_value(alpha) -> float:
-    """Coerce a FractionalOrder or bare float to a validated float order."""
+    """Coerce alpha to a float order, validating 0 < alpha <= 1."""
     a = float(alpha)
     if not (0.0 < a <= 1.0):
         raise ValueError(f"fractional order must satisfy 0 < alpha <= 1, got {a}")
@@ -140,23 +122,6 @@ def weighted_moment(m: int, alpha: float, a: float, b: float, c: float) -> float
     return total
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights on (0, 1) for the weight (1 - u)**(-alpha).
-
-    The weights are positive and sum to the weighted measure of (0, 1),
-    which is 1/(1 - alpha).
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    alpha: float
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
-
 @lru_cache(maxsize=256)
 def jacobi_rule(exponent: float, n: int):
     """Golub-Welsch rule for integral_0^1 f(u) (1 - u)**exponent du, exponent > -1.
@@ -168,7 +133,8 @@ def jacobi_rule(exponent: float, n: int):
 
     Returns:
         (nodes, weights) as read-only float arrays of length n, exact for
-        polynomial integrands of degree <= 2n - 1.
+        polynomial integrands of degree <= 2n - 1.  The weights are positive
+        and sum to the weighted measure of (0, 1), 1/(exponent + 1).
     """
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")
@@ -192,19 +158,9 @@ def jacobi_rule(exponent: float, n: int):
     mu0 = 2.0 ** (aj + 1.0) / (aj + 1.0)  # integral of (1-x)**aj over [-1, 1]
     u = 0.5 * (vals + 1.0)
     w = mu0 * vecs[0, :] ** 2 * 0.5 ** (aj + 1.0)
+    measure = 1.0 / (aj + 1.0)
+    if abs(float(np.sum(w)) - measure) > 1e-12 * measure:  # pragma: no cover
+        raise RuntimeError("quadrature weights do not reproduce the weighted measure")
     u.flags.writeable = False
     w.flags.writeable = False
     return u, w
-
-
-def gauss_jacobi(alpha, n_nodes: int = DEFAULT_QUADRATURE_NODES) -> QuadratureRule:
-    """Quadrature rule on (0, 1) against the weakly singular weight (1-u)**(-alpha)."""
-    a = float(alpha) if not isinstance(alpha, FractionalOrder) else alpha.alpha
-    if not (0.0 < a < 1.0):
-        raise ValueError(f"singularity exponent must lie in (0, 1), got {a}")
-    nodes, weights = jacobi_rule(-a, n_nodes)
-    rule = QuadratureRule(nodes=nodes, weights=weights, alpha=a)
-    measure = 1.0 / (1.0 - a)
-    if abs(float(np.sum(weights)) - measure) > 1e-12 * measure:  # pragma: no cover
-        raise RuntimeError("quadrature weights do not reproduce the weighted measure")
-    return rule

@@ -8,8 +8,8 @@ Three univariate kernels are provided:
 * ``r3``: third-order space of functions vanishing at 0 and 1, a two-branch
   quintic in (x, xi).
 
-``product_kernel`` is the tensor product r3 * r2 that reproduces the
-bivariate solution space.  Each kernel is symmetric, and the branch for
+The tensor product r3(x, xi) * r2(t, eta) reproduces the bivariate
+solution space.  Each kernel is symmetric, and the branch for
 argument > parameter is the branch polynomial with its arguments swapped,
 so a single bivariate coefficient table per kernel suffices.  On the
 diagonal the "arg <= param" branch applies; derivatives of total order
@@ -17,12 +17,10 @@ two and higher jump across the diagonal, so integration across it must
 split there.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.polynomial.polynomial import polyval2d
 
-__all__ = ["ProductKernelPoint", "r1", "r2", "r3", "product_kernel"]
+__all__ = ["r1", "r2", "r3"]
 
 
 def _check_unit(name: str, value: float) -> float:
@@ -121,26 +119,3 @@ def r3(x: float, xi: float, dx_order: int = 0, dxi_order: int = 0) -> float:
     ):
         return 0.0
     return _two_branch(_D3, x, xi, dx_order, dxi_order)
-
-
-@dataclass(frozen=True)
-class ProductKernelPoint:
-    """Argument bundle for the tensor-product kernel: parameters (x, t), arguments (xi, eta)."""
-
-    x: float
-    t: float
-    xi: float
-    eta: float
-
-    def __post_init__(self):
-        for name in ("x", "t", "xi", "eta"):
-            _check_unit(name, getattr(self, name))
-
-
-def product_kernel(p: ProductKernelPoint, dx: int = 0, dt: int = 0, dxi: int = 0, deta: int = 0) -> float:
-    """Tensor-product kernel r3(x, xi) * r2(t, eta) with factor-wise derivatives."""
-    _check_order("dx", dx, 2)
-    _check_order("dt", dt, 1)
-    _check_order("dxi", dxi, 2)
-    _check_order("deta", deta, 1)
-    return r3(p.x, p.xi, dx, dxi) * r2(p.t, p.eta, dt, deta)

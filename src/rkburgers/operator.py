@@ -23,7 +23,7 @@ integral evaluated by Gauss-Jacobi quadrature with the range split at the
 inner evaluation time.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -31,7 +31,6 @@ import numpy as np
 
 from .fracmath import (
     DEFAULT_QUADRATURE_NODES,
-    QuadratureRule,
     gamma,
     jacobi_rule,
     order_value,
@@ -50,7 +49,6 @@ __all__ = [
     "build_basis",
     "psi_eval",
     "apply_operator",
-    "gram_entry",
     "assemble_gram",
 ]
 
@@ -65,8 +63,7 @@ class Problem:
     with homogeneous initial and boundary data y(xi,0) = y(0,eta) = y(1,eta) = 0.
 
     ``exact`` is optional and only consulted by error reporting and the
-    forcing consistency check.  ``caputo_term`` exists for tests that need
-    the operator without its fractional part; leave it True for real use.
+    forcing consistency check.
     """
 
     alpha: float
@@ -77,7 +74,6 @@ class Problem:
     f: Callable[[float, float], float]
     exact: Optional[Callable[[float, float], float]] = None
     name: str = ""
-    caputo_term: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", order_value(self.alpha))
@@ -133,14 +129,12 @@ class CollocationGrid:
 class BasisFunction:
     """Collocation basis function centred at (xi, eta), coefficients frozen there."""
 
-    index: int
     xi: float
     eta: float
     k1: float
     k2: float
     k3: float
     alpha: float
-    caputo_term: bool = True
 
 
 @dataclass(frozen=True)
@@ -148,7 +142,6 @@ class GramMatrix:
     """Pairwise inner products of the collocation basis functions."""
 
     entries: np.ndarray
-    grid: CollocationGrid = field(repr=False, compare=False, default=None)
 
     @property
     def n(self) -> int:
@@ -195,7 +188,9 @@ def _ctk(eta: float, t_i: float, a: float) -> float:
     return val / gamma(1.0 - a)
 
 
-def double_caputo_time_kernel(t_i: float, t_j: float, alpha, rule: QuadratureRule) -> float:
+def double_caputo_time_kernel(
+    t_i: float, t_j: float, alpha, nodes: int = DEFAULT_QUADRATURE_NODES
+) -> float:
     """Caputo derivative, at t_j, of eta -> caputo_time_kernel(eta, t_i).
 
     The inner transform's eta-derivative collapses to
@@ -205,18 +200,16 @@ def double_caputo_time_kernel(t_i: float, t_j: float, alpha, rule: QuadratureRul
     for eta < t_i and the constant K1 / gamma(1-alpha) beyond, with
     K1 = (1 + t_i) t_i**(1-alpha)/(1-alpha) - t_i**(2-alpha)/(2-alpha).
     The outer integral of the constant part is elementary; the fractional
-    power is integrated over (0, min(t_i, t_j)) by Gauss-Jacobi with the
-    singular endpoint factor absorbed into the rule weight.  ``rule`` is
-    used when the weight singularity at t_j lies inside the subrange; the
-    companion rule with exponent 2 - alpha (same node count) covers the
-    case where the kernel's own fractional power is the endpoint factor.
+    power is integrated over (0, min(t_i, t_j)) by an n-node Gauss-Jacobi
+    rule with the singular endpoint factor absorbed into the rule weight:
+    exponent -alpha when the weight singularity at t_j lies inside the
+    subrange, exponent 2 - alpha when the kernel's own fractional power
+    is the endpoint factor.
     """
     a = order_value(alpha)
     if t_i < 0.0 or t_j < 0.0 or t_i > 1.0 or t_j > 1.0:
         raise ValueError(f"arguments ({t_i}, {t_j}) outside [0, 1]")
-    if a < 1.0 and abs(rule.alpha - a) > 1e-14:
-        raise ValueError(f"rule built for exponent {rule.alpha}, operator needs {a}")
-    return _dc(t_i, t_j, a, rule.n_nodes)
+    return _dc(t_i, t_j, a, nodes)
 
 
 @lru_cache(maxsize=100_000)
@@ -245,16 +238,14 @@ def build_basis(grid: CollocationGrid, problem: Problem) -> list:
     """Basis functions for every collocation point, coefficients frozen at the centres."""
     return [
         BasisFunction(
-            index=i,
             xi=xi,
             eta=eta,
             k1=problem.k1(xi, eta),
             k2=problem.k2(xi, eta),
             k3=problem.k3(xi, eta),
             alpha=problem.alpha,
-            caputo_term=problem.caputo_term,
         )
-        for i, (xi, eta) in enumerate(grid.points)
+        for xi, eta in grid.points
     ]
 
 
@@ -271,10 +262,7 @@ def psi_eval(b: BasisFunction, xi: float, eta: float, dxi_order: int = 0) -> flo
         + b.k2 * space_frac
         + b.k3 * r3(b.xi, xi, 1, dxi_order)
     )
-    val = r2(b.eta, eta) * space_smooth
-    if b.caputo_term:
-        val += _ctk(eta, b.eta, b.alpha) * space_frac
-    return val
+    return r2(b.eta, eta) * space_smooth + _ctk(eta, b.eta, b.alpha) * space_frac
 
 
 def apply_operator(
@@ -303,32 +291,17 @@ def apply_operator(
     a2 = b.k1 * r3(b.xi, xi, 2, 2) + b.k2 * s02 + b.k3 * r3(b.xi, xi, 1, 2)
 
     r2v = r2(b.eta, eta)
-    if b.caputo_term:
-        phi = _ctk(eta, b.eta, a)  # fractional time factor of psi_b itself
-    else:
-        phi = 0.0
+    phi = _ctk(eta, b.eta, a)  # fractional time factor of psi_b itself
 
     total = (
         c1 * (phi * s02 + r2v * a2)
         + c2 * (phi * s00 + r2v * a0)
         + c3 * (phi * s01 + r2v * a1)
     )
-    if problem.caputo_term:
-        # Caputo transform, at eta, of each of psi_b's two time factors.
-        total += _ctk(b.eta, eta, a) * a0
-        if b.caputo_term:
-            total += _dc(b.eta, eta, a, nodes) * s00
+    # Caputo transform, at eta, of each of psi_b's two time factors.
+    total += _ctk(b.eta, eta, a) * a0
+    total += _dc(b.eta, eta, a, nodes) * s00
     return total
-
-
-def gram_entry(
-    b_i: BasisFunction,
-    b_j: BasisFunction,
-    problem: Problem,
-    nodes: int = DEFAULT_QUADRATURE_NODES,
-) -> float:
-    """Inner product of psi_i and psi_j, computed as (L psi_j) at point i."""
-    return apply_operator(b_j, problem, b_i.xi, b_i.eta, nodes)
 
 
 def assemble_gram(
@@ -348,4 +321,4 @@ def assemble_gram(
                 entries[i, j] = apply_operator(basis[j], problem, xi, eta, nodes)
             except Exception as exc:
                 raise GramAssemblyError(i, j, exc) from exc
-    return GramMatrix(entries=entries, grid=grid)
+    return GramMatrix(entries=entries)

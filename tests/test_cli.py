@@ -93,6 +93,17 @@ class TestSolveCommand:
         meta = json.loads(_read(tmp_path / "err2.meta.json"))
         assert meta["max_abs_error"] <= 6.29e-2
 
+    def test_metadata_stays_beside_output_in_dotted_directory(self, tmp_path):
+        out_dir = tmp_path / "run.v2"
+        out_dir.mkdir()
+        code = main(
+            ["solve", "--example", "1", "--alpha", "0.9", "--p", "3", "--q", "3",
+             "--out", str(out_dir / "table")]
+        )
+        assert code == 0
+        assert json.loads(_read(out_dir / "table.meta.json"))["n"] == 9
+        assert not (tmp_path / "run.meta.json").exists()
+
     def test_custom_mesh(self, tmp_path):
         out = tmp_path / "err.csv"
         code = main(
@@ -144,6 +155,20 @@ class TestConfigFile:
     def test_missing_config_file(self):
         assert main(["solve", "--config", "/nonexistent/run.cfg"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["convergence", "--example", "1", "--sizes", "9"], "format = json"),
+            (["verify"], "example = 1"),
+            (["verify"], "k1 = one"),
+        ],
+        ids=["convergence-format", "verify-example", "verify-custom"],
+    )
+    def test_key_the_subcommand_does_not_read_rejected(self, tmp_path, argv, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"alpha = 0.9\n{line}\n", encoding="utf-8")
+        assert main(argv + ["--config", str(cfg)]) == 1
+
 
 class TestVerifyCommand:
     def test_default_battery_passes(self, capsys):
@@ -193,6 +218,24 @@ class TestExitCodes:
     def test_unknown_flag_is_validation(self):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--bogus", "1"])
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["convergence", "--example", "1", "--sizes", "9", "--format", "json"],
+            ["convergence", "--example", "1", "--sizes", "9", "--p", "3"],
+            ["verify", "--out", "never.txt"],
+            ["verify", "--mesh", "0:1:5"],
+            ["verify", "--format", "json"],
+            ["verify", "--example", "1"],
+            ["verify", "--picard", "1"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_flag_the_subcommand_does_not_read_is_validation(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 1
 
     def test_missing_subcommand_is_validation(self):

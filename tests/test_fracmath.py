@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from rkburgers.fracmath import (
-    FractionalOrder,
     caputo_power,
     gamma,
-    gauss_jacobi,
     jacobi_rule,
+    order_value,
     weighted_moment,
 )
 
@@ -66,9 +65,6 @@ class TestCaputoPower:
         with pytest.raises(ValueError):
             caputo_power(0.3, 0.5, 0.5)
 
-    def test_accepts_fractional_order_wrapper(self):
-        assert caputo_power(1, FractionalOrder(0.5), 1.0) == caputo_power(1, 0.5, 1.0)
-
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("t", [0.25, 0.5, 1.0])
     @pytest.mark.parametrize("a", [0.3, 0.5, 0.9])
@@ -120,44 +116,45 @@ class TestWeightedMoment:
 
 class TestGaussJacobi:
     def test_weight_sum_is_weighted_measure(self):
-        rule = gauss_jacobi(0.3, 1)
-        assert float(np.sum(rule.weights)) == pytest.approx(1.0 / 0.7, rel=1e-14)
+        u, w = jacobi_rule(-0.3, 1)
+        assert float(np.sum(w)) == pytest.approx(1.0 / 0.7, rel=1e-14)
 
     def test_integrates_constant(self):
-        rule = gauss_jacobi(0.5, 8)
-        assert float(rule.weights @ np.ones(8)) == pytest.approx(2.0, rel=1e-13)
+        u, w = jacobi_rule(-0.5, 8)
+        assert float(w @ np.ones(8)) == pytest.approx(2.0, rel=1e-13)
 
     def test_integrates_linear(self):
         # first weighted moment Beta(2, 1/2) = 4/3
-        rule = gauss_jacobi(0.5, 8)
-        assert float(rule.weights @ rule.nodes) == pytest.approx(4.0 / 3.0, rel=1e-13)
+        u, w = jacobi_rule(-0.5, 8)
+        assert float(w @ u) == pytest.approx(4.0 / 3.0, rel=1e-13)
 
     def test_weights_positive_nodes_interior(self):
-        rule = gauss_jacobi(0.7, 32)
-        assert np.all(rule.weights > 0)
-        assert np.all((rule.nodes > 0) & (rule.nodes < 1))
+        u, w = jacobi_rule(-0.7, 32)
+        assert np.all(w > 0)
+        assert np.all((u > 0) & (u < 1))
 
     def test_polynomial_exactness_degree_2n_minus_1(self):
-        rule = gauss_jacobi(0.4, 3)
+        u, w = jacobi_rule(-0.4, 3)
         for m in range(6):
-            q = float(rule.weights @ rule.nodes**m)
+            q = float(w @ u**m)
             assert q == pytest.approx(weighted_moment(m, 0.4, 0.0, 1.0, 1.0), abs=1e-14)
 
     @pytest.mark.parametrize("a", [0.3, 0.5, 0.7, 0.9])
     def test_matches_closed_form_moments(self, a):
-        rule = gauss_jacobi(a, 16)
+        u, w = jacobi_rule(-a, 16)
         for m in range(7):
-            q = float(rule.weights @ rule.nodes**m)
+            q = float(w @ u**m)
             assert q == pytest.approx(weighted_moment(m, a, 0.0, 1.0, 1.0), abs=1e-12)
 
-    @pytest.mark.parametrize("a", [0.0, 1.0, -0.2, 1.7])
+    @pytest.mark.parametrize("a", [1.0, 1.7])
     def test_exponent_out_of_range_rejected(self, a):
+        # a singularity (1 - u)**(-a) with a >= 1 is not integrable
         with pytest.raises(ValueError):
-            gauss_jacobi(a, 8)
+            jacobi_rule(-a, 8)
 
     def test_node_count_validated(self):
         with pytest.raises(ValueError):
-            gauss_jacobi(0.5, 0)
+            jacobi_rule(-0.5, 0)
 
     def test_positive_exponent_rule(self):
         # companion rules with smooth weight (1-u)**b are used internally
@@ -169,7 +166,7 @@ class TestFractionalOrder:
     @pytest.mark.parametrize("a", [0.0, -0.1, 1.0001, 2.0])
     def test_out_of_range_rejected(self, a):
         with pytest.raises(ValueError):
-            FractionalOrder(a)
+            order_value(a)
 
     def test_boundary_value_accepted(self):
-        assert float(FractionalOrder(1.0)) == 1.0
+        assert order_value(1.0) == 1.0

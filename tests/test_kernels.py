@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rkburgers.kernels import ProductKernelPoint, product_kernel, r1, r2, r3
+from rkburgers.kernels import r1, r2, r3
 from rkburgers.verification import check_reproducing_properties
 
 
@@ -57,39 +57,6 @@ class TestSymmetry:
             x, xi = rng.uniform(0.0, 1.0, 2)
             assert r3(x, xi) - r3(xi, x) == 0.0
             assert r2(x, xi) - r2(xi, x) == 0.0
-
-    def test_product_kernel_symmetric_in_point_pairs(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            x, t, xi, eta = rng.uniform(0.0, 1.0, 4)
-            direct = product_kernel(ProductKernelPoint(x=x, t=t, xi=xi, eta=eta))
-            swapped = product_kernel(ProductKernelPoint(x=xi, t=eta, xi=x, eta=t))
-            assert direct == swapped
-
-
-class TestProductKernel:
-    def test_value_is_factor_product(self):
-        p = ProductKernelPoint(x=0.5, t=0.5, xi=0.5, eta=0.3)
-        assert product_kernel(p) == pytest.approx(0.010609375, abs=1e-16)
-
-    def test_vanishes_when_time_factor_vanishes(self):
-        p = ProductKernelPoint(x=0.3, t=0.8, xi=0.6, eta=0.0)
-        assert product_kernel(p) == 0.0
-
-    def test_vanishes_when_space_factor_vanishes(self):
-        p = ProductKernelPoint(x=0.5, t=0.5, xi=0.0, eta=0.3)
-        assert product_kernel(p) == 0.0
-
-    def test_point_validation(self):
-        with pytest.raises(ValueError):
-            ProductKernelPoint(x=1.5, t=0.5, xi=0.5, eta=0.5)
-
-    def test_derivative_orders_validated(self):
-        p = ProductKernelPoint(x=0.5, t=0.5, xi=0.5, eta=0.5)
-        with pytest.raises(ValueError):
-            product_kernel(p, dx=3)
-        with pytest.raises(ValueError):
-            product_kernel(p, dt=2)
 
 
 class TestReproducingProperties:

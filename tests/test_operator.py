@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rkburgers.fracmath import gamma, gauss_jacobi, jacobi_rule
+from rkburgers.fracmath import gamma, jacobi_rule
 from rkburgers.kernels import r2, r3
 from rkburgers.operator import (
     BasisFunction,
@@ -15,7 +15,6 @@ from rkburgers.operator import (
     build_basis,
     caputo_time_kernel,
     double_caputo_time_kernel,
-    gram_entry,
     psi_eval,
 )
 from rkburgers.problems import build_example51
@@ -101,50 +100,39 @@ class TestDoubleCaputoTimeKernel:
         # for equal time slots the whole transform is elementary:
         # (t + t**2/(3-2a)) adjusted by the measure constants; at
         # t = 0.2, a = 0.5 the value is 0.88 / pi
-        rule = gauss_jacobi(0.5, 64)
-        value = double_caputo_time_kernel(0.2, 0.2, 0.5, rule)
+        value = double_caputo_time_kernel(0.2, 0.2, 0.5, 64)
         assert value == pytest.approx(0.88 / math.pi, rel=1e-13)
 
     def test_symmetry_of_the_two_quadrature_routes(self):
-        rule = gauss_jacobi(0.5, 64)
-        ab = double_caputo_time_kernel(0.2, 0.4, 0.5, rule)
-        ba = double_caputo_time_kernel(0.4, 0.2, 0.5, rule)
+        ab = double_caputo_time_kernel(0.2, 0.4, 0.5, 64)
+        ba = double_caputo_time_kernel(0.4, 0.2, 0.5, 64)
         assert ab == pytest.approx(ba, rel=1e-12)
         assert ab == pytest.approx(double_caputo_oracle(0.2, 0.4, 0.5), abs=1e-10)
 
     @pytest.mark.parametrize("a", [0.3, 0.7, 0.9])
     def test_against_two_dimensional_oracle(self, a):
-        rule = gauss_jacobi(a, 64)
         for t_i, t_j in ((0.2, 0.2), (0.15, 0.6), (0.6, 0.15), (0.9, 1.0), (1.0, 1.0)):
-            assert double_caputo_time_kernel(t_i, t_j, a, rule) == pytest.approx(
+            assert double_caputo_time_kernel(t_i, t_j, a, 64) == pytest.approx(
                 double_caputo_oracle(t_i, t_j, a), abs=1e-8
             )
 
     @pytest.mark.parametrize("a", [0.3, 0.7, 0.9])
     def test_node_count_convergence(self, a):
-        r64 = gauss_jacobi(a, 64)
-        r128 = gauss_jacobi(a, 128)
         for t_i, t_j in ((0.2, 0.2), (0.15, 0.6), (0.6, 0.15), (0.9, 1.0)):
-            v64 = double_caputo_time_kernel(t_i, t_j, a, r64)
-            v128 = double_caputo_time_kernel(t_i, t_j, a, r128)
+            v64 = double_caputo_time_kernel(t_i, t_j, a, 64)
+            v128 = double_caputo_time_kernel(t_i, t_j, a, 128)
             assert abs(v64 - v128) <= 1e-10
 
     def test_degenerate_time_slot(self):
-        rule = gauss_jacobi(0.5, 64)
-        assert double_caputo_time_kernel(0.5, 0.0, 0.5, rule) == 0.0
-        assert double_caputo_time_kernel(0.0, 0.5, 0.5, rule) == 0.0
+        assert double_caputo_time_kernel(0.5, 0.0, 0.5, 64) == 0.0
+        assert double_caputo_time_kernel(0.0, 0.5, 0.5, 64) == 0.0
 
     def test_classical_limit_at_order_one(self):
         # the doubly transformed kernel degenerates to 1 + min(r, s)
-        assert double_caputo_time_kernel(0.3, 0.7, 1.0, gauss_jacobi(0.5, 64)) == 1.3
-        near = double_caputo_time_kernel(0.3, 0.7, 0.9999, gauss_jacobi(0.9999, 64))
+        assert double_caputo_time_kernel(0.3, 0.7, 1.0, 64) == 1.3
+        near = double_caputo_time_kernel(0.3, 0.7, 0.9999, 64)
         assert near == pytest.approx(double_caputo_oracle(0.3, 0.7, 0.9999), abs=1e-8)
         assert near == pytest.approx(1.3, abs=1e-3)
-
-    def test_rule_exponent_must_match(self):
-        rule = gauss_jacobi(0.5, 64)
-        with pytest.raises(ValueError):
-            double_caputo_time_kernel(0.2, 0.2, 0.7, rule)
 
     def test_outer_quadrature_reduces_to_single_caputo_on_powers(self):
         # the mapped rule applied to the defining integrand of a pure power
@@ -169,7 +157,7 @@ class TestPsiEval:
 
     def test_pure_fractional_center_factorizes(self):
         problem = _pure_fractional_problem(0.5)
-        b = BasisFunction(index=0, xi=0.2, eta=0.2, k1=0.0, k2=0.0, k3=0.0, alpha=0.5)
+        b = BasisFunction(xi=0.2, eta=0.2, k1=0.0, k2=0.0, k3=0.0, alpha=0.5)
         expected = caputo_time_kernel(0.4, 0.2, 0.5) * r3(0.2, 0.5)
         assert psi_eval(b, 0.5, 0.4) == pytest.approx(expected, rel=1e-14)
 
@@ -185,7 +173,7 @@ class TestPsiEval:
             assert psi_eval(b, xi, eta, 1) == pytest.approx(fd, abs=1e-6)
 
     def test_derivative_order_validated(self):
-        b = BasisFunction(index=0, xi=0.5, eta=0.5, k1=0.0, k2=0.0, k3=0.0, alpha=0.5)
+        b = BasisFunction(xi=0.5, eta=0.5, k1=0.0, k2=0.0, k3=0.0, alpha=0.5)
         with pytest.raises(ValueError):
             psi_eval(b, 0.5, 0.5, 2)
 
@@ -195,9 +183,8 @@ class TestGramEntry:
         problem = _pure_fractional_problem(0.5)
         grid = CollocationGrid.from_points([(0.5, 0.5)])
         basis = build_basis(grid, problem)
-        rule = gauss_jacobi(0.5, 64)
-        expected = double_caputo_time_kernel(0.5, 0.5, 0.5, rule) * 0.06315104166666667
-        assert gram_entry(basis[0], basis[0], problem) == pytest.approx(expected, rel=1e-13)
+        expected = double_caputo_time_kernel(0.5, 0.5, 0.5, 64) * 0.06315104166666667
+        assert apply_operator(basis[0], problem, 0.5, 0.5) == pytest.approx(expected, rel=1e-13)
 
     def test_adjoint_symmetry_small_grid(self):
         problem = build_example51(0.9)
@@ -206,20 +193,6 @@ class TestGramEntry:
         for i in range(4):
             for j in range(4):
                 assert abs(g[i, j] - g[j, i]) <= 1e-8 * (1.0 + abs(g[i, j]))
-
-    def test_caputo_term_removed_collapses_to_kernel(self):
-        # with only the identity term in the operator, the entry reduces to
-        # the product kernel between the two collocation points
-        one = lambda xi, eta: 1.0
-        zero = lambda xi, eta: 0.0
-        problem = Problem(alpha=0.5, k1=zero, k2=one, k3=zero, k4=zero, f=zero, caputo_term=False)
-        grid = CollocationGrid.uniform(2, 2)
-        basis = build_basis(grid, problem)
-        g = assemble_gram(grid, problem, basis=basis).entries
-        for i, (xi_i, eta_i) in enumerate(grid.points):
-            for j, (xi_j, eta_j) in enumerate(grid.points):
-                expected = r3(xi_i, xi_j) * r2(eta_i, eta_j)
-                assert g[i, j] == pytest.approx(expected, rel=1e-14)
 
 
 class TestAssembleGram:
@@ -252,10 +225,3 @@ class TestAssembleGram:
         with pytest.raises(GramAssemblyError) as err:
             assemble_gram(grid, bad, basis=basis)
         assert (err.value.row, err.value.col) == (3, 0)
-
-    def test_apply_operator_matches_gram_entry(self):
-        problem = build_example51(0.7)
-        grid = CollocationGrid.uniform(2, 2)
-        basis = build_basis(grid, problem)
-        direct = apply_operator(basis[2], problem, *grid.points[1])
-        assert gram_entry(basis[1], basis[2], problem) == direct
