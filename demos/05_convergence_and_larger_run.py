@@ -5,7 +5,7 @@ Grid refinement and a hundred-point run
 Two closing experiments: the error on a fixed evaluation mesh drops
 monotonically as the collocation grid is refined, and the second
 benchmark (constant coefficients, exact solution sin(pi xi) eta**(2 alpha))
-runs at one hundred points in a couple of seconds.
+runs at one hundred points in well under a second.
 """
 
 import time

@@ -227,10 +227,11 @@ def _cmd_solve(cfg: RunConfig) -> int:
 
     if cfg.surface is not None:
         pts = [i / 50.0 for i in range(51)]
+        values = evaluate(sol, np.array(pts)[:, None], np.array(pts)[None, :]).tolist()
         lines = ["xi,eta,y"]
-        for x in pts:
-            for e in pts:
-                lines.append(f"{x:.10g},{e:.10g},{evaluate(sol, x, e):.10g}")
+        for x, row in zip(pts, values):
+            for e, y in zip(pts, row):
+                lines.append(f"{x:.10g},{e:.10g},{y:.10g}")
         _write_text(cfg.surface, "\n".join(lines) + "\n")
 
     meta = {

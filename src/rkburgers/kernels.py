@@ -15,6 +15,11 @@ so a single bivariate coefficient table per kernel suffices.  On the
 diagonal the "arg <= param" branch applies; derivatives of total order
 two and higher jump across the diagonal, so integration across it must
 split there.
+
+``r2`` and ``r3`` also take arrays.  They then run the same Horner steps
+on the same coefficient tables, pick the branch elementwise and keep the
+exact-zero sections, so every element is bit-identical to the scalar call
+at that pair.
 """
 
 import numpy as np
@@ -81,6 +86,31 @@ def _two_branch(tables, param, arg, d_param, d_arg):
     return float(polyval2d(arg, param, tables[(d_arg, d_param)]))
 
 
+def _on_arrays(tables, pinned, param, arg, d_param, d_arg):
+    """The kernel at every pair of the broadcast arrays, each as the scalar path computes it.
+
+    Both branch polynomials run the scalar path's Horner steps elementwise;
+    a section whose underived slot sits at a pinned value is exactly zero.
+    """
+    param, arg = np.broadcast_arrays(param, arg)
+    zero = np.zeros(param.shape, dtype=bool)
+    if d_arg == 0:
+        zero |= np.isin(arg, pinned)
+    if d_param == 0:
+        zero |= np.isin(param, pinned)
+    low = polyval2d(param, arg, tables[(d_param, d_arg)])
+    high = polyval2d(arg, param, tables[(d_arg, d_param)])
+    return np.where(zero, 0.0, np.where(arg <= param, low, high))
+
+
+def _check_units(name: str, values) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    outside = ~((0.0 <= v) & (v <= 1.0))
+    if outside.any():
+        raise ValueError(f"{name} = {v[outside].flat[0]} outside the domain [0, 1]")
+    return v
+
+
 def r1(x: float, xi: float) -> float:
     """First-order kernel, 1 + min(x, xi)."""
     x = _check_unit("x", x)
@@ -88,15 +118,19 @@ def r1(x: float, xi: float) -> float:
     return 1.0 + min(x, xi)
 
 
-def r2(t: float, eta: float, dt_order: int = 0, deta_order: int = 0) -> float:
+def r2(t, eta, dt_order: int = 0, deta_order: int = 0):
     """Second-order time kernel, or a partial derivative of it.
 
-    Satisfies r2(t, 0) = 0 and r2(t, eta) = r2(eta, t).
+    Satisfies r2(t, 0) = 0 and r2(t, eta) = r2(eta, t).  ``t`` and ``eta``
+    may be arrays: the result is then the kernel at every pair of the
+    broadcast arrays, each element bit-identical to the scalar call.
     """
-    t = _check_unit("t", t)
-    eta = _check_unit("eta", eta)
     _check_order("dt_order", dt_order, 2)
     _check_order("deta_order", deta_order, 2)
+    if np.ndim(t) or np.ndim(eta):
+        return _on_arrays(_D2, (0.0,), _check_units("t", t), _check_units("eta", eta), dt_order, deta_order)
+    t = _check_unit("t", t)
+    eta = _check_unit("eta", eta)
     # a section with an underived slot pinned at eta = 0 (or t = 0) is
     # identically zero, so every remaining derivative vanishes exactly
     if (deta_order == 0 and eta == 0.0) or (dt_order == 0 and t == 0.0):
@@ -104,15 +138,18 @@ def r2(t: float, eta: float, dt_order: int = 0, deta_order: int = 0) -> float:
     return _two_branch(_D2, t, eta, dt_order, deta_order)
 
 
-def r3(x: float, xi: float, dx_order: int = 0, dxi_order: int = 0) -> float:
+def r3(x, xi, dx_order: int = 0, dxi_order: int = 0):
     """Third-order space kernel, or a partial derivative of it.
 
-    Satisfies r3(x, 0) = r3(x, 1) = 0 and r3(x, xi) = r3(xi, x).
+    Satisfies r3(x, 0) = r3(x, 1) = 0 and r3(x, xi) = r3(xi, x).  ``x``
+    and ``xi`` may be arrays, as for ``r2``.
     """
-    x = _check_unit("x", x)
-    xi = _check_unit("xi", xi)
     _check_order("dx_order", dx_order, 3)
     _check_order("dxi_order", dxi_order, 3)
+    if np.ndim(x) or np.ndim(xi):
+        return _on_arrays(_D3, (0.0, 1.0), _check_units("x", x), _check_units("xi", xi), dx_order, dxi_order)
+    x = _check_unit("x", x)
+    xi = _check_unit("xi", xi)
     # sections pinned at an underived boundary slot are identically zero
     if (dxi_order == 0 and (xi == 0.0 or xi == 1.0)) or (
         dx_order == 0 and (x == 0.0 or x == 1.0)

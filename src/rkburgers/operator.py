@@ -21,10 +21,16 @@ both slots: the single transform has a closed form built from
 weighted_moment, the double transform reduces to one weakly singular
 integral evaluated by Gauss-Jacobi quadrature with the range split at the
 inner evaluation time.
+
+Every such value is a sum of products of an r3 space factor, a function of
+the two xi values, and a time factor, a function of the two eta values.
+``BasisTables`` tabulates the factors once over the distinct coordinates
+and combines them with array code; ``psi_eval`` and ``apply_operator``
+compute one value at a time and are the reference the tables match bit
+for bit.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,6 +50,7 @@ __all__ = [
     "BasisFunction",
     "GramMatrix",
     "GramAssemblyError",
+    "BasisTables",
     "caputo_time_kernel",
     "double_caputo_time_kernel",
     "build_basis",
@@ -170,7 +177,6 @@ def caputo_time_kernel(eta: float, t_i: float, alpha) -> float:
     return _ctk(eta, t_i, a)
 
 
-@lru_cache(maxsize=100_000)
 def _ctk(eta: float, t_i: float, a: float) -> float:
     if t_i <= 0.0:
         return 0.0
@@ -212,7 +218,6 @@ def double_caputo_time_kernel(
     return _dc(t_i, t_j, a, nodes)
 
 
-@lru_cache(maxsize=100_000)
 def _dc(t_i: float, t_j: float, a: float, n_nodes: int) -> float:
     if t_i <= 0.0 or t_j <= 0.0:
         return 0.0
@@ -304,21 +309,125 @@ def apply_operator(
     return total
 
 
+class BasisTables:
+    """The factors of basis functions at a set of points, tabulated over distinct coordinates.
+
+    psi_l at point p = (point_xi[p], point_eta[p]), and (L psi_l) at p, are sums of products of an r3
+    space factor of (xi_l, xi_p) and a time factor of (eta_l, eta_p): r2,
+    or a single or double Caputo transform of it.  Each factor is computed
+    once for every pair of distinct basis and point coordinates, so a
+    uniform p x q grid needs p**2 space and q**2 time values per factor.
+    ``psi`` and ``operator`` gather the factors for an index (or index
+    array, or slice) of points and of basis functions and combine them in
+    the operations, and the order, of ``psi_eval`` and ``apply_operator``;
+    each value is bit-identical to theirs.
+
+    ``nodes`` is the quadrature node count of the double transform; without
+    it only the factors of psi are tabulated.  A failing time factor raises
+    GramAssemblyError at the first point and basis function that use it.
+    """
+
+    def __init__(self, basis: list, point_xi, point_eta, nodes: Optional[int] = None):
+        alphas = {b.alpha for b in basis}
+        if len(alphas) > 1:
+            raise ValueError("basis functions must share one fractional order")
+        a = alphas.pop() if alphas else None
+        bx, self._basis_x = np.unique([b.xi for b in basis], return_inverse=True)
+        be, self._basis_eta = np.unique([b.eta for b in basis], return_inverse=True)
+        px, self._point_x = np.unique(np.asarray(point_xi, dtype=float), return_inverse=True)
+        pe, self._point_eta = np.unique(np.asarray(point_eta, dtype=float), return_inverse=True)
+        self._k = [np.array([getattr(b, k) for b in basis], dtype=float) for k in ("k1", "k2", "k3")]
+
+        # rows: distinct point coordinates, columns: distinct basis coordinates
+        top = 1 if nodes is None else 2
+        self._space = {
+            (dx, dxi): r3(bx[None, :], px[:, None], dx, dxi)
+            for dx in range(3)
+            for dxi in range(top + 1)
+        }
+        # r2 and its Caputo transform in the basis slot, in the point slot, in both
+        self._r2 = r2(be[None, :], pe[:, None])
+        self._caputo_basis = self._time_table(pe, be, lambda e, t: _ctk(e, t, a))
+        if nodes is not None:
+            self._caputo_point = self._time_table(pe, be, lambda e, t: _ctk(t, e, a))
+            self._caputo_both = self._time_table(pe, be, lambda e, t: _dc(t, e, a, nodes))
+
+    def _time_table(self, point_eta, basis_eta, fn) -> np.ndarray:
+        table = np.empty((len(point_eta), len(basis_eta)))
+        for u, e in enumerate(point_eta):
+            for v, t in enumerate(basis_eta):
+                try:
+                    table[u, v] = fn(e, t)
+                except Exception as exc:
+                    row = int(np.flatnonzero(self._point_eta == u)[0])
+                    col = int(np.flatnonzero(self._basis_eta == v)[0])
+                    raise GramAssemblyError(row, col, exc) from exc
+        return table
+
+    def _gather(self, points, fns):
+        """Indices into the space and the time tables, and the basis coefficients."""
+        x = self._point_x[points], self._basis_x[fns]
+        t = self._point_eta[points], self._basis_eta[fns]
+        return x, t, [k[fns] for k in self._k]
+
+    def psi(self, points, fns, dxi_order: int = 0) -> np.ndarray:
+        """psi_l (or its xi-derivative) at the points, as ``psi_eval``."""
+        if dxi_order not in (0, 1):
+            raise ValueError(f"dxi_order must be 0 or 1, got {dxi_order}")
+        x, t, (k1, k2, k3) = self._gather(points, fns)
+        space_frac = self._space[0, dxi_order][x]
+        space_smooth = (
+            k1 * self._space[2, dxi_order][x]
+            + k2 * space_frac
+            + k3 * self._space[1, dxi_order][x]
+        )
+        return self._r2[t] * space_smooth + self._caputo_basis[t] * space_frac
+
+    def operator(self, points, fns, c1, c2, c3) -> np.ndarray:
+        """(L psi_l) at the points with coefficients c1, c2, c3 sampled there, as ``apply_operator``."""
+        x, t, (k1, k2, k3) = self._gather(points, fns)
+        s00, s01, s02 = (self._space[0, d][x] for d in range(3))
+        a0, a1, a2 = (
+            k1 * self._space[2, d][x] + k2 * s + k3 * self._space[1, d][x]
+            for d, s in enumerate((s00, s01, s02))
+        )
+        r2v = self._r2[t]
+        phi = self._caputo_basis[t]  # fractional time factor of psi_l itself
+        total = (
+            c1 * (phi * s02 + r2v * a2)
+            + c2 * (phi * s00 + r2v * a0)
+            + c3 * (phi * s01 + r2v * a1)
+        )
+        # Caputo transform, at the point, of each of psi_l's two time factors.
+        total += self._caputo_point[t] * a0
+        total += self._caputo_both[t] * s00
+        return total
+
+
 def assemble_gram(
     grid: CollocationGrid,
     problem: Problem,
     nodes: int = DEFAULT_QUADRATURE_NODES,
     basis: Optional[list] = None,
 ) -> GramMatrix:
-    """All n x n Gram entries; raises GramAssemblyError with indices on failure."""
+    """All n x n Gram entries; raises GramAssemblyError with indices on failure.
+
+    Entry (i, j) is (L psi_j) at collocation point i, with the coefficient
+    functions sampled once per point; it is filled one row at a time from
+    ``BasisTables``.
+    """
     if basis is None:
         basis = build_basis(grid, problem)
     n = grid.n
+    if len(basis) != n:
+        raise ValueError(f"{len(basis)} basis functions for {n} collocation points")
+    tables = BasisTables(basis, [x for x, _ in grid.points], [e for _, e in grid.points], nodes)
     entries = np.empty((n, n))
     for i, (xi, eta) in enumerate(grid.points):
-        for j in range(n):
-            try:
-                entries[i, j] = apply_operator(basis[j], problem, xi, eta, nodes)
-            except Exception as exc:
-                raise GramAssemblyError(i, j, exc) from exc
+        try:
+            entries[i] = tables.operator(
+                i, slice(None), problem.k1(xi, eta), problem.k2(xi, eta), problem.k3(xi, eta)
+            )
+        except Exception as exc:  # the row's coefficients; column 0 is its first entry
+            raise GramAssemblyError(i, 0, exc) from exc
     return GramMatrix(entries=entries)

@@ -42,8 +42,12 @@ class OrthonormalBasis:
 
 
 def _fsum_row_dot(a0: float, xs, ys) -> float:
-    """a0 - sum_i xs[i] ys[i], with the summation exactly rounded."""
-    return math.fsum([a0] + [-x * y for x, y in zip(xs, ys)])
+    """a0 - sum_i xs[i] ys[i], with the summation exactly rounded.
+
+    The products are rounded elementwise on the arrays; fsum's result
+    depends only on the multiset of its inputs.
+    """
+    return math.fsum([a0] + (-(xs * ys)).tolist())
 
 
 def compute_beta(gram: GramMatrix) -> OrthonormalBasis:

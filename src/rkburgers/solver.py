@@ -11,6 +11,12 @@ and sets B_i = sum_{k<=i} beta_ik F_k.  The sweep starts from y_0 = 0,
 consistent with the homogeneous initial and boundary data.  An optional
 fixed-point polish re-evaluates every F_k at the full previous solution;
 it is off by default.
+
+Step k needs psi_l(x_k) and d_xi psi_l(x_k) for l < k: row k of the
+matrices Psi0 and Psi1, gathered from ``BasisTables`` one row at a time,
+so y_{k-1}(x_k) is the dot product of the raw-coefficient prefix with
+that row.  Evaluation anywhere else goes through the same tables, with
+``evaluate`` taking whole arrays of points.
 """
 
 import math
@@ -22,13 +28,17 @@ import numpy as np
 
 from .fracmath import DEFAULT_QUADRATURE_NODES
 from .operator import (
+    BasisTables,
     CollocationGrid,
     Problem,
-    apply_operator,
     assemble_gram,
     build_basis,
-    psi_eval,
 )
+
+# Not called here.  bench/tracer.py wraps rkburgers.solver.psi_eval to count
+# scalar basis evaluations during a solve; keeping the name makes that count
+# read 0 instead of missing.
+from .operator import psi_eval  # noqa: F401
 from .orthonormalize import OrthonormalBasis, compute_beta
 
 __all__ = [
@@ -56,7 +66,8 @@ class ApproximateSolution:
     """Result of a solve: coefficients B over the orthonormal basis.
 
     ``raw_coeffs`` caches beta' B, the expansion over the unorthonormalized
-    basis functions, so evaluation costs one kernel pass per basis function.
+    basis functions, so evaluation sums raw_coeffs[l] psi_l over the
+    nonzero coefficients and never touches beta.
     """
 
     B: np.ndarray
@@ -84,6 +95,7 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
     beta = onb.beta
     n = grid.n
 
+    tables = BasisTables(basis, [x for x, _ in grid.points], [e for _, e in grid.points])
     F = np.zeros(n)
     B = np.zeros(n)
     cum = np.zeros(n)  # prefix of beta' B, coefficients over the raw basis
@@ -91,10 +103,8 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
         if k == 0:
             yv = dyv = 0.0
         else:
-            vals = np.array([psi_eval(basis[l], xi, eta, 0) for l in range(k)])
-            ders = np.array([psi_eval(basis[l], xi, eta, 1) for l in range(k)])
-            yv = float(cum[:k] @ vals)
-            dyv = float(cum[:k] @ ders)
+            yv = float(cum[:k] @ tables.psi(k, slice(0, k), 0))
+            dyv = float(cum[:k] @ tables.psi(k, slice(0, k), 1))
         F[k] = problem.f(xi, eta) - problem.k4(xi, eta) * yv * dyv
         if not math.isfinite(F[k]):
             raise ArithmeticError(f"non-finite right-hand side at collocation index {k}")
@@ -103,10 +113,8 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
 
     for _ in range(opts.picard_iters):
         for k, (xi, eta) in enumerate(grid.points):
-            vals = np.array([psi_eval(basis[l], xi, eta, 0) for l in range(n)])
-            ders = np.array([psi_eval(basis[l], xi, eta, 1) for l in range(n)])
-            yv = float(cum @ vals)
-            dyv = float(cum @ ders)
+            yv = float(cum @ tables.psi(k, slice(None), 0))
+            dyv = float(cum @ tables.psi(k, slice(None), 1))
             F[k] = problem.f(xi, eta) - problem.k4(xi, eta) * yv * dyv
         B = beta @ F
         cum = beta.T @ B
@@ -123,30 +131,51 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
     )
 
 
-def evaluate(s: ApproximateSolution, xi: float, eta: float, dxi_order: int = 0) -> float:
-    """y_n (or its first xi-derivative) anywhere on [0, 1]^2."""
-    if not (0.0 <= xi <= 1.0 and 0.0 <= eta <= 1.0):
-        raise ValueError(f"evaluation point ({xi}, {eta}) outside [0, 1]^2")
-    return float(
-        sum(c * psi_eval(b, xi, eta, dxi_order) for c, b in zip(s.raw_coeffs, s.basis_functions) if c != 0.0)
-    )
+def _expand(s: ApproximateSolution, term, total=0.0):
+    """total + sum_l raw_coeffs[l] * term(l) over the nonzero coefficients, added in index order."""
+    for l, c in enumerate(s.raw_coeffs):
+        if c != 0.0:
+            total = total + c * term(l)
+    return total
+
+
+def evaluate(s: ApproximateSolution, xi, eta, dxi_order: int = 0):
+    """y_n (or its first xi-derivative) anywhere on [0, 1]^2.
+
+    ``xi`` and ``eta`` may be arrays, broadcast together; the result is
+    then an array of their shape, each element bit-identical to the scalar
+    call at that point.  The first point outside the square raises
+    ValueError naming it.
+    """
+    if dxi_order not in (0, 1):
+        raise ValueError(f"dxi_order must be 0 or 1, got {dxi_order}")
+    xs, es = np.broadcast_arrays(np.asarray(xi, dtype=float), np.asarray(eta, dtype=float))
+    outside = ~((0.0 <= xs) & (xs <= 1.0) & (0.0 <= es) & (es <= 1.0))
+    if outside.any():
+        k = int(np.flatnonzero(outside)[0])
+        raise ValueError(f"evaluation point ({xs.flat[k]}, {es.flat[k]}) outside [0, 1]^2")
+    tables = BasisTables(s.basis_functions, xs.ravel(), es.ravel())
+    index = np.arange(xs.size)
+    values = _expand(s, lambda l: tables.psi(index, l, dxi_order), np.zeros(xs.size))
+    if xs.ndim == 0:
+        return float(values[0])
+    return values.reshape(xs.shape)
 
 
 def residual(s: ApproximateSolution, xi: float, eta: float) -> float:
     """(L y_n)(xi, eta) minus the right-hand side evaluated with y_n itself.
 
     At collocation point k this reduces to the lag defect
-    k4 * (y_n d_xi y_n - y_{k-1} d_xi y_{k-1}).
+    k4 * (y_n d_xi y_n - y_{k-1} d_xi y_{k-1}).  The operator row comes
+    from the same tables as a Gram row.
     """
-    nodes = s.options.quadrature_nodes
-    ly = sum(
-        c * apply_operator(b, s.problem, xi, eta, nodes)
-        for c, b in zip(s.raw_coeffs, s.basis_functions)
-        if c != 0.0
-    )
+    p = s.problem
+    tables = BasisTables(s.basis_functions, [xi], [eta], s.options.quadrature_nodes)
+    row = tables.operator(0, slice(None), p.k1(xi, eta), p.k2(xi, eta), p.k3(xi, eta))
+    ly = _expand(s, lambda l: row[l])
     yv = evaluate(s, xi, eta, 0)
     dyv = evaluate(s, xi, eta, 1)
-    return float(ly) - (s.problem.f(xi, eta) - s.problem.k4(xi, eta) * yv * dyv)
+    return float(ly) - (p.f(xi, eta) - p.k4(xi, eta) * yv * dyv)
 
 
 @dataclass(frozen=True)
@@ -160,11 +189,12 @@ def error_report(s: ApproximateSolution, eval_points: Sequence[Tuple[float, floa
     """Absolute errors |y_n - y| at the given points; requires problem.exact."""
     if s.problem.exact is None:
         raise ValueError("error report requires a problem with an exact solution")
+    eval_points = list(eval_points)
+    approx = evaluate(s, [x for x, _ in eval_points], [e for _, e in eval_points]).tolist()
     rows = []
-    for xi, eta in eval_points:
-        approx = evaluate(s, xi, eta)
+    for (xi, eta), value in zip(eval_points, approx):
         truth = s.problem.exact(xi, eta)
-        rows.append(((xi, eta), approx, truth, abs(approx - truth)))
+        rows.append(((xi, eta), value, truth, abs(value - truth)))
     errs = [r[3] for r in rows]
     return ErrorReport(
         rows=rows,

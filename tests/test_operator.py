@@ -211,7 +211,15 @@ class TestAssembleGram:
             for j in range(n):
                 assert abs(g[i, j] - g[j, i]) <= 1e-8 * (1.0 + abs(g[i, j]))
 
-    def test_entry_failure_carries_indices(self):
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            CollocationGrid.uniform(2, 2),
+            CollocationGrid.from_points([(0.3, 0.6), (0.35, 1.0), (1.0, 0.45), (1.0, 1.0)]),
+        ],
+        ids=["uniform", "from_points"],
+    )
+    def test_entry_failure_carries_indices(self, grid):
         def bad_k1(xi, eta):
             if xi == 1.0 and eta == 1.0:
                 raise FloatingPointError("synthetic coefficient failure")
@@ -220,8 +228,21 @@ class TestAssembleGram:
         zero = lambda xi, eta: 0.0
         clean = Problem(alpha=0.5, k1=lambda xi, eta: 1.0, k2=zero, k3=zero, k4=zero, f=zero)
         bad = Problem(alpha=0.5, k1=bad_k1, k2=zero, k3=zero, k4=zero, f=zero)
-        grid = CollocationGrid.uniform(2, 2)
         basis = build_basis(grid, clean)
         with pytest.raises(GramAssemblyError) as err:
             assemble_gram(grid, bad, basis=basis)
         assert (err.value.row, err.value.col) == (3, 0)
+
+    def test_quadrature_failure_carries_indices(self):
+        # no quadrature nodes: the first entry with distinct time slots fails,
+        # basis function 1 at collocation point 0
+        problem = build_example51(0.9)
+        with pytest.raises(GramAssemblyError) as err:
+            assemble_gram(CollocationGrid.uniform(2, 2), problem, nodes=0)
+        assert (err.value.row, err.value.col) == (0, 1)
+
+    def test_basis_must_match_the_grid(self):
+        problem = build_example51(0.9)
+        basis = build_basis(CollocationGrid.uniform(2, 2), problem)
+        with pytest.raises(ValueError, match="3 basis functions for 4"):
+            assemble_gram(CollocationGrid.uniform(2, 2), problem, basis=basis[:3])

@@ -1,0 +1,195 @@
+"""The table path against the scalar functions it replaces, bit for bit.
+
+Every reference below is built from one-value-at-a-time calls to
+scalar ``r2``/``r3``, ``apply_operator`` and ``psi_eval``, in the loops the
+solver ran before the tables existed.  The table path performs the same
+floating-point operations in the same order, so the comparisons are
+``np.array_equal``, not approximate.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from rkburgers.kernels import r2, r3
+from rkburgers.operator import (
+    CollocationGrid,
+    GramMatrix,
+    apply_operator,
+    assemble_gram,
+    build_basis,
+    psi_eval,
+)
+from rkburgers.orthonormalize import compute_beta
+from rkburgers.problems import build_example51, build_example52
+from rkburgers.solver import SolverOptions, error_report, evaluate, residual, solve
+
+# a 4 x 4 grid with every coordinate moved off the lattice, so no two
+# points share a xi or an eta value
+_JITTERED = [
+    (round((i + 0.23 * math.sin(7 * i + 3 * j)) / 4, 12), round((j + 0.21 * math.cos(5 * i + 2 * j)) / 4, 12))
+    for i in range(1, 5)
+    for j in range(1, 5)
+]
+_JITTERED = [(2.0 - x if x > 1.0 else x, 2.0 - e if e > 1.0 else e) for x, e in _JITTERED]
+
+CASES = {
+    "ex1-alpha0.9-5x5": (build_example51, 0.9, CollocationGrid.uniform(5, 5)),
+    "ex2-alpha0.8-6x6": (build_example52, 0.8, CollocationGrid.uniform(6, 6)),
+    "ex1-alpha0.9-jittered": (build_example51, 0.9, CollocationGrid.from_points(_JITTERED)),
+}
+
+# includes xi = 0, xi = 1 and eta = 0, where the basis functions vanish
+EDGE_POINTS = [(0.0, 0.3), (1.0, 0.7), (0.4, 0.0), (0.0, 0.0), (1.0, 1.0), (0.5, 1.0), (0.3, 0.6)]
+
+
+def _reference_gram(grid, problem, basis):
+    return np.array([[apply_operator(b, problem, xi, eta) for b in basis] for xi, eta in grid.points])
+
+
+def _reference_value(raw, basis, xi, eta, order=0):
+    return float(sum(c * psi_eval(b, xi, eta, order) for c, b in zip(raw, basis) if c != 0.0))
+
+
+def _reference_sweep(problem, grid, basis, beta, picard_iters=0):
+    """The sequential sweep and Picard passes evaluated through psi_eval."""
+    n = grid.n
+    F, B, cum = np.zeros(n), np.zeros(n), np.zeros(n)
+    for k, (xi, eta) in enumerate(grid.points):
+        if k == 0:
+            yv = dyv = 0.0
+        else:
+            vals = np.array([psi_eval(basis[l], xi, eta, 0) for l in range(k)])
+            ders = np.array([psi_eval(basis[l], xi, eta, 1) for l in range(k)])
+            yv = float(cum[:k] @ vals)
+            dyv = float(cum[:k] @ ders)
+        F[k] = problem.f(xi, eta) - problem.k4(xi, eta) * yv * dyv
+        B[k] = float(beta[k, : k + 1] @ F[: k + 1])
+        cum[: k + 1] += B[k] * beta[k, : k + 1]
+    for _ in range(picard_iters):
+        for k, (xi, eta) in enumerate(grid.points):
+            vals = np.array([psi_eval(basis[l], xi, eta, 0) for l in range(n)])
+            ders = np.array([psi_eval(basis[l], xi, eta, 1) for l in range(n)])
+            F[k] = problem.f(xi, eta) - problem.k4(xi, eta) * float(cum @ vals) * float(cum @ ders)
+        B = beta @ F
+        cum = beta.T @ B
+    return F, B, cum
+
+
+def _same(a, b):
+    """Bit-identical, down to the sign of zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestKernelTables:
+    VALUES = np.concatenate([[0.0, 1.0, 0.5], np.arange(1, 8) / 7, np.linspace(0.03, 0.97, 9)])
+
+    @pytest.mark.parametrize("orders", list(itertools.product(range(4), range(4))))
+    def test_r3_on_arrays_matches_scalar(self, orders):
+        v = self.VALUES
+        table = r3(v[:, None], v[None, :], *orders)
+        assert _same(table, [[r3(x, s, *orders) for s in v] for x in v])
+
+    @pytest.mark.parametrize("orders", list(itertools.product(range(3), range(3))))
+    def test_r2_on_arrays_matches_scalar(self, orders):
+        v = self.VALUES
+        table = r2(v[:, None], v[None, :], *orders)
+        assert _same(table, [[r2(t, e, *orders) for e in v] for t in v])
+
+    def test_domain_and_order_checked(self):
+        with pytest.raises(ValueError, match="outside the domain"):
+            r3(np.array([0.2, 1.5]), 0.5)
+        with pytest.raises(ValueError, match="outside the domain"):
+            r2(0.5, np.array([np.nan]))
+        with pytest.raises(ValueError):
+            r3(np.array([0.5]), 0.5, 4, 0)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_solve_matches_scalar_reference(case):
+    build, alpha, grid = CASES[case]
+    problem = build(alpha)
+    basis = build_basis(grid, problem)
+    gram = _reference_gram(grid, problem, basis)
+    beta = compute_beta(GramMatrix(entries=gram)).beta
+    F, B, raw = _reference_sweep(problem, grid, basis, beta)
+
+    assert _same(assemble_gram(grid, problem).entries, gram)
+    sol = solve(problem, grid)
+    assert _same(sol.basis.source.entries, gram)
+    assert _same(sol.basis.beta, beta)
+    assert _same(sol.F_values, F)
+    assert _same(sol.B, B)
+    assert _same(sol.raw_coeffs, raw)
+
+
+def test_picard_pass_matches_scalar_reference():
+    problem = build_example51(0.9)
+    grid = CollocationGrid.uniform(4, 4)
+    sol = solve(problem, grid, SolverOptions(picard_iters=1))
+    basis = build_basis(grid, problem)
+    F, B, raw = _reference_sweep(problem, grid, basis, sol.basis.beta, picard_iters=1)
+    assert _same(sol.F_values, F)
+    assert _same(sol.B, B)
+    assert _same(sol.raw_coeffs, raw)
+
+
+def test_residual_at_collocation_points_matches_scalar_reference(solution_factory):
+    sol = solution_factory("1", 0.9, 4, 4)
+    problem, basis = sol.problem, sol.basis_functions
+    for xi, eta in sol.grid.points:
+        ly = sum(c * apply_operator(b, problem, xi, eta) for c, b in zip(sol.raw_coeffs, basis) if c != 0.0)
+        yv = _reference_value(sol.raw_coeffs, basis, xi, eta, 0)
+        dyv = _reference_value(sol.raw_coeffs, basis, xi, eta, 1)
+        expected = float(ly) - (problem.f(xi, eta) - problem.k4(xi, eta) * yv * dyv)
+        assert _same(residual(sol, xi, eta), expected)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_evaluation_matches_scalar_reference(solution_factory, order):
+    sol = solution_factory("2", 0.9, 10, 10)
+    mesh = [(0.1 * i, 0.1 * j) for i in range(1, 7) for j in range(1, 7)]
+    points = EDGE_POINTS + mesh
+    expected = [_reference_value(sol.raw_coeffs, sol.basis_functions, x, e, order) for x, e in points]
+    batch = evaluate(sol, [x for x, _ in points], [e for _, e in points], order)
+    assert _same(batch, expected)
+    assert all(_same(evaluate(sol, x, e, order), v) for (x, e), v in zip(points, expected))
+    # every basis function vanishes on xi = 0, xi = 1 and eta = 0, and
+    # its xi-derivative on eta = 0; both sums come out as +0.0
+    for (x, e), v in zip(EDGE_POINTS, expected):
+        if e == 0.0 or (order == 0 and x in (0.0, 1.0)):
+            assert v == 0.0 and math.copysign(1.0, v) > 0.0
+
+
+def test_evaluate_keeps_the_shape_of_its_arguments(solution_factory):
+    sol = solution_factory("1", 0.9, 5, 5)
+    xs = np.linspace(0.0, 1.0, 4)
+    grid = evaluate(sol, xs[:, None], xs[None, :])
+    assert grid.shape == (4, 4)
+    assert isinstance(evaluate(sol, 0.3, 0.4), float)
+    assert grid[1, 2] == evaluate(sol, float(xs[1]), float(xs[2]))
+
+
+class TestErrorContracts:
+    def test_point_outside_mid_batch_is_named(self, solution_factory):
+        sol = solution_factory("1", 0.9, 5, 5)
+        points = [(0.1, 0.1), (0.2, 0.3), (0.5, 1.25), (1.5, 0.5)]
+        with pytest.raises(ValueError, match=r"\(0\.5, 1\.25\) outside"):
+            error_report(sol, points)
+
+    def test_derivative_order_two_rejected(self, solution_factory):
+        sol = solution_factory("1", 0.9, 5, 5)
+        with pytest.raises(ValueError, match="dxi_order"):
+            evaluate(sol, 0.5, 0.5, 2)
+        with pytest.raises(ValueError, match="dxi_order"):
+            evaluate(sol, [0.5, 0.6], [0.5, 0.5], 2)
+
+    def test_empty_point_list(self, solution_factory):
+        sol = solution_factory("1", 0.9, 5, 5)
+        report = error_report(sol, [])
+        assert report.rows == []
+        assert report.max_abs_error == 0.0
+        assert report.mean_abs_error == 0.0
