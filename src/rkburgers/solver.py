@@ -39,7 +39,7 @@ from .operator import (
 # scalar basis evaluations during a solve; keeping the name makes that count
 # read 0 instead of missing.
 from .operator import psi_eval  # noqa: F401
-from .orthonormalize import OrthonormalBasis, compute_beta
+from .orthonormalize import OrthonormalBasis, add_exact_product, compute_beta
 
 __all__ = [
     "SolverOptions",
@@ -246,28 +246,38 @@ def norm_recursion_defect(s: ApproximateSolution) -> float:
     """Max over prefixes m of | ||y_m||^2 - sum B_i^2 | / (1 + sum B_i^2).
 
     The squared norm of the partial sum is the quadratic form of the raw
-    coefficient prefix through the Gram matrix, evaluated with compensated
-    products and exact summation so the reported defect reflects the
-    orthonormalization itself rather than evaluation round-off.  The
-    normalization by 1 + sum B_i^2 matches the scale-aware form used for
-    the Gram symmetry tolerance; the unnormalized defect sits at the
-    64-bit representation floor of the triangular factor once the squared
-    norm is large and the Gram matrix is ill conditioned.
+    coefficient prefix u_m through the Gram matrix, evaluated with exact
+    products and compensated sums so the reported defect reflects the
+    orthonormalization itself rather than evaluation round-off: the rows
+    of U are the prefixes, G U' is carried as hi + lo, and each u_m' G u_m
+    is summed from TwoProd terms.  The normalization by 1 + sum B_i^2
+    matches the scale-aware form used for the Gram symmetry tolerance; the
+    unnormalized defect sits at the 64-bit representation floor of the
+    triangular factor once the squared norm is large and the Gram matrix
+    is ill conditioned.
     """
-    g = s.basis.source.entries
-    beta = s.basis.beta
     n = s.n
-    worst = 0.0
-    running = 0.0
-    cum = np.zeros(n)
-    for m in range(1, n + 1):
-        cum[: m] += s.B[m - 1] * beta[m - 1, : m]
-        sq, sq_err = _two_prod(s.B[m - 1], s.B[m - 1])
-        running = math.fsum([running, float(sq), float(sq_err)])
-        u = cum[: m]
-        t1, e1 = _two_prod(np.broadcast_to(u[:, None], (m, m)), g[: m, : m])
-        t2, e2 = _two_prod(t1, np.broadcast_to(u[None, :], (m, m)))
-        tail = e1 * u[None, :]
-        quad = math.fsum(np.concatenate([t2.ravel(), e2.ravel(), tail.ravel()]).tolist())
-        worst = max(worst, abs(quad - running) / (1.0 + running))
-    return worst
+    # Row m - 1 is the prefix u_m, accumulated in the order the sweep uses.
+    u = np.cumsum(s.B[:, None] * s.basis.beta, axis=0)
+    hi = np.zeros((n, n))
+    lo = np.zeros((n, n))
+    add_exact_product(hi, lo, s.basis.source.entries, u)
+    terms, err = _two_prod(u.T, hi)
+    err += u.T * lo
+    del hi, lo
+    quad = np.zeros(n)
+    comp = np.sum(err, axis=0)
+    for row in terms:  # TwoSum down the columns
+        total = quad + row
+        z = total - quad
+        comp += (quad - (total - z)) + (row - z)
+        quad = total
+    quad += comp
+
+    sq, sq_err = _two_prod(s.B, s.B)
+    running = np.empty(n)
+    acc = 0.0
+    for m in range(n):
+        acc = math.fsum((acc, sq[m], sq_err[m]))
+        running[m] = acc
+    return float(np.max(np.abs(quad - running) / (1.0 + running), initial=0.0))

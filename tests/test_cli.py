@@ -60,6 +60,10 @@ class TestSolveCommand:
     def test_guard_rail_on_problem_size(self):
         assert main(["solve", "--example", "1", "--p", "200", "--q", "200"]) == 1
 
+    def test_guard_rail_just_above_the_limit(self, capsys):
+        assert main(["solve", "--example", "1", "--p", "41", "--q", "61"]) == 1
+        assert "p * q = 2501 exceeds the guard rail 2500" in capsys.readouterr().err
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "err.json"
         code = main(
@@ -207,6 +211,12 @@ class TestConvergenceCommand:
         assert main(
             ["convergence", "--example", "1", "--alpha", "0.9", "--sizes", "200x200"]
         ) == 1
+
+    def test_guard_rail_just_above_the_limit(self, capsys):
+        assert main(
+            ["convergence", "--example", "1", "--alpha", "0.9", "--sizes", "41x61"]
+        ) == 1
+        assert "size 41x61 outside the guard rail" in capsys.readouterr().err
 
     def test_non_square_count_rejected(self):
         assert main(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -126,10 +128,49 @@ class TestResidual:
         assert residual(sol, 0.4, 0.6) == pytest.approx(0.0, abs=1e-14)
 
 
+def _two_prod(a, b):
+    p = a * b
+    ah = a * 134217729.0
+    ah = ah - (ah - a)
+    al = a - ah
+    bh = b * 134217729.0
+    bh = bh - (bh - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _prefix_loop_norm_recursion_defect(s):
+    """Reference: one exactly summed quadratic form per prefix m."""
+    g = s.basis.source.entries
+    beta = s.basis.beta
+    worst = 0.0
+    running = 0.0
+    cum = np.zeros(s.n)
+    for m in range(1, s.n + 1):
+        cum[:m] += s.B[m - 1] * beta[m - 1, :m]
+        sq, sq_err = _two_prod(s.B[m - 1], s.B[m - 1])
+        running = math.fsum([running, float(sq), float(sq_err)])
+        u = cum[:m]
+        t1, e1 = _two_prod(np.broadcast_to(u[:, None], (m, m)), g[:m, :m])
+        t2, e2 = _two_prod(t1, np.broadcast_to(u[None, :], (m, m)))
+        tail = e1 * u[None, :]
+        quad = math.fsum(np.concatenate([t2.ravel(), e2.ravel(), tail.ravel()]).tolist())
+        worst = max(worst, abs(quad - running) / (1.0 + running))
+    return worst
+
+
 class TestNormRecursion:
     def test_prefix_identity_small_grid(self, solution_factory):
         sol = solution_factory("1", 0.9, 5, 5)
         assert norm_recursion_defect(sol) <= 1e-8
+
+    @pytest.mark.parametrize("example,alpha,p", [("1", 0.9, 5), ("2", 0.8, 10)])
+    def test_matches_the_prefix_loop(self, solution_factory, example, alpha, p):
+        # Both evaluate the quadratic forms nearly exactly, so they agree to a
+        # few units of 2**-53; plain sums after an exact G U already miss by 1e-15.
+        sol = solution_factory(example, alpha, p, p)
+        expected = _prefix_loop_norm_recursion_defect(sol)
+        assert norm_recursion_defect(sol) == pytest.approx(expected, rel=0, abs=4 * 2.0**-53)
 
     def test_partial_sum_norms_nondecreasing(self, solution_factory):
         sol = solution_factory("1", 0.9, 5, 5)
