@@ -30,6 +30,7 @@ compute one value at a time and are the reference the tables match bit
 for bit.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -60,6 +61,8 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-12
+_ROW_BLOCK = 64  # Gram rows gathered at once
+_PAIR_BLOCK = 1024  # eta pairs per block of double-transform quadrature
 
 
 @dataclass(frozen=True)
@@ -309,6 +312,98 @@ def apply_operator(
     return total
 
 
+def _pow(x, p) -> np.ndarray:
+    """x**p elementwise by Python's float power, once per distinct base.
+
+    The scalar time factors take their powers from the C library's pow;
+    numpy's vectorized power rounds differently in the last bit for some
+    arguments, so the tables call the same pow on every distinct base.
+    """
+    bases, inverse = np.unique(np.ravel(x), return_inverse=True)
+    return np.array([b**p for b in bases.tolist()])[inverse].reshape(np.shape(x))
+
+
+def _moment_table(m: int, a: float, lower, upper, c) -> np.ndarray:
+    """``weighted_moment(m, a, lower, upper, c)`` over arrays, with its operations in its order."""
+    lo, hi = c - upper, c - lower
+    total = 0.0
+    for j in range(m + 1):
+        p = j + 1.0 - a
+        term = math.comb(m, j) * _pow(c, m - j) * (_pow(hi, p) - _pow(lo, p)) / p
+        total = total + (-term if j % 2 else term)
+    return np.where(lower == upper, 0.0, total)
+
+
+def _ctk_table(eta, t_i, a: float) -> np.ndarray:
+    """``_ctk`` over broadcast arrays of eta and t_i, each value bit-identical to the scalar call."""
+    eta, t_i = np.broadcast_arrays(eta, t_i)
+    if a == 1.0:
+        return np.where(t_i <= 0.0, 0.0, r2(t_i, eta, 1, 0))
+    m = np.minimum(eta, t_i)
+    val = (
+        -0.5 * _moment_table(2, a, 0.0, m, t_i)
+        + eta * _moment_table(1, a, 0.0, m, t_i)
+        + eta * _moment_table(0, a, 0.0, m, t_i)
+    )
+    tail = (eta + 0.5 * eta * eta) * _moment_table(0, a, m, t_i, t_i)
+    val = np.where(t_i > eta, val + tail, val)
+    return np.where(t_i <= 0.0, 0.0, val / gamma(1.0 - a))
+
+
+class _QuadratureError(Exception):
+    """A quadrature rule of ``_dc_table`` failed; ``pair`` is the first table index that needs it."""
+
+    def __init__(self, pair: tuple, cause: Exception):
+        super().__init__(str(cause))
+        self.pair = pair
+        self.cause = cause
+
+
+def _rule_sums(rule, outer, inner, power) -> np.ndarray:
+    """w @ (outer - inner * u)**power for each pair, one dot product per pair as in ``_dc``."""
+    u, w = rule
+    sums = np.empty(outer.size)
+    for start in range(0, outer.size, _PAIR_BLOCK):
+        block = slice(start, start + _PAIR_BLOCK)
+        values = (outer[block, None] - inner[block, None] * u) ** power
+        sums[block] = [w @ row for row in values]
+    return sums
+
+
+def _dc_table(t_i, t_j, a: float, n_nodes: int) -> np.ndarray:
+    """``_dc`` over broadcast arrays of t_i and t_j, each value bit-identical to the scalar call.
+
+    Raises _QuadratureError, naming the first pair that needs it, when a
+    quadrature rule cannot be built.
+    """
+    t_i, t_j = np.broadcast_arrays(t_i, t_j)
+    live = (t_i > 0.0) & (t_j > 0.0)
+    if a == 1.0:
+        return np.where(live, 1.0 + np.minimum(t_i, t_j), 0.0)
+    c = gamma(1.0 - a)
+    k1 = (1.0 + t_i) * _pow(t_i, 1.0 - a) / (1.0 - a) - _pow(t_i, 2.0 - a) / (2.0 - a)
+    k2 = 1.0 / ((1.0 - a) * (2.0 - a))
+    const_part = k1 * _pow(t_j, 1.0 - a) / (1.0 - a)
+    frac_part = _pow(t_i, 3.0 - 2.0 * a) / (3.0 - 2.0 * a)  # the value where t_i == t_j
+    failed = []
+    for pairs, exponent, scale, outer, inner, power in (
+        (live & (t_j < t_i), -a, _pow(t_j, 1.0 - a), t_i, t_j, 2.0 - a),
+        (live & (t_j > t_i), 2.0 - a, _pow(t_i, 3.0 - a), t_j, t_i, -a),
+    ):
+        if not pairs.any():
+            continue
+        try:
+            rule = jacobi_rule(exponent, n_nodes)
+        except (ValueError, RuntimeError) as exc:
+            failed.append((int(np.flatnonzero(pairs)[0]), exc))
+            continue
+        frac_part[pairs] = scale[pairs] * _rule_sums(rule, outer[pairs], inner[pairs], power)
+    if failed:
+        first, exc = min(failed, key=lambda f: f[0])
+        raise _QuadratureError(np.unravel_index(first, t_i.shape), exc)
+    return np.where(live, (const_part - k2 * frac_part) / (c * c), 0.0)
+
+
 class BasisTables:
     """The factors of basis functions at a set of points, tabulated over distinct coordinates.
 
@@ -316,11 +411,14 @@ class BasisTables:
     space factor of (xi_l, xi_p) and a time factor of (eta_l, eta_p): r2,
     or a single or double Caputo transform of it.  Each factor is computed
     once for every pair of distinct basis and point coordinates, so a
-    uniform p x q grid needs p**2 space and q**2 time values per factor.
-    ``psi`` and ``operator`` gather the factors for an index (or index
-    array, or slice) of points and of basis functions and combine them in
-    the operations, and the order, of ``psi_eval`` and ``apply_operator``;
-    each value is bit-identical to theirs.
+    uniform p x q grid needs p**2 space and q**2 time values per factor,
+    and each table is filled by array code: the kernels' array form for
+    the space factors and r2, ``_ctk_table`` and ``_dc_table`` for the
+    Caputo transforms.  ``psi`` and ``operator`` gather the factors for an
+    index (or index array, or slice) of points and of basis functions,
+    broadcast together, and combine them in the operations, and the order,
+    of ``psi_eval`` and ``apply_operator``; each value is bit-identical to
+    theirs.
 
     ``nodes`` is the quadrature node count of the double transform; without
     it only the factors of psi are tabulated.  A failing time factor raises
@@ -331,7 +429,7 @@ class BasisTables:
         alphas = {b.alpha for b in basis}
         if len(alphas) > 1:
             raise ValueError("basis functions must share one fractional order")
-        a = alphas.pop() if alphas else None
+        a = alphas.pop() if alphas else 1.0  # no basis functions: empty tables
         bx, self._basis_x = np.unique([b.xi for b in basis], return_inverse=True)
         be, self._basis_eta = np.unique([b.eta for b in basis], return_inverse=True)
         px, self._point_x = np.unique(np.asarray(point_xi, dtype=float), return_inverse=True)
@@ -347,22 +445,16 @@ class BasisTables:
         }
         # r2 and its Caputo transform in the basis slot, in the point slot, in both
         self._r2 = r2(be[None, :], pe[:, None])
-        self._caputo_basis = self._time_table(pe, be, lambda e, t: _ctk(e, t, a))
+        self._caputo_basis = _ctk_table(pe[:, None], be[None, :], a)
         if nodes is not None:
-            self._caputo_point = self._time_table(pe, be, lambda e, t: _ctk(t, e, a))
-            self._caputo_both = self._time_table(pe, be, lambda e, t: _dc(t, e, a, nodes))
-
-    def _time_table(self, point_eta, basis_eta, fn) -> np.ndarray:
-        table = np.empty((len(point_eta), len(basis_eta)))
-        for u, e in enumerate(point_eta):
-            for v, t in enumerate(basis_eta):
-                try:
-                    table[u, v] = fn(e, t)
-                except Exception as exc:
-                    row = int(np.flatnonzero(self._point_eta == u)[0])
-                    col = int(np.flatnonzero(self._basis_eta == v)[0])
-                    raise GramAssemblyError(row, col, exc) from exc
-        return table
+            self._caputo_point = _ctk_table(be[None, :], pe[:, None], a)
+            try:
+                self._caputo_both = _dc_table(be[None, :], pe[:, None], a, nodes)
+            except _QuadratureError as err:
+                u, v = err.pair
+                row = int(np.flatnonzero(self._point_eta == u)[0])
+                col = int(np.flatnonzero(self._basis_eta == v)[0])
+                raise GramAssemblyError(row, col, err.cause) from err.cause
 
     def _gather(self, points, fns):
         """Indices into the space and the time tables, and the basis coefficients."""
@@ -413,8 +505,8 @@ def assemble_gram(
     """All n x n Gram entries; raises GramAssemblyError with indices on failure.
 
     Entry (i, j) is (L psi_j) at collocation point i, with the coefficient
-    functions sampled once per point; it is filled one row at a time from
-    ``BasisTables``.
+    functions sampled once per point; the rows are gathered from
+    ``BasisTables`` a block at a time.
     """
     if basis is None:
         basis = build_basis(grid, problem)
@@ -422,12 +514,14 @@ def assemble_gram(
     if len(basis) != n:
         raise ValueError(f"{len(basis)} basis functions for {n} collocation points")
     tables = BasisTables(basis, [x for x, _ in grid.points], [e for _, e in grid.points], nodes)
-    entries = np.empty((n, n))
+    coeffs = np.empty((3, n))
     for i, (xi, eta) in enumerate(grid.points):
         try:
-            entries[i] = tables.operator(
-                i, slice(None), problem.k1(xi, eta), problem.k2(xi, eta), problem.k3(xi, eta)
-            )
+            coeffs[:, i] = problem.k1(xi, eta), problem.k2(xi, eta), problem.k3(xi, eta)
         except Exception as exc:  # the row's coefficients; column 0 is its first entry
             raise GramAssemblyError(i, 0, exc) from exc
+    entries = np.empty((n, n))
+    for start in range(0, n, _ROW_BLOCK):
+        rows = np.arange(start, min(start + _ROW_BLOCK, n))[:, None]
+        entries[start : start + _ROW_BLOCK] = tables.operator(rows, slice(None), *coeffs[:, rows])
     return GramMatrix(entries=entries)

@@ -86,17 +86,18 @@ def add_exact_product(hi, lo, x, y):
 
     x and y are split by rows (``_split_rows``); each slice product is
     added to hi and its rounding error to lo with Knuth's TwoSum, which
-    needs no ordering of the summands.  The work runs on blocks of rows,
-    which keeps the temporaries small.
+    needs no ordering of the summands.  The work runs on blocks of rows
+    of x, split one block at a time, which keeps the temporaries small.
     """
-    xs = _split_rows(x)
-    ys = xs if y is x else _split_rows(y)
+    ys = _split_rows(y)
     for start in range(0, hi.shape[0], _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
+        # x's slices of these rows: the split of each row depends on that row alone
+        xs = [s[rows] for s in ys] if y is x else _split_rows(x[rows])
         h, l = hi[rows], lo[rows]
         for xi in xs:
             for yj in ys:
-                p = xi[rows] @ yj.T
+                p = xi @ yj.T
                 s = h + p
                 t = s - h
                 p -= t

@@ -13,10 +13,12 @@ fixed-point polish re-evaluates every F_k at the full previous solution;
 it is off by default.
 
 Step k needs psi_l(x_k) and d_xi psi_l(x_k) for l < k: row k of the
-matrices Psi0 and Psi1, gathered from ``BasisTables`` one row at a time,
-so y_{k-1}(x_k) is the dot product of the raw-coefficient prefix with
-that row.  Evaluation anywhere else goes through the same tables, with
-``evaluate`` taking whole arrays of points.
+matrices Psi0 and Psi1, gathered from ``BasisTables`` for a block of
+steps at a time, so y_{k-1}(x_k) is the dot product of the
+raw-coefficient prefix with that row.  Evaluation anywhere else goes
+through the same tables, with ``evaluate`` taking whole arrays of points
+and gathering one block of points by one block of basis functions at a
+time, so its memory does not grow with points x functions.
 """
 
 import math
@@ -53,6 +55,9 @@ __all__ = [
     "convergence_study",
     "norm_recursion_defect",
 ]
+
+_BLOCK = 64  # sweep steps, basis functions or norm prefixes per gathered block
+_POINT_BLOCK = 256  # evaluation points per gathered block
 
 
 @dataclass(frozen=True)
@@ -99,12 +104,13 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
     F = np.zeros(n)
     B = np.zeros(n)
     cum = np.zeros(n)  # prefix of beta' B, coefficients over the raw basis
-    for k, (xi, eta) in enumerate(grid.points):
+    for k, row0, row1 in _psi_rows(tables, n, lower=True):
+        xi, eta = grid.points[k]
         if k == 0:
             yv = dyv = 0.0
         else:
-            yv = float(cum[:k] @ tables.psi(k, slice(0, k), 0))
-            dyv = float(cum[:k] @ tables.psi(k, slice(0, k), 1))
+            yv = float(cum[:k] @ row0[:k])
+            dyv = float(cum[:k] @ row1[:k])
         F[k] = problem.f(xi, eta) - problem.k4(xi, eta) * yv * dyv
         if not math.isfinite(F[k]):
             raise ArithmeticError(f"non-finite right-hand side at collocation index {k}")
@@ -112,9 +118,10 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
         cum[: k + 1] += B[k] * beta[k, : k + 1]
 
     for _ in range(opts.picard_iters):
-        for k, (xi, eta) in enumerate(grid.points):
-            yv = float(cum @ tables.psi(k, slice(None), 0))
-            dyv = float(cum @ tables.psi(k, slice(None), 1))
+        for k, row0, row1 in _psi_rows(tables, n, lower=False):
+            xi, eta = grid.points[k]
+            yv = float(cum @ row0)
+            dyv = float(cum @ row1)
             F[k] = problem.f(xi, eta) - problem.k4(xi, eta) * yv * dyv
         B = beta @ F
         cum = beta.T @ B
@@ -131,12 +138,27 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
     )
 
 
-def _expand(s: ApproximateSolution, term, total=0.0):
-    """total + sum_l raw_coeffs[l] * term(l) over the nonzero coefficients, added in index order."""
-    for l, c in enumerate(s.raw_coeffs):
-        if c != 0.0:
-            total = total + c * term(l)
-    return total
+def _psi_rows(tables: BasisTables, n: int, lower: bool):
+    """(k, Psi0[k], Psi1[k]) for k = 0 .. n - 1, gathered _BLOCK rows at a time.
+
+    With ``lower`` a block's rows hold only the columns below its last
+    row, enough for the sweep, which reads row k up to column k - 1.
+    """
+    for start in range(0, n, _BLOCK):
+        steps = np.arange(start, min(start + _BLOCK, n))
+        cols = slice(0, int(steps[-1])) if lower else slice(None)
+        rows0 = tables.psi(steps[:, None], cols, 0)
+        rows1 = tables.psi(steps[:, None], cols, 1)
+        yield from zip(steps.tolist(), rows0, rows1)
+
+
+def _sum_in_order(total, terms):
+    """total + terms[0] + terms[1] + ..., added one row at a time.
+
+    ``np.add.accumulate`` forms every partial sum in turn, so each element
+    is rounded exactly as in a loop over the rows.
+    """
+    return np.add.accumulate(np.concatenate([np.asarray(total)[None], terms]), axis=0)[-1]
 
 
 def evaluate(s: ApproximateSolution, xi, eta, dxi_order: int = 0):
@@ -155,8 +177,18 @@ def evaluate(s: ApproximateSolution, xi, eta, dxi_order: int = 0):
         k = int(np.flatnonzero(outside)[0])
         raise ValueError(f"evaluation point ({xs.flat[k]}, {es.flat[k]}) outside [0, 1]^2")
     tables = BasisTables(s.basis_functions, xs.ravel(), es.ravel())
-    index = np.arange(xs.size)
-    values = _expand(s, lambda l: tables.psi(index, l, dxi_order), np.zeros(xs.size))
+    # c_l psi_l over the nonzero coefficients, added in index order, on
+    # (basis block x point block) gathers that keep the temporaries small
+    fns = np.flatnonzero(s.raw_coeffs != 0.0)
+    coeffs = s.raw_coeffs[fns, None]
+    values = np.zeros(xs.size)
+    for start in range(0, xs.size, _POINT_BLOCK):
+        points = np.arange(start, min(start + _POINT_BLOCK, xs.size))
+        total = np.zeros(points.size)
+        for block in range(0, fns.size, _BLOCK):
+            fn = slice(block, block + _BLOCK)
+            total = _sum_in_order(total, coeffs[fn] * tables.psi(points, fns[fn, None], dxi_order))
+        values[start : start + _POINT_BLOCK] = total
     if xs.ndim == 0:
         return float(values[0])
     return values.reshape(xs.shape)
@@ -172,7 +204,8 @@ def residual(s: ApproximateSolution, xi: float, eta: float) -> float:
     p = s.problem
     tables = BasisTables(s.basis_functions, [xi], [eta], s.options.quadrature_nodes)
     row = tables.operator(0, slice(None), p.k1(xi, eta), p.k2(xi, eta), p.k3(xi, eta))
-    ly = _expand(s, lambda l: row[l])
+    fns = np.flatnonzero(s.raw_coeffs != 0.0)
+    ly = _sum_in_order(0.0, s.raw_coeffs[fns] * row[fns])
     yv = evaluate(s, xi, eta, 0)
     dyv = evaluate(s, xi, eta, 1)
     return float(ly) - (p.f(xi, eta) - p.k4(xi, eta) * yv * dyv)
@@ -250,29 +283,39 @@ def norm_recursion_defect(s: ApproximateSolution) -> float:
     products and compensated sums so the reported defect reflects the
     orthonormalization itself rather than evaluation round-off: the rows
     of U are the prefixes, G U' is carried as hi + lo, and each u_m' G u_m
-    is summed from TwoProd terms.  The normalization by 1 + sum B_i^2
-    matches the scale-aware form used for the Gram symmetry tolerance; the
-    unnormalized defect sits at the 64-bit representation floor of the
-    triangular factor once the squared norm is large and the Gram matrix
-    is ill conditioned.
+    is summed from TwoProd terms, one block of prefixes at a time.  The
+    normalization by 1 + sum B_i^2 matches the scale-aware form used for
+    the Gram symmetry tolerance; the unnormalized defect sits at the
+    64-bit representation floor of the triangular factor once the squared
+    norm is large and the Gram matrix is ill conditioned.
     """
     n = s.n
-    # Row m - 1 is the prefix u_m, accumulated in the order the sweep uses.
-    u = np.cumsum(s.B[:, None] * s.basis.beta, axis=0)
-    hi = np.zeros((n, n))
-    lo = np.zeros((n, n))
-    add_exact_product(hi, lo, s.basis.source.entries, u)
-    terms, err = _two_prod(u.T, hi)
-    err += u.T * lo
-    del hi, lo
-    quad = np.zeros(n)
-    comp = np.sum(err, axis=0)
-    for row in terms:  # TwoSum down the columns
-        total = quad + row
-        z = total - quad
-        comp += (quad - (total - z)) + (row - z)
-        quad = total
-    quad += comp
+    g = s.basis.source.entries
+    quad = np.empty(n)
+    prefix = np.zeros(n)
+    # The prefixes run in blocks of n/8 (at least _BLOCK), so the work
+    # arrays stay a fixed fraction of one n x n matrix.
+    width = max(_BLOCK, n // 8)
+    for start in range(0, n, width):
+        stop = min(start + width, n)
+        # Row m - start is the prefix u_{m+1}, accumulated in the order the sweep uses.
+        steps = s.B[start:stop, None] * s.basis.beta[start:stop]
+        u = np.cumsum(np.concatenate([prefix[None], steps]), axis=0)[1:]
+        prefix = u[-1]
+        hi = np.zeros((n, stop - start))
+        lo = np.zeros((n, stop - start))
+        add_exact_product(hi, lo, g, u)
+        terms, err = _two_prod(u.T, hi)
+        err += u.T * lo
+        block = np.zeros(stop - start)
+        # row by row, as np.sum adds two or more columns; one column it would sum pairwise
+        comp = np.add.accumulate(err, axis=0)[-1]
+        for row in terms:  # TwoSum down the columns
+            total = block + row
+            z = total - block
+            comp += (block - (total - z)) + (row - z)
+            block = total
+        quad[start:stop] = block + comp
 
     sq, sq_err = _two_prod(s.B, s.B)
     running = np.empty(n)

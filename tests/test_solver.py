@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,13 @@ class TestEvaluate:
         sol = solution_factory("2", 0.9, 10, 10)
         assert abs(evaluate(sol, 0.5, 1.0) - 1.0) <= 7.67e-2
 
+    def test_surface_memory_stays_blocked(self, solution_factory):
+        # a 51 x 51 surface of 400 basis functions: one points x functions
+        # gather would take 8.3 MB per temporary
+        sol = solution_factory("2", 0.8, 20, 20)
+        pts = np.linspace(0.0, 1.0, 51)
+        assert _peak_bytes(evaluate, sol, pts[:, None], pts[None, :]) < 2e6
+
 
 class TestResidual:
     def test_zero_solution_zero_residual(self):
@@ -159,6 +167,16 @@ def _prefix_loop_norm_recursion_defect(s):
     return worst
 
 
+def _peak_bytes(fn, *args):
+    """Peak memory traced while fn(*args) runs; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestNormRecursion:
     def test_prefix_identity_small_grid(self, solution_factory):
         sol = solution_factory("1", 0.9, 5, 5)
@@ -171,6 +189,10 @@ class TestNormRecursion:
         sol = solution_factory(example, alpha, p, p)
         expected = _prefix_loop_norm_recursion_defect(sol)
         assert norm_recursion_defect(sol) == pytest.approx(expected, rel=0, abs=4 * 2.0**-53)
+
+    def test_memory_stays_below_four_matrices(self, solution_factory):
+        sol = solution_factory("2", 0.8, 20, 20)
+        assert _peak_bytes(norm_recursion_defect, sol) < 4 * 8 * sol.n**2
 
     def test_partial_sum_norms_nondecreasing(self, solution_factory):
         sol = solution_factory("1", 0.9, 5, 5)

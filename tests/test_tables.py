@@ -15,8 +15,13 @@ import pytest
 
 from rkburgers.kernels import r2, r3
 from rkburgers.operator import (
+    BasisTables,
     CollocationGrid,
     GramMatrix,
+    _ctk,
+    _ctk_table,
+    _dc,
+    _dc_table,
     apply_operator,
     assemble_gram,
     build_basis,
@@ -26,19 +31,29 @@ from rkburgers.orthonormalize import compute_beta
 from rkburgers.problems import build_example51, build_example52
 from rkburgers.solver import SolverOptions, error_report, evaluate, residual, solve
 
-# a 4 x 4 grid with every coordinate moved off the lattice, so no two
-# points share a xi or an eta value
-_JITTERED = [
-    (round((i + 0.23 * math.sin(7 * i + 3 * j)) / 4, 12), round((j + 0.21 * math.cos(5 * i + 2 * j)) / 4, 12))
-    for i in range(1, 5)
-    for j in range(1, 5)
-]
-_JITTERED = [(2.0 - x if x > 1.0 else x, 2.0 - e if e > 1.0 else e) for x, e in _JITTERED]
 
+def _jittered(p, q):
+    """A p x q grid with every coordinate moved off the lattice, so no two
+    points share a xi or an eta value."""
+    points = [
+        (round((i + 0.23 * math.sin(7 * i + 3 * j)) / p, 12), round((j + 0.21 * math.cos(5 * i + 2 * j)) / q, 12))
+        for i in range(1, p + 1)
+        for j in range(1, q + 1)
+    ]
+    return [(2.0 - x if x > 1.0 else x, 2.0 - e if e > 1.0 else e) for x, e in points]
+
+
+_JITTERED = _jittered(4, 4)
+
+# The last two cases have more points than a gathered block (64) and not
+# a multiple of it, so they cross block edges in assembly, the sweep and
+# the evaluation of the solution.
 CASES = {
     "ex1-alpha0.9-5x5": (build_example51, 0.9, CollocationGrid.uniform(5, 5)),
     "ex2-alpha0.8-6x6": (build_example52, 0.8, CollocationGrid.uniform(6, 6)),
     "ex1-alpha0.9-jittered": (build_example51, 0.9, CollocationGrid.from_points(_JITTERED)),
+    "ex2-alpha0.8-9x9": (build_example52, 0.8, CollocationGrid.uniform(9, 9)),
+    "ex1-alpha0.9-jittered-9x8": (build_example51, 0.9, CollocationGrid.from_points(_jittered(9, 8))),
 }
 
 # includes xi = 0, xi = 1 and eta = 0, where the basis functions vanish
@@ -108,6 +123,40 @@ class TestKernelTables:
             r3(np.array([0.5]), 0.5, 4, 0)
 
 
+class TestTimeTables:
+    """The array Caputo time factors against the scalar ``_ctk`` and ``_dc``, pair by pair."""
+
+    # eta = 0, t = 1, repeated values (so t_i == t_j pairs) and distinct jittered values
+    ETAS = np.array(sorted({0.0, 1.0, 0.5, 0.25, *(e for _, e in _jittered(3, 5))}))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9, 1.0])
+    def test_single_transform_in_both_slots(self, alpha):
+        e = self.ETAS
+        table = _ctk_table(e[:, None], e[None, :], alpha)
+        assert _same(table, [[_ctk(eta, t, alpha) for t in e] for eta in e])
+        swapped = _ctk_table(e[None, :], e[:, None], alpha)
+        assert _same(swapped, [[_ctk(t, eta, alpha) for t in e] for eta in e])
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9, 1.0])
+    @pytest.mark.parametrize("nodes", [8, 64])
+    def test_double_transform(self, alpha, nodes):
+        e = self.ETAS
+        table = _dc_table(e[:, None], e[None, :], alpha, nodes)
+        assert _same(table, [[_dc(t_i, t_j, alpha, nodes) for t_j in e] for t_i in e])
+
+    def test_tables_fill_the_basis_tables(self):
+        # point and basis eta values differ, so the tables are not square
+        problem = build_example51(0.7)
+        grid = CollocationGrid.from_points(_jittered(3, 5))
+        basis = build_basis(grid, problem)
+        points = [(0.5, e) for e in (0.0, 0.2, 0.45, 1.0)]
+        tables = BasisTables(basis, [x for x, _ in points], [e for _, e in points], nodes=64)
+        fns = np.arange(len(basis))
+        for i, (xi, eta) in enumerate(points):
+            row = tables.operator(i, fns, problem.k1(xi, eta), problem.k2(xi, eta), problem.k3(xi, eta))
+            assert _same(row, [apply_operator(b, problem, xi, eta) for b in basis])
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_solve_matches_scalar_reference(case):
     build, alpha, grid = CASES[case]
@@ -162,6 +211,17 @@ def test_evaluation_matches_scalar_reference(solution_factory, order):
     for (x, e), v in zip(EDGE_POINTS, expected):
         if e == 0.0 or (order == 0 and x in (0.0, 1.0)):
             assert v == 0.0 and math.copysign(1.0, v) > 0.0
+
+
+def test_evaluation_across_point_blocks_matches_scalar_reference(solution_factory):
+    # 263 points (more than one block of 256) and 81 basis functions
+    # (more than one block of 64)
+    sol = solution_factory("2", 0.8, 9, 9)
+    mesh = [(i / 15, j / 15) for i in range(16) for j in range(16)]
+    points = EDGE_POINTS + mesh
+    for order in (0, 1):
+        expected = [_reference_value(sol.raw_coeffs, sol.basis_functions, x, e, order) for x, e in points]
+        assert _same(evaluate(sol, [x for x, _ in points], [e for _, e in points], order), expected)
 
 
 def test_evaluate_keeps_the_shape_of_its_arguments(solution_factory):
