@@ -92,34 +92,61 @@ def caputo_power(exponent: float, alpha, t: float) -> float:
     return gamma(k + 1.0) / gamma(k + 1.0 - a) * t ** (k - a)
 
 
-def weighted_moment(m: int, alpha: float, a: float, b: float, c: float) -> float:
+def _pow(x, p) -> np.ndarray:
+    """x**p elementwise by Python's float power, once per distinct base.
+
+    numpy's vectorized power rounds differently from the C library's pow
+    in the last bit for some arguments, so the array code calls the same
+    pow as a scalar ``**`` on every distinct base.
+    """
+    bases, inverse = np.unique(np.ravel(x), return_inverse=True)
+    return np.array([b**p for b in bases.tolist()])[inverse].reshape(np.shape(x))
+
+
+def _first(bad: np.ndarray) -> tuple:
+    """The index of the first True element of ``bad``, and its label for an error message."""
+    k = tuple(int(i) for i in np.unravel_index(int(np.flatnonzero(bad)[0]), bad.shape))
+    return k, f" at index {k}" if k else ""
+
+
+def weighted_moment(m: int, alpha: float, a, b, c):
     """Closed form of integral_a^b r**m (c - r)**(-alpha) dr for 0 <= a <= b <= c.
 
     Substituting u = c - r and expanding (c - u)**m binomially around the
     singular endpoint gives a finite sum of powers u**(j+1-alpha); expanding
     there keeps the evaluation stable when b is close to c.
 
+    ``a``, ``b`` and ``c`` may be arrays, broadcast together: the result is
+    then the moment for every element, each as the scalar call computes it
+    (every power by ``_pow``, the terms added in the same order).  Scalar
+    limits give a float.
+
     Raises:
-        ValueError: on a non-integrable range (b > c) or disordered limits.
+        ValueError: on a non-integrable range (b > c) or disordered limits,
+            NaN included, naming the first offending element.
     """
     if m < 0 or m != int(m):
         raise ValueError(f"moment order must be a non-negative integer, got {m}")
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"weight exponent must lie in (0, 1), got {alpha}")
-    if b > c:
-        raise ValueError(f"non-integrable singularity inside range: b = {b} > c = {c}")
-    if not (0.0 <= a <= b):
-        raise ValueError(f"integration limits must satisfy 0 <= a <= b, got a = {a}, b = {b}")
-    if a == b:
-        return 0.0
+    a, b, c = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, c)))
+    bad = ~(b <= c)
+    if bad.any():
+        k, at = _first(bad)
+        raise ValueError(f"non-integrable singularity inside range: b = {b[k]} > c = {c[k]}{at}")
+    bad = ~((0.0 <= a) & (a <= b))
+    if bad.any():
+        k, at = _first(bad)
+        raise ValueError(f"integration limits must satisfy 0 <= a <= b, got a = {a[k]}, b = {b[k]}{at}")
     m = int(m)
     lo, hi = c - b, c - a
     total = 0.0
     for j in range(m + 1):
         p = j + 1.0 - alpha
-        term = math.comb(m, j) * c ** (m - j) * (hi**p - lo**p) / p
-        total += -term if j % 2 else term
-    return total
+        term = math.comb(m, j) * _pow(c, m - j) * (_pow(hi, p) - _pow(lo, p)) / p
+        total = total + (-term if j % 2 else term)
+    total = np.where(a == b, 0.0, total)
+    return float(total) if total.ndim == 0 else total
 
 
 @lru_cache(maxsize=256)

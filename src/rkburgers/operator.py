@@ -25,19 +25,22 @@ inner evaluation time.
 Every such value is a sum of products of an r3 space factor, a function of
 the two xi values, and a time factor, a function of the two eta values.
 ``BasisTables`` tabulates the factors once over the distinct coordinates
-and combines them with array code; ``psi_eval`` and ``apply_operator``
-compute one value at a time and are the reference the tables match bit
-for bit.
+and combines them with array code; it holds the only implementation of
+psi and of L psi.  The time factors are ``_ctk_table`` (the single
+transform, in either slot) and ``_dc_table`` (the double transform), and
+the public one-value functions ``caputo_time_kernel``,
+``double_caputo_time_kernel`` and ``psi_eval`` are 0-d calls of them.
+The scalar code they replaced is kept, frozen, as the tests' reference.
 """
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .fracmath import (
     DEFAULT_QUADRATURE_NODES,
+    _pow,
     gamma,
     jacobi_rule,
     order_value,
@@ -56,7 +59,6 @@ __all__ = [
     "double_caputo_time_kernel",
     "build_basis",
     "psi_eval",
-    "apply_operator",
     "assemble_gram",
 ]
 
@@ -149,9 +151,14 @@ class BasisFunction:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Pairwise inner products of the collocation basis functions."""
+    """Pairwise inner products of the collocation basis functions.
+
+    ``tables`` are the ``BasisTables`` the entries were gathered from, at
+    the collocation points, so the solver's sweep reuses them.
+    """
 
     entries: np.ndarray
+    tables: Optional["BasisTables"] = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -177,24 +184,7 @@ def caputo_time_kernel(eta: float, t_i: float, alpha) -> float:
     a = order_value(alpha)
     if not (0.0 <= eta <= 1.0 and 0.0 <= t_i <= 1.0):
         raise ValueError(f"arguments ({eta}, {t_i}) outside [0, 1]")
-    return _ctk(eta, t_i, a)
-
-
-def _ctk(eta: float, t_i: float, a: float) -> float:
-    if t_i <= 0.0:
-        return 0.0
-    if a == 1.0:
-        # classical limit: the transform collapses to the plain derivative
-        return r2(t_i, eta, 1, 0)
-    m = min(eta, t_i)
-    val = (
-        -0.5 * weighted_moment(2, a, 0.0, m, t_i)
-        + eta * weighted_moment(1, a, 0.0, m, t_i)
-        + eta * weighted_moment(0, a, 0.0, m, t_i)
-    )
-    if t_i > eta:
-        val += (eta + 0.5 * eta * eta) * weighted_moment(0, a, m, t_i, t_i)
-    return val / gamma(1.0 - a)
+    return float(_ctk_table(eta, t_i, a))
 
 
 def double_caputo_time_kernel(
@@ -216,30 +206,12 @@ def double_caputo_time_kernel(
     is the endpoint factor.
     """
     a = order_value(alpha)
-    if t_i < 0.0 or t_j < 0.0 or t_i > 1.0 or t_j > 1.0:
+    if not (0.0 <= t_i <= 1.0 and 0.0 <= t_j <= 1.0):
         raise ValueError(f"arguments ({t_i}, {t_j}) outside [0, 1]")
-    return _dc(t_i, t_j, a, nodes)
-
-
-def _dc(t_i: float, t_j: float, a: float, n_nodes: int) -> float:
-    if t_i <= 0.0 or t_j <= 0.0:
-        return 0.0
-    if a == 1.0:
-        # classical limit: the mixed kernel derivative 1 + min(r, s)
-        return 1.0 + min(t_i, t_j)
-    c = gamma(1.0 - a)
-    k1 = (1.0 + t_i) * t_i ** (1.0 - a) / (1.0 - a) - t_i ** (2.0 - a) / (2.0 - a)
-    k2 = 1.0 / ((1.0 - a) * (2.0 - a))
-    const_part = k1 * t_j ** (1.0 - a) / (1.0 - a)
-    if t_i == t_j:
-        frac_part = t_i ** (3.0 - 2.0 * a) / (3.0 - 2.0 * a)
-    elif t_j < t_i:
-        u, w = jacobi_rule(-a, n_nodes)
-        frac_part = t_j ** (1.0 - a) * float(w @ (t_i - t_j * u) ** (2.0 - a))
-    else:
-        u, w = jacobi_rule(2.0 - a, n_nodes)
-        frac_part = t_i ** (3.0 - a) * float(w @ (t_j - t_i * u) ** (-a))
-    return (const_part - k2 * frac_part) / (c * c)
+    try:
+        return float(_dc_table(t_i, t_j, a, nodes))
+    except _QuadratureError as err:
+        raise err.cause from None
 
 
 def build_basis(grid: CollocationGrid, problem: Problem) -> list:
@@ -260,92 +232,29 @@ def build_basis(grid: CollocationGrid, problem: Problem) -> list:
 def psi_eval(b: BasisFunction, xi: float, eta: float, dxi_order: int = 0) -> float:
     """Evaluate psi_i (or its xi-derivative of order 0 or 1) at (xi, eta).
 
-    Vanishes identically on xi = 0, xi = 1 and eta = 0.
+    Vanishes identically on xi = 0, xi = 1 and eta = 0.  One value of
+    ``BasisTables.psi``, over tables for this one point and function.
     """
-    if dxi_order not in (0, 1):
-        raise ValueError(f"dxi_order must be 0 or 1, got {dxi_order}")
-    space_frac = r3(b.xi, xi, 0, dxi_order)
-    space_smooth = (
-        b.k1 * r3(b.xi, xi, 2, dxi_order)
-        + b.k2 * space_frac
-        + b.k3 * r3(b.xi, xi, 1, dxi_order)
-    )
-    return r2(b.eta, eta) * space_smooth + _ctk(eta, b.eta, b.alpha) * space_frac
-
-
-def apply_operator(
-    b: BasisFunction,
-    problem: Problem,
-    xi: float,
-    eta: float,
-    nodes: int = DEFAULT_QUADRATURE_NODES,
-) -> float:
-    """(L psi_b)(xi, eta) with the coefficient functions sampled at (xi, eta).
-
-    Expands into products of time factors (plain, single and double Caputo
-    transforms of r2) with space factors (r3 derivatives up to order two in
-    each slot).  At a collocation point this is exactly the Gram entry.
-    """
-    a = b.alpha
-    c1 = problem.k1(xi, eta)
-    c2 = problem.k2(xi, eta)
-    c3 = problem.k3(xi, eta)
-
-    s00 = r3(b.xi, xi, 0, 0)
-    s01 = r3(b.xi, xi, 0, 1)
-    s02 = r3(b.xi, xi, 0, 2)
-    a0 = b.k1 * r3(b.xi, xi, 2, 0) + b.k2 * s00 + b.k3 * r3(b.xi, xi, 1, 0)
-    a1 = b.k1 * r3(b.xi, xi, 2, 1) + b.k2 * s01 + b.k3 * r3(b.xi, xi, 1, 1)
-    a2 = b.k1 * r3(b.xi, xi, 2, 2) + b.k2 * s02 + b.k3 * r3(b.xi, xi, 1, 2)
-
-    r2v = r2(b.eta, eta)
-    phi = _ctk(eta, b.eta, a)  # fractional time factor of psi_b itself
-
-    total = (
-        c1 * (phi * s02 + r2v * a2)
-        + c2 * (phi * s00 + r2v * a0)
-        + c3 * (phi * s01 + r2v * a1)
-    )
-    # Caputo transform, at eta, of each of psi_b's two time factors.
-    total += _ctk(b.eta, eta, a) * a0
-    total += _dc(b.eta, eta, a, nodes) * s00
-    return total
-
-
-def _pow(x, p) -> np.ndarray:
-    """x**p elementwise by Python's float power, once per distinct base.
-
-    The scalar time factors take their powers from the C library's pow;
-    numpy's vectorized power rounds differently in the last bit for some
-    arguments, so the tables call the same pow on every distinct base.
-    """
-    bases, inverse = np.unique(np.ravel(x), return_inverse=True)
-    return np.array([b**p for b in bases.tolist()])[inverse].reshape(np.shape(x))
-
-
-def _moment_table(m: int, a: float, lower, upper, c) -> np.ndarray:
-    """``weighted_moment(m, a, lower, upper, c)`` over arrays, with its operations in its order."""
-    lo, hi = c - upper, c - lower
-    total = 0.0
-    for j in range(m + 1):
-        p = j + 1.0 - a
-        term = math.comb(m, j) * _pow(c, m - j) * (_pow(hi, p) - _pow(lo, p)) / p
-        total = total + (-term if j % 2 else term)
-    return np.where(lower == upper, 0.0, total)
+    return float(BasisTables([b], [xi], [eta]).psi(0, 0, dxi_order))
 
 
 def _ctk_table(eta, t_i, a: float) -> np.ndarray:
-    """``_ctk`` over broadcast arrays of eta and t_i, each value bit-identical to the scalar call."""
+    """``caputo_time_kernel(eta, t_i, a)`` over broadcast arrays of eta and t_i in [0, 1].
+
+    The integrand splits at min(eta, t_i) into ``weighted_moment`` pieces;
+    the tail beyond eta is added only where t_i > eta, and t_i = 0 gives
+    exactly 0.  At a = 1 the transform is the plain derivative of r2.
+    """
     eta, t_i = np.broadcast_arrays(eta, t_i)
     if a == 1.0:
         return np.where(t_i <= 0.0, 0.0, r2(t_i, eta, 1, 0))
     m = np.minimum(eta, t_i)
     val = (
-        -0.5 * _moment_table(2, a, 0.0, m, t_i)
-        + eta * _moment_table(1, a, 0.0, m, t_i)
-        + eta * _moment_table(0, a, 0.0, m, t_i)
+        -0.5 * weighted_moment(2, a, 0.0, m, t_i)
+        + eta * weighted_moment(1, a, 0.0, m, t_i)
+        + eta * weighted_moment(0, a, 0.0, m, t_i)
     )
-    tail = (eta + 0.5 * eta * eta) * _moment_table(0, a, m, t_i, t_i)
+    tail = (eta + 0.5 * eta * eta) * weighted_moment(0, a, m, t_i, t_i)
     val = np.where(t_i > eta, val + tail, val)
     return np.where(t_i <= 0.0, 0.0, val / gamma(1.0 - a))
 
@@ -360,7 +269,11 @@ class _QuadratureError(Exception):
 
 
 def _rule_sums(rule, outer, inner, power) -> np.ndarray:
-    """w @ (outer - inner * u)**power for each pair, one dot product per pair as in ``_dc``."""
+    """w @ (outer - inner * u)**power for each pair, one dot product per pair.
+
+    A matrix-vector product over the pairs would round differently from
+    the one-pair dot product of the scalar reference.
+    """
     u, w = rule
     sums = np.empty(outer.size)
     for start in range(0, outer.size, _PAIR_BLOCK):
@@ -371,9 +284,13 @@ def _rule_sums(rule, outer, inner, power) -> np.ndarray:
 
 
 def _dc_table(t_i, t_j, a: float, n_nodes: int) -> np.ndarray:
-    """``_dc`` over broadcast arrays of t_i and t_j, each value bit-identical to the scalar call.
+    """``double_caputo_time_kernel(t_i, t_j, a, n_nodes)`` over broadcast arrays in [0, 1].
 
-    Raises _QuadratureError, naming the first pair that needs it, when a
+    The constant part is closed form; the fractional part is exact where
+    t_i == t_j and otherwise one n_nodes-point Gauss-Jacobi sum per pair,
+    the rule's weight exponent chosen by which of t_i, t_j is smaller.
+    Every fractional power of a coordinate goes through ``_pow``.  Raises
+    _QuadratureError, naming the first pair that needs it, when a
     quadrature rule cannot be built.
     """
     t_i, t_j = np.broadcast_arrays(t_i, t_j)
@@ -384,7 +301,8 @@ def _dc_table(t_i, t_j, a: float, n_nodes: int) -> np.ndarray:
     k1 = (1.0 + t_i) * _pow(t_i, 1.0 - a) / (1.0 - a) - _pow(t_i, 2.0 - a) / (2.0 - a)
     k2 = 1.0 / ((1.0 - a) * (2.0 - a))
     const_part = k1 * _pow(t_j, 1.0 - a) / (1.0 - a)
-    frac_part = _pow(t_i, 3.0 - 2.0 * a) / (3.0 - 2.0 * a)  # the value where t_i == t_j
+    # the value where t_i == t_j; an array even for 0-d arguments, to be filled by pair
+    frac_part = np.array(_pow(t_i, 3.0 - 2.0 * a) / (3.0 - 2.0 * a))
     failed = []
     for pairs, exponent, scale, outer, inner, power in (
         (live & (t_j < t_i), -a, _pow(t_j, 1.0 - a), t_i, t_j, 2.0 - a),
@@ -416,9 +334,10 @@ class BasisTables:
     the space factors and r2, ``_ctk_table`` and ``_dc_table`` for the
     Caputo transforms.  ``psi`` and ``operator`` gather the factors for an
     index (or index array, or slice) of points and of basis functions,
-    broadcast together, and combine them in the operations, and the order,
-    of ``psi_eval`` and ``apply_operator``; each value is bit-identical to
-    theirs.
+    broadcast together, and combine them.  They are the package's only
+    formulas for psi and L psi; the operations and their order are those
+    of the scalar reference the tests hold, so each value is bit-identical
+    to it.
 
     ``nodes`` is the quadrature node count of the double transform; without
     it only the factors of psi are tabulated.  A failing time factor raises
@@ -463,7 +382,7 @@ class BasisTables:
         return x, t, [k[fns] for k in self._k]
 
     def psi(self, points, fns, dxi_order: int = 0) -> np.ndarray:
-        """psi_l (or its xi-derivative) at the points, as ``psi_eval``."""
+        """psi_l (or its xi-derivative, dxi_order 0 or 1) at the points."""
         if dxi_order not in (0, 1):
             raise ValueError(f"dxi_order must be 0 or 1, got {dxi_order}")
         x, t, (k1, k2, k3) = self._gather(points, fns)
@@ -476,7 +395,7 @@ class BasisTables:
         return self._r2[t] * space_smooth + self._caputo_basis[t] * space_frac
 
     def operator(self, points, fns, c1, c2, c3) -> np.ndarray:
-        """(L psi_l) at the points with coefficients c1, c2, c3 sampled there, as ``apply_operator``."""
+        """(L psi_l) at the points with coefficients c1, c2, c3 sampled there; needs ``nodes``."""
         x, t, (k1, k2, k3) = self._gather(points, fns)
         s00, s01, s02 = (self._space[0, d][x] for d in range(3))
         a0, a1, a2 = (
@@ -506,7 +425,8 @@ def assemble_gram(
 
     Entry (i, j) is (L psi_j) at collocation point i, with the coefficient
     functions sampled once per point; the rows are gathered from
-    ``BasisTables`` a block at a time.
+    ``BasisTables`` a block at a time, and the tables are handed back with
+    the entries.
     """
     if basis is None:
         basis = build_basis(grid, problem)
@@ -524,4 +444,4 @@ def assemble_gram(
     for start in range(0, n, _ROW_BLOCK):
         rows = np.arange(start, min(start + _ROW_BLOCK, n))[:, None]
         entries[start : start + _ROW_BLOCK] = tables.operator(rows, slice(None), *coeffs[:, rows])
-    return GramMatrix(entries=entries)
+    return GramMatrix(entries=entries, tables=tables)

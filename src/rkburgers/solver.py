@@ -13,12 +13,13 @@ fixed-point polish re-evaluates every F_k at the full previous solution;
 it is off by default.
 
 Step k needs psi_l(x_k) and d_xi psi_l(x_k) for l < k: row k of the
-matrices Psi0 and Psi1, gathered from ``BasisTables`` for a block of
-steps at a time, so y_{k-1}(x_k) is the dot product of the
-raw-coefficient prefix with that row.  Evaluation anywhere else goes
-through the same tables, with ``evaluate`` taking whole arrays of points
-and gathering one block of points by one block of basis functions at a
-time, so its memory does not grow with points x functions.
+matrices Psi0 and Psi1, gathered for a block of steps at a time from the
+``BasisTables`` the Gram matrix was assembled from, so y_{k-1}(x_k) is
+the dot product of the raw-coefficient prefix with that row.  Evaluation
+anywhere else builds tables at its own points, with ``evaluate`` taking
+whole arrays of points and gathering one block of points by one block of
+basis functions at a time, so its memory does not grow with points x
+functions.
 """
 
 import math
@@ -100,7 +101,7 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
     beta = onb.beta
     n = grid.n
 
-    tables = BasisTables(basis, [x for x, _ in grid.points], [e for _, e in grid.points])
+    tables = gram.tables
     F = np.zeros(n)
     B = np.zeros(n)
     cum = np.zeros(n)  # prefix of beta' B, coefficients over the raw basis
@@ -177,37 +178,44 @@ def evaluate(s: ApproximateSolution, xi, eta, dxi_order: int = 0):
         k = int(np.flatnonzero(outside)[0])
         raise ValueError(f"evaluation point ({xs.flat[k]}, {es.flat[k]}) outside [0, 1]^2")
     tables = BasisTables(s.basis_functions, xs.ravel(), es.ravel())
-    # c_l psi_l over the nonzero coefficients, added in index order, on
-    # (basis block x point block) gathers that keep the temporaries small
-    fns = np.flatnonzero(s.raw_coeffs != 0.0)
-    coeffs = s.raw_coeffs[fns, None]
     values = np.zeros(xs.size)
     for start in range(0, xs.size, _POINT_BLOCK):
         points = np.arange(start, min(start + _POINT_BLOCK, xs.size))
-        total = np.zeros(points.size)
-        for block in range(0, fns.size, _BLOCK):
-            fn = slice(block, block + _BLOCK)
-            total = _sum_in_order(total, coeffs[fn] * tables.psi(points, fns[fn, None], dxi_order))
-        values[start : start + _POINT_BLOCK] = total
+        values[start : start + _POINT_BLOCK] = _expansion(s, tables, points, dxi_order)
     if xs.ndim == 0:
         return float(values[0])
     return values.reshape(xs.shape)
+
+
+def _expansion(s: ApproximateSolution, tables: BasisTables, points, dxi_order: int) -> np.ndarray:
+    """sum_l c_l psi_l (or its xi-derivative) at the tables' points.
+
+    The sum runs over the nonzero raw coefficients, added in index order,
+    on gathers of one block of basis functions that keep the temporaries
+    small.
+    """
+    fns = np.flatnonzero(s.raw_coeffs != 0.0)
+    coeffs = s.raw_coeffs[fns, None]
+    total = np.zeros(np.size(points))
+    for block in range(0, fns.size, _BLOCK):
+        fn = slice(block, block + _BLOCK)
+        total = _sum_in_order(total, coeffs[fn] * tables.psi(points, fns[fn, None], dxi_order))
+    return total
 
 
 def residual(s: ApproximateSolution, xi: float, eta: float) -> float:
     """(L y_n)(xi, eta) minus the right-hand side evaluated with y_n itself.
 
     At collocation point k this reduces to the lag defect
-    k4 * (y_n d_xi y_n - y_{k-1} d_xi y_{k-1}).  The operator row comes
-    from the same tables as a Gram row.
+    k4 * (y_n d_xi y_n - y_{k-1} d_xi y_{k-1}).  The operator row, y_n
+    and d_xi y_n all come from one set of tables at the point.
     """
     p = s.problem
     tables = BasisTables(s.basis_functions, [xi], [eta], s.options.quadrature_nodes)
     row = tables.operator(0, slice(None), p.k1(xi, eta), p.k2(xi, eta), p.k3(xi, eta))
     fns = np.flatnonzero(s.raw_coeffs != 0.0)
     ly = _sum_in_order(0.0, s.raw_coeffs[fns] * row[fns])
-    yv = evaluate(s, xi, eta, 0)
-    dyv = evaluate(s, xi, eta, 1)
+    yv, dyv = (float(_expansion(s, tables, np.arange(1), order)[0]) for order in (0, 1))
     return float(ly) - (p.f(xi, eta) - p.k4(xi, eta) * yv * dyv)
 
 

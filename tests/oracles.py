@@ -1,0 +1,139 @@
+"""Frozen scalar reference for the fractional transforms and the basis.
+
+These are the one-value-at-a-time functions the solver computed with
+before its array tables existed, kept verbatim: the scalar Caputo time
+factors ``_ctk`` and ``_dc``, ``psi_eval``'s body, ``apply_operator``
+and the scalar ``weighted_moment``.  The package's array code performs
+the same floating-point operations in the same order, so the tests
+compare it with these bit for bit.  Do not change them to follow the
+package: a change here moves the reference, not the code under test.
+"""
+
+import math
+
+from rkburgers.fracmath import DEFAULT_QUADRATURE_NODES, gamma, jacobi_rule
+from rkburgers.kernels import r2, r3
+from rkburgers.operator import BasisFunction, Problem
+
+
+def weighted_moment(m: int, alpha: float, a: float, b: float, c: float) -> float:
+    """Closed form of integral_a^b r**m (c - r)**(-alpha) dr for 0 <= a <= b <= c.
+
+    Substituting u = c - r and expanding (c - u)**m binomially around the
+    singular endpoint gives a finite sum of powers u**(j+1-alpha); expanding
+    there keeps the evaluation stable when b is close to c.
+
+    Raises:
+        ValueError: on a non-integrable range (b > c) or disordered limits.
+    """
+    if m < 0 or m != int(m):
+        raise ValueError(f"moment order must be a non-negative integer, got {m}")
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"weight exponent must lie in (0, 1), got {alpha}")
+    if b > c:
+        raise ValueError(f"non-integrable singularity inside range: b = {b} > c = {c}")
+    if not (0.0 <= a <= b):
+        raise ValueError(f"integration limits must satisfy 0 <= a <= b, got a = {a}, b = {b}")
+    if a == b:
+        return 0.0
+    m = int(m)
+    lo, hi = c - b, c - a
+    total = 0.0
+    for j in range(m + 1):
+        p = j + 1.0 - alpha
+        term = math.comb(m, j) * c ** (m - j) * (hi**p - lo**p) / p
+        total += -term if j % 2 else term
+    return total
+
+
+def _ctk(eta: float, t_i: float, a: float) -> float:
+    if t_i <= 0.0:
+        return 0.0
+    if a == 1.0:
+        # classical limit: the transform collapses to the plain derivative
+        return r2(t_i, eta, 1, 0)
+    m = min(eta, t_i)
+    val = (
+        -0.5 * weighted_moment(2, a, 0.0, m, t_i)
+        + eta * weighted_moment(1, a, 0.0, m, t_i)
+        + eta * weighted_moment(0, a, 0.0, m, t_i)
+    )
+    if t_i > eta:
+        val += (eta + 0.5 * eta * eta) * weighted_moment(0, a, m, t_i, t_i)
+    return val / gamma(1.0 - a)
+
+
+def _dc(t_i: float, t_j: float, a: float, n_nodes: int) -> float:
+    if t_i <= 0.0 or t_j <= 0.0:
+        return 0.0
+    if a == 1.0:
+        # classical limit: the mixed kernel derivative 1 + min(r, s)
+        return 1.0 + min(t_i, t_j)
+    c = gamma(1.0 - a)
+    k1 = (1.0 + t_i) * t_i ** (1.0 - a) / (1.0 - a) - t_i ** (2.0 - a) / (2.0 - a)
+    k2 = 1.0 / ((1.0 - a) * (2.0 - a))
+    const_part = k1 * t_j ** (1.0 - a) / (1.0 - a)
+    if t_i == t_j:
+        frac_part = t_i ** (3.0 - 2.0 * a) / (3.0 - 2.0 * a)
+    elif t_j < t_i:
+        u, w = jacobi_rule(-a, n_nodes)
+        frac_part = t_j ** (1.0 - a) * float(w @ (t_i - t_j * u) ** (2.0 - a))
+    else:
+        u, w = jacobi_rule(2.0 - a, n_nodes)
+        frac_part = t_i ** (3.0 - a) * float(w @ (t_j - t_i * u) ** (-a))
+    return (const_part - k2 * frac_part) / (c * c)
+
+
+def psi_eval(b: BasisFunction, xi: float, eta: float, dxi_order: int = 0) -> float:
+    """Evaluate psi_i (or its xi-derivative of order 0 or 1) at (xi, eta).
+
+    Vanishes identically on xi = 0, xi = 1 and eta = 0.
+    """
+    if dxi_order not in (0, 1):
+        raise ValueError(f"dxi_order must be 0 or 1, got {dxi_order}")
+    space_frac = r3(b.xi, xi, 0, dxi_order)
+    space_smooth = (
+        b.k1 * r3(b.xi, xi, 2, dxi_order)
+        + b.k2 * space_frac
+        + b.k3 * r3(b.xi, xi, 1, dxi_order)
+    )
+    return r2(b.eta, eta) * space_smooth + _ctk(eta, b.eta, b.alpha) * space_frac
+
+
+def apply_operator(
+    b: BasisFunction,
+    problem: Problem,
+    xi: float,
+    eta: float,
+    nodes: int = DEFAULT_QUADRATURE_NODES,
+) -> float:
+    """(L psi_b)(xi, eta) with the coefficient functions sampled at (xi, eta).
+
+    Expands into products of time factors (plain, single and double Caputo
+    transforms of r2) with space factors (r3 derivatives up to order two in
+    each slot).  At a collocation point this is exactly the Gram entry.
+    """
+    a = b.alpha
+    c1 = problem.k1(xi, eta)
+    c2 = problem.k2(xi, eta)
+    c3 = problem.k3(xi, eta)
+
+    s00 = r3(b.xi, xi, 0, 0)
+    s01 = r3(b.xi, xi, 0, 1)
+    s02 = r3(b.xi, xi, 0, 2)
+    a0 = b.k1 * r3(b.xi, xi, 2, 0) + b.k2 * s00 + b.k3 * r3(b.xi, xi, 1, 0)
+    a1 = b.k1 * r3(b.xi, xi, 2, 1) + b.k2 * s01 + b.k3 * r3(b.xi, xi, 1, 1)
+    a2 = b.k1 * r3(b.xi, xi, 2, 2) + b.k2 * s02 + b.k3 * r3(b.xi, xi, 1, 2)
+
+    r2v = r2(b.eta, eta)
+    phi = _ctk(eta, b.eta, a)  # fractional time factor of psi_b itself
+
+    total = (
+        c1 * (phi * s02 + r2v * a2)
+        + c2 * (phi * s00 + r2v * a0)
+        + c3 * (phi * s01 + r2v * a1)
+    )
+    # Caputo transform, at eta, of each of psi_b's two time factors.
+    total += _ctk(b.eta, eta, a) * a0
+    total += _dc(b.eta, eta, a, nodes) * s00
+    return total

@@ -106,6 +106,25 @@ class TestWeightedMoment:
         with pytest.raises(ValueError):
             weighted_moment(0, 0.5, 0.5, 0.2, 1.0)
 
+    @pytest.mark.parametrize("limits", [(0.0, 0.5, math.nan), (0.0, math.nan, 0.5), (math.nan, 0.2, 0.5)])
+    def test_nan_limit_rejected(self, limits):
+        with pytest.raises(ValueError):
+            weighted_moment(0, 0.5, *limits)
+
+    def test_array_limits_name_the_first_bad_element(self):
+        b = np.array([[0.1, 0.2], [math.nan, 0.3]])
+        with pytest.raises(ValueError, match=r"b = nan > c = 0\.5 at index \(1, 0\)"):
+            weighted_moment(1, 0.5, 0.0, b, 0.5)
+        with pytest.raises(ValueError, match=r"a = 0\.4, b = 0\.3 at index \(2,\)"):
+            weighted_moment(1, 0.5, np.array([0.0, 0.1, 0.4]), np.array([0.2, 0.2, 0.3]), 0.5)
+
+    def test_arrays_broadcast_and_scalars_give_floats(self):
+        b = np.array([0.0, 0.25, 0.5])
+        values = weighted_moment(2, 0.4, 0.0, b[:, None], np.array([0.5, 1.0]))
+        assert values.shape == (3, 2)
+        assert values[1, 1] == weighted_moment(2, 0.4, 0.0, 0.25, 1.0)
+        assert type(weighted_moment(2, 0.4, 0.0, 0.25, 1.0)) is float
+
     def test_stable_near_singular_endpoint(self):
         # b close to c: compare against a two-piece split of the same integral
         a, c = 0.5, 1.0

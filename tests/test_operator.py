@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import apply_operator
 from rkburgers.fracmath import gamma, jacobi_rule
 from rkburgers.kernels import r2, r3
 from rkburgers.operator import (
@@ -10,7 +11,6 @@ from rkburgers.operator import (
     CollocationGrid,
     GramAssemblyError,
     Problem,
-    apply_operator,
     assemble_gram,
     build_basis,
     caputo_time_kernel,
@@ -84,6 +84,11 @@ class TestCaputoTimeKernel:
         with pytest.raises(ValueError):
             caputo_time_kernel(1.3, 0.5, 0.5)
 
+    @pytest.mark.parametrize("args", [(math.nan, 0.5), (0.5, math.nan)])
+    def test_nan_rejected(self, args):
+        with pytest.raises(ValueError, match="outside"):
+            caputo_time_kernel(*args, 0.5)
+
     def test_against_oracle_at_random_triples(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
@@ -122,6 +127,16 @@ class TestDoubleCaputoTimeKernel:
             v64 = double_caputo_time_kernel(t_i, t_j, a, 64)
             v128 = double_caputo_time_kernel(t_i, t_j, a, 128)
             assert abs(v64 - v128) <= 1e-10
+
+    @pytest.mark.parametrize("args", [(1.3, 0.5), (0.5, -0.1), (math.nan, 0.5), (0.5, math.nan)])
+    def test_domain_validation(self, args):
+        with pytest.raises(ValueError, match="outside"):
+            double_caputo_time_kernel(*args, 0.5)
+
+    def test_failing_rule_raises_its_own_error(self):
+        # t_i < t_j needs a rule; no nodes is the rule's ValueError, not a private one
+        with pytest.raises(ValueError, match="node count"):
+            double_caputo_time_kernel(0.2, 0.4, 0.5, 0)
 
     def test_degenerate_time_slot(self):
         assert double_caputo_time_kernel(0.5, 0.0, 0.5, 64) == 0.0

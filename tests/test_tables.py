@@ -1,10 +1,10 @@
 """The table path against the scalar functions it replaces, bit for bit.
 
 Every reference below is built from one-value-at-a-time calls to
-scalar ``r2``/``r3``, ``apply_operator`` and ``psi_eval``, in the loops the
-solver ran before the tables existed.  The table path performs the same
-floating-point operations in the same order, so the comparisons are
-``np.array_equal``, not approximate.
+scalar ``r2``/``r3`` and the frozen ``apply_operator`` and ``psi_eval`` of
+``oracles``, in the loops the solver ran before the tables existed.  The
+table path performs the same floating-point operations in the same
+order, so the comparisons are ``np.array_equal``, not approximate.
 """
 
 import itertools
@@ -13,19 +13,20 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from oracles import _ctk, _dc, apply_operator, psi_eval
+from rkburgers.fracmath import weighted_moment
 from rkburgers.kernels import r2, r3
 from rkburgers.operator import (
     BasisTables,
     CollocationGrid,
     GramMatrix,
-    _ctk,
     _ctk_table,
-    _dc,
     _dc_table,
-    apply_operator,
     assemble_gram,
     build_basis,
-    psi_eval,
+    caputo_time_kernel,
+    double_caputo_time_kernel,
 )
 from rkburgers.orthonormalize import compute_beta
 from rkburgers.problems import build_example51, build_example52
@@ -144,6 +145,21 @@ class TestTimeTables:
         table = _dc_table(e[:, None], e[None, :], alpha, nodes)
         assert _same(table, [[_dc(t_i, t_j, alpha, nodes) for t_j in e] for t_i in e])
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("m", range(4))
+    def test_moments_on_arrays(self, alpha, m):
+        # every ordered triple a <= b <= c: a == b, b == c and c = 0 included
+        triples = [t for t in itertools.product(self.ETAS.tolist(), repeat=3) if t[0] <= t[1] <= t[2]]
+        expected = [oracles.weighted_moment(m, alpha, *t) for t in triples]
+        assert _same(weighted_moment(m, alpha, *np.array(triples).T), expected)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9, 1.0])
+    def test_public_transforms_are_zero_d_tables(self, alpha):
+        e = self.ETAS.tolist()
+        for eta, t in itertools.product(e, e):
+            assert _same(caputo_time_kernel(eta, t, alpha), _ctk(eta, t, alpha))
+            assert _same(double_caputo_time_kernel(eta, t, alpha, 64), _dc(eta, t, alpha, 64))
+
     def test_tables_fill_the_basis_tables(self):
         # point and basis eta values differ, so the tables are not square
         problem = build_example51(0.7)
@@ -195,6 +211,21 @@ def test_residual_at_collocation_points_matches_scalar_reference(solution_factor
         dyv = _reference_value(sol.raw_coeffs, basis, xi, eta, 1)
         expected = float(ly) - (problem.f(xi, eta) - problem.k4(xi, eta) * yv * dyv)
         assert _same(residual(sol, xi, eta), expected)
+
+
+def test_solve_and_residual_build_one_table_set_each(monkeypatch):
+    builds = []
+    init = BasisTables.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BasisTables, "__init__", counting_init)
+    sol = solve(build_example51(0.9), CollocationGrid.uniform(3, 3), SolverOptions(picard_iters=1))
+    assert len(builds) == 1
+    residual(sol, 0.5, 0.5)
+    assert len(builds) == 2
 
 
 @pytest.mark.parametrize("order", [0, 1])
