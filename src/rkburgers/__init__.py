@@ -40,7 +40,7 @@ from .operator import (
     double_caputo_time_kernel,
     psi_eval,
 )
-from .orthonormalize import NotPositiveDefiniteError, OrthonormalBasis, compute_beta
+from .orthonormalize import GramAsymmetryError, NotPositiveDefiniteError, OrthonormalBasis, compute_beta
 from .problems import (
     SeparableSolution,
     build_custom,
@@ -81,6 +81,7 @@ __all__ = [
     "double_caputo_time_kernel",
     "psi_eval",
     "NotPositiveDefiniteError",
+    "GramAsymmetryError",
     "OrthonormalBasis",
     "compute_beta",
     "SeparableSolution",

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .operator import CollocationGrid, GramAssemblyError
-from .orthonormalize import NotPositiveDefiniteError
+from .orthonormalize import GramAsymmetryError, NotPositiveDefiniteError
 from .problems import build_custom, build_problem, COEFFICIENT_CATALOG
 from .solver import SolverOptions, convergence_study, error_report, evaluate, solve
 from .verification import run_default_checks
@@ -328,7 +328,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(cfg)
         return _cmd_convergence(cfg)
-    except NotPositiveDefiniteError as exc:
+    except (NotPositiveDefiniteError, GramAsymmetryError) as exc:  # ValueErrors, but numerical
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (_ValidationError, ValueError) as exc:

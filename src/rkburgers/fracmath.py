@@ -5,7 +5,11 @@ on polynomials and power functions: the gamma function, the Caputo
 derivative of t**k in closed form, moments of the weight (c - r)**(-alpha),
 and Gauss-Jacobi quadrature rules on (0, 1) for weights (1 - u)**exponent.
 
-All arithmetic is plain 64-bit floating point.
+All arithmetic is plain 64-bit floating point.  The array code takes its
+fractional powers from ``_power_table``: one table per call, holding the
+C library's ``pow`` (a Python float ``**``) of every distinct base, found
+by one ``np.unique`` over all the bases, at every exponent, so each power
+is bit-identical to the scalar ``**`` and costs no numpy call of its own.
 """
 
 import math
@@ -92,21 +96,41 @@ def caputo_power(exponent: float, alpha, t: float) -> float:
     return gamma(k + 1.0) / gamma(k + 1.0 - a) * t ** (k - a)
 
 
-def _pow(x, p) -> np.ndarray:
-    """x**p elementwise by Python's float power, once per distinct base.
+def _power_table(bases, exponents):
+    """The C library's pow of every distinct value of the ``bases`` arrays at every exponent.
 
     numpy's vectorized power rounds differently from the C library's pow
-    in the last bit for some arguments, so the array code calls the same
-    pow as a scalar ``**`` on every distinct base.
+    in the last bit for some arguments, so ``table[e, k]`` is a Python
+    float ``**`` of the k-th distinct value at ``exponents[e]``, found by
+    one ``np.unique`` over all the bases.  ``at[i]`` has the shape of
+    ``bases[i]`` and holds the k of each element, so ``table[e][at[i]]``
+    is ``bases[i] ** exponents[e]``.
     """
-    bases, inverse = np.unique(np.ravel(x), return_inverse=True)
-    return np.array([b**p for b in bases.tolist()])[inverse].reshape(np.shape(x))
+    bases = [np.asarray(x, dtype=float) for x in bases]
+    distinct, inverse = np.unique(np.concatenate([x.ravel() for x in bases]), return_inverse=True)
+    table = np.array([[d**p for d in distinct.tolist()] for p in exponents])
+    at, start = [], 0
+    for x in bases:
+        at.append(inverse[start : start + x.size].reshape(x.shape))
+        start += x.size
+    return table, at
 
 
 def _first(bad: np.ndarray) -> tuple:
     """The index of the first True element of ``bad``, and its label for an error message."""
     k = tuple(int(i) for i in np.unravel_index(int(np.flatnonzero(bad)[0]), bad.shape))
     return k, f" at index {k}" if k else ""
+
+
+def _check_limits(a, b, c):
+    bad = ~(b <= c)
+    if bad.any():
+        k, at = _first(bad)
+        raise ValueError(f"non-integrable singularity inside range: b = {b[k]} > c = {c[k]}{at}")
+    bad = ~((0.0 <= a) & (a <= b))
+    if bad.any():
+        k, at = _first(bad)
+        raise ValueError(f"integration limits must satisfy 0 <= a <= b, got a = {a[k]}, b = {b[k]}{at}")
 
 
 def weighted_moment(m: int, alpha: float, a, b, c):
@@ -118,8 +142,8 @@ def weighted_moment(m: int, alpha: float, a, b, c):
 
     ``a``, ``b`` and ``c`` may be arrays, broadcast together: the result is
     then the moment for every element, each as the scalar call computes it
-    (every power by ``_pow``, the terms added in the same order).  Scalar
-    limits give a float.
+    (every power from one ``_power_table``, the terms added in the same
+    order).  Scalar limits give a float.
 
     Raises:
         ValueError: on a non-integrable range (b > c) or disordered limits,
@@ -129,21 +153,17 @@ def weighted_moment(m: int, alpha: float, a, b, c):
         raise ValueError(f"moment order must be a non-negative integer, got {m}")
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"weight exponent must lie in (0, 1), got {alpha}")
-    a, b, c = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, c)))
-    bad = ~(b <= c)
-    if bad.any():
-        k, at = _first(bad)
-        raise ValueError(f"non-integrable singularity inside range: b = {b[k]} > c = {c[k]}{at}")
-    bad = ~((0.0 <= a) & (a <= b))
-    if bad.any():
-        k, at = _first(bad)
-        raise ValueError(f"integration limits must satisfy 0 <= a <= b, got a = {a[k]}, b = {b[k]}{at}")
+    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
+    _check_limits(*np.broadcast_arrays(a, b, c))
     m = int(m)
+    # c, lo and hi keep their own shapes, so the power table sees no broadcast copies
     lo, hi = c - b, c - a
+    exponents = [j + 1.0 - alpha for j in range(m + 1)]
+    table, (c_at, hi_at, lo_at) = _power_table((c, hi, lo), [float(m - j) for j in range(m + 1)] + exponents)
     total = 0.0
-    for j in range(m + 1):
-        p = j + 1.0 - alpha
-        term = math.comb(m, j) * _pow(c, m - j) * (_pow(hi, p) - _pow(lo, p)) / p
+    for j, p in enumerate(exponents):
+        frac = table[m + 1 + j]
+        term = math.comb(m, j) * table[j][c_at] * (frac[hi_at] - frac[lo_at]) / p
         total = total + (-term if j % 2 else term)
     total = np.where(a == b, 0.0, total)
     return float(total) if total.ndim == 0 else total

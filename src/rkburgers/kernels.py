@@ -16,11 +16,19 @@ diagonal the "arg <= param" branch applies; derivatives of total order
 two and higher jump across the diagonal, so integration across it must
 split there.
 
-``r2`` and ``r3`` also take arrays.  They then run the same Horner steps
-on the same coefficient tables, pick the branch elementwise and keep the
-exact-zero sections, so every element is bit-identical to the scalar call
-at that pair.
+``r2`` and ``r3`` also take arrays, and sequences of derivative orders.
+Every derivative order's coefficient table is zero-padded to the
+underived table's shape and stacked at import; an array call evaluates
+all the orders it is given in one Horner pass over that stack, picks the
+branch elementwise and keeps the exact-zero sections.  A Horner step over
+a padded zero coefficient adds an exact zero, so every element is
+bit-identical to the scalar call for that pair and order.  The pass over
+the coefficient rows runs on the first argument alone, on as many
+columns at once as keep it no larger than the result, so besides the
+result a call holds one array of the result's size: the other branch.
 """
+
+import math
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval2d
@@ -35,10 +43,13 @@ def _check_unit(name: str, value: float) -> float:
     return v
 
 
-def _check_order(name: str, value: int, top: int) -> int:
-    if value not in range(top + 1):
-        raise ValueError(f"{name} must be an integer in 0..{top}, got {value}")
-    return value
+def _check_order(name: str, value, top: int) -> None:
+    """Check an order, or each of a sequence of orders, to be an integer in 0..top."""
+    if np.ndim(value) > 1:
+        raise ValueError(f"{name} must be an order or a sequence of orders")
+    for v in np.ravel(value).tolist():
+        if v not in range(top + 1):
+            raise ValueError(f"{name} must be an integer in 0..{top}, got {v}")
 
 
 def _diff_table(coeffs: np.ndarray, du: int, dv: int) -> np.ndarray:
@@ -80,27 +91,70 @@ _D3 = {(a, b): _diff_table(_C3, a, b) for a in range(4) for b in range(4)}
 _D2 = {(a, b): _diff_table(_C2, a, b) for a in range(3) for b in range(3)}
 
 
+def _stack(tables, shape, top):
+    """``tables[(a, b)]`` zero-padded to ``shape``, at [a, b] of one read-only array."""
+    stack = np.zeros((top + 1, top + 1) + shape)
+    for (a, b), table in tables.items():
+        stack[a, b, : table.shape[0], : table.shape[1]] = table
+    stack.flags.writeable = False
+    return stack
+
+
+_S3 = _stack(_D3, _C3.shape, 3)
+_S2 = _stack(_D2, _C2.shape, 2)
+
+
 def _two_branch(tables, param, arg, d_param, d_arg):
     if arg <= param:
         return float(polyval2d(param, arg, tables[(d_param, d_arg)]))
     return float(polyval2d(arg, param, tables[(d_arg, d_param)]))
 
 
-def _on_arrays(tables, pinned, param, arg, d_param, d_arg):
+def _horner(tables, u, v):
+    """polyval2d(u, v, table) for each table of the stack, along a new first axis.
+
+    The steps are polyval2d's, elementwise: a Horner pass over the rows
+    in u for every coefficient column, then a pass over the columns in v.
+    The row pass runs on u before it meets v, on as many columns at once
+    as keep its values no larger than the result, so the result is the
+    only array of its size.
+    """
+    shape = np.broadcast_shapes(u.shape, v.shape)
+    c = tables.reshape(tables.shape + (1,) * len(shape))
+    u0, v0 = u * 0, v * 0
+    step = max(1, math.prod(shape) // max(u.size, 1))
+    total = None
+    for stop in range(c.shape[2], 0, -step):
+        cols = slice(max(stop - step, 0), stop)
+        rows = c[:, -1, cols] + u0
+        for i in range(c.shape[1] - 2, -1, -1):
+            rows = c[:, i, cols] + rows * u
+        for col in rows.swapaxes(0, 1)[::-1]:
+            if total is None:
+                total = col + v0
+            else:
+                total *= v
+                total += col
+    return total
+
+
+def _on_arrays(stack, pinned, param, arg, d_param, d_arg):
     """The kernel at every pair of the broadcast arrays, each as the scalar path computes it.
 
-    Both branch polynomials run the scalar path's Horner steps elementwise;
-    a section whose underived slot sits at a pinned value is exactly zero.
+    ``d_param`` and ``d_arg`` are orders, or sequences of orders broadcast
+    together; for sequences the result stacks one derivative per order
+    along a new first axis.  Both branch polynomials run the scalar
+    path's Horner steps elementwise; a section whose underived slot sits
+    at a pinned value is exactly zero.
     """
-    param, arg = np.broadcast_arrays(param, arg)
-    zero = np.zeros(param.shape, dtype=bool)
-    if d_arg == 0:
-        zero |= np.isin(arg, pinned)
-    if d_param == 0:
-        zero |= np.isin(param, pinned)
-    low = polyval2d(param, arg, tables[(d_param, d_arg)])
-    high = polyval2d(arg, param, tables[(d_arg, d_param)])
-    return np.where(zero, 0.0, np.where(arg <= param, low, high))
+    dp, da = (np.atleast_1d(np.asarray(o, dtype=np.intp)) for o in (d_param, d_arg))
+    values = _horner(stack[dp, da], param, arg)
+    np.copyto(values, _horner(stack[da, dp], arg, param), where=arg > param)
+    lead = (-1,) + (1,) * (values.ndim - 1)
+    zero = (da == 0).reshape(lead) & np.isin(arg, pinned)
+    zero = zero | (dp == 0).reshape(lead) & np.isin(param, pinned)
+    np.copyto(values, 0.0, where=zero)
+    return values if np.ndim(d_param) or np.ndim(d_arg) else values[0]
 
 
 def _check_units(name: str, values) -> np.ndarray:
@@ -123,12 +177,14 @@ def r2(t, eta, dt_order: int = 0, deta_order: int = 0):
 
     Satisfies r2(t, 0) = 0 and r2(t, eta) = r2(eta, t).  ``t`` and ``eta``
     may be arrays: the result is then the kernel at every pair of the
-    broadcast arrays, each element bit-identical to the scalar call.
+    broadcast arrays, each element bit-identical to the scalar call.  The
+    orders may be sequences, broadcast together: the result then holds one
+    such array per order, stacked along a new first axis.
     """
     _check_order("dt_order", dt_order, 2)
     _check_order("deta_order", deta_order, 2)
-    if np.ndim(t) or np.ndim(eta):
-        return _on_arrays(_D2, (0.0,), _check_units("t", t), _check_units("eta", eta), dt_order, deta_order)
+    if np.ndim(t) or np.ndim(eta) or np.ndim(dt_order) or np.ndim(deta_order):
+        return _on_arrays(_S2, (0.0,), _check_units("t", t), _check_units("eta", eta), dt_order, deta_order)
     t = _check_unit("t", t)
     eta = _check_unit("eta", eta)
     # a section with an underived slot pinned at eta = 0 (or t = 0) is
@@ -142,12 +198,12 @@ def r3(x, xi, dx_order: int = 0, dxi_order: int = 0):
     """Third-order space kernel, or a partial derivative of it.
 
     Satisfies r3(x, 0) = r3(x, 1) = 0 and r3(x, xi) = r3(xi, x).  ``x``
-    and ``xi`` may be arrays, as for ``r2``.
+    and ``xi`` may be arrays, and the orders sequences, as for ``r2``.
     """
     _check_order("dx_order", dx_order, 3)
     _check_order("dxi_order", dxi_order, 3)
-    if np.ndim(x) or np.ndim(xi):
-        return _on_arrays(_D3, (0.0, 1.0), _check_units("x", x), _check_units("xi", xi), dx_order, dxi_order)
+    if np.ndim(x) or np.ndim(xi) or np.ndim(dx_order) or np.ndim(dxi_order):
+        return _on_arrays(_S3, (0.0, 1.0), _check_units("x", x), _check_units("xi", xi), dx_order, dxi_order)
     x = _check_unit("x", x)
     xi = _check_unit("xi", xi)
     # sections pinned at an underived boundary slot are identically zero

@@ -31,6 +31,12 @@ transform, in either slot) and ``_dc_table`` (the double transform), and
 the public one-value functions ``caputo_time_kernel``,
 ``double_caputo_time_kernel`` and ``psi_eval`` are 0-d calls of them.
 The scalar code they replaced is kept, frozen, as the tests' reference.
+
+A build takes every r3 derivative order it needs from one ``r3`` call
+over stacked orders.  Where its point eta values are its basis eta
+values, as in every Gram build, the single transform in the point slot
+is the basis-slot table transposed, so a solve and its error report
+build two single-transform tables, not three.
 """
 
 from dataclasses import dataclass, field
@@ -40,7 +46,7 @@ import numpy as np
 
 from .fracmath import (
     DEFAULT_QUADRATURE_NODES,
-    _pow,
+    _power_table,
     gamma,
     jacobi_rule,
     order_value,
@@ -245,7 +251,7 @@ def _ctk_table(eta, t_i, a: float) -> np.ndarray:
     the tail beyond eta is added only where t_i > eta, and t_i = 0 gives
     exactly 0.  At a = 1 the transform is the plain derivative of r2.
     """
-    eta, t_i = np.broadcast_arrays(eta, t_i)
+    eta, t_i = np.asarray(eta, dtype=float), np.asarray(t_i, dtype=float)
     if a == 1.0:
         return np.where(t_i <= 0.0, 0.0, r2(t_i, eta, 1, 0))
     m = np.minimum(eta, t_i)
@@ -289,24 +295,29 @@ def _dc_table(t_i, t_j, a: float, n_nodes: int) -> np.ndarray:
     The constant part is closed form; the fractional part is exact where
     t_i == t_j and otherwise one n_nodes-point Gauss-Jacobi sum per pair,
     the rule's weight exponent chosen by which of t_i, t_j is smaller.
-    Every fractional power of a coordinate goes through ``_pow``.  Raises
+    Every fractional power of a coordinate comes from one
+    ``_power_table`` over the arguments before they are broadcast.  Raises
     _QuadratureError, naming the first pair that needs it, when a
     quadrature rule cannot be built.
     """
+    bases = t_i, t_j
     t_i, t_j = np.broadcast_arrays(t_i, t_j)
     live = (t_i > 0.0) & (t_j > 0.0)
     if a == 1.0:
         return np.where(live, 1.0 + np.minimum(t_i, t_j), 0.0)
+    # the powers at 1 - a, 2 - a, 3 - 2a and 3 - a
+    table, at = _power_table(bases, (1.0 - a, 2.0 - a, 3.0 - 2.0 * a, 3.0 - a))
+    ti_pow, tj_pow = (np.broadcast_to(table[:, k], table.shape[:1] + t_i.shape) for k in at)
     c = gamma(1.0 - a)
-    k1 = (1.0 + t_i) * _pow(t_i, 1.0 - a) / (1.0 - a) - _pow(t_i, 2.0 - a) / (2.0 - a)
+    k1 = (1.0 + t_i) * ti_pow[0] / (1.0 - a) - ti_pow[1] / (2.0 - a)
     k2 = 1.0 / ((1.0 - a) * (2.0 - a))
-    const_part = k1 * _pow(t_j, 1.0 - a) / (1.0 - a)
+    const_part = k1 * tj_pow[0] / (1.0 - a)
     # the value where t_i == t_j; an array even for 0-d arguments, to be filled by pair
-    frac_part = np.array(_pow(t_i, 3.0 - 2.0 * a) / (3.0 - 2.0 * a))
+    frac_part = np.array(ti_pow[2] / (3.0 - 2.0 * a))
     failed = []
     for pairs, exponent, scale, outer, inner, power in (
-        (live & (t_j < t_i), -a, _pow(t_j, 1.0 - a), t_i, t_j, 2.0 - a),
-        (live & (t_j > t_i), 2.0 - a, _pow(t_i, 3.0 - a), t_j, t_i, -a),
+        (live & (t_j < t_i), -a, tj_pow[0], t_i, t_j, 2.0 - a),
+        (live & (t_j > t_i), 2.0 - a, ti_pow[3], t_j, t_i, -a),
     ):
         if not pairs.any():
             continue
@@ -356,17 +367,16 @@ class BasisTables:
         self._k = [np.array([getattr(b, k) for b in basis], dtype=float) for k in ("k1", "k2", "k3")]
 
         # rows: distinct point coordinates, columns: distinct basis coordinates
-        top = 1 if nodes is None else 2
-        self._space = {
-            (dx, dxi): r3(bx[None, :], px[:, None], dx, dxi)
-            for dx in range(3)
-            for dxi in range(top + 1)
-        }
+        orders = [(dx, dxi) for dx in range(3) for dxi in range(2 if nodes is None else 3)]
+        self._space = dict(zip(orders, r3(bx[None, :], px[:, None], *zip(*orders))))
         # r2 and its Caputo transform in the basis slot, in the point slot, in both
         self._r2 = r2(be[None, :], pe[:, None])
         self._caputo_basis = _ctk_table(pe[:, None], be[None, :], a)
         if nodes is not None:
-            self._caputo_point = _ctk_table(be[None, :], pe[:, None], a)
+            if np.array_equal(pe, be):  # the Gram's points: the same table, slots swapped
+                self._caputo_point = self._caputo_basis.T
+            else:
+                self._caputo_point = _ctk_table(be[None, :], pe[:, None], a)
             try:
                 self._caputo_both = _dc_table(be[None, :], pe[:, None], a, nodes)
             except _QuadratureError as err:

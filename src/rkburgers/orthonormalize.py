@@ -26,7 +26,7 @@ import numpy as np
 
 from .operator import GramMatrix
 
-__all__ = ["OrthonormalBasis", "NotPositiveDefiniteError", "compute_beta"]
+__all__ = ["OrthonormalBasis", "NotPositiveDefiniteError", "GramAsymmetryError", "compute_beta"]
 
 _SYMMETRY_TOL = 1e-8
 _SLICES = 3
@@ -40,6 +40,19 @@ class NotPositiveDefiniteError(ValueError):
     def __init__(self, pivot_index: int):
         super().__init__(f"matrix is not positive definite: pivot {pivot_index} is non-positive")
         self.pivot_index = pivot_index
+
+
+class GramAsymmetryError(ValueError):
+    """G and G' differ beyond tolerance, as under an under-resolved quadrature; names the worst entry."""
+
+    def __init__(self, row: int, col: int, asymmetry: float):
+        super().__init__(
+            f"gram matrix asymmetry {asymmetry:.3e} at entry ({row}, {col}) "
+            f"exceeds tolerance {_SYMMETRY_TOL:.0e}"
+        )
+        self.row = row
+        self.col = col
+        self.asymmetry = asymmetry
 
 
 @dataclass(frozen=True)
@@ -148,16 +161,19 @@ def compute_beta(gram: GramMatrix) -> OrthonormalBasis:
     """Orthonormalization coefficients beta = L**-1 where (G + G')/2 = L L'.
 
     Raises:
-        ValueError: if G is asymmetric beyond tolerance.
+        ValueError: if G is not square.
+        GramAsymmetryError: if G is asymmetric beyond tolerance.
         NotPositiveDefiniteError: at the first non-positive pivot.
     """
     g = np.asarray(gram.entries, dtype=float)
     n = g.shape[0]
     if g.shape != (n, n):
         raise ValueError(f"gram matrix must be square, got shape {g.shape}")
-    asym = np.max(np.abs(g - g.T) / (1.0 + np.abs(g))) if n else 0.0
-    if asym > _SYMMETRY_TOL:
-        raise ValueError(f"gram matrix asymmetry {asym:.3e} exceeds tolerance {_SYMMETRY_TOL:.0e}")
+    if n:
+        asym = np.abs(g - g.T) / (1.0 + np.abs(g))
+        worst = int(np.argmax(asym))  # a NaN entry is left to the pivots
+        if asym.flat[worst] > _SYMMETRY_TOL:
+            raise GramAsymmetryError(*divmod(worst, n), float(asym.flat[worst]))
     a = g + g.T
     a *= 0.5
 

@@ -23,6 +23,7 @@ functions.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -63,8 +64,16 @@ _POINT_BLOCK = 256  # evaluation points per gathered block
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Quadrature nodes of the double transform (at least 1) and Picard passes (at least 0)."""
+
     quadrature_nodes: int = DEFAULT_QUADRATURE_NODES
     picard_iters: int = 0
+
+    def __post_init__(self):
+        for name, least in (("quadrature_nodes", 1), ("picard_iters", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"SolverOptions.{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .operator import (
     caputo_time_kernel,
     double_caputo_time_kernel,
 )
-from .orthonormalize import NotPositiveDefiniteError, compute_beta
+from .orthonormalize import GramAsymmetryError, NotPositiveDefiniteError, compute_beta
 from .problems import build_example51, build_example52, verify_forcing
 
 __all__ = [
@@ -214,6 +214,8 @@ def check_gram(problem: Problem, grid: CollocationGrid, nodes: int = 64, tol: fl
     asym = float(np.max(np.abs(g - g.T) / (1.0 + np.abs(g))))
     try:
         onb = compute_beta(gram)
+    except GramAsymmetryError:
+        return CheckResult("gram symmetry / orthonormality", False, asym, tol)
     except NotPositiveDefiniteError:
         return CheckResult("gram symmetry / positive definiteness", False, math.inf, tol)
     resid = float(np.max(np.abs(onb.beta @ g @ onb.beta.T - np.eye(grid.n))))

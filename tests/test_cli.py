@@ -97,6 +97,14 @@ class TestSolveCommand:
         meta = json.loads(_read(tmp_path / "err2.meta.json"))
         assert meta["max_abs_error"] <= 6.29e-2
 
+    def test_under_resolved_quadrature_is_numerical_failure(self, capsys):
+        # two quadrature nodes leave the Gram matrix asymmetric beyond tolerance
+        argv = ["solve", "--example", "2", "--alpha", "0.8", "--p", "6", "--q", "6", "--nodes", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: gram matrix asymmetry")
+        assert "at entry (16, 17)" in err
+
     def test_metadata_stays_beside_output_in_dotted_directory(self, tmp_path):
         out_dir = tmp_path / "run.v2"
         out_dir.mkdir()

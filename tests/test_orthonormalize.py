@@ -7,6 +7,7 @@ import pytest
 import rkburgers.solver
 from rkburgers.operator import CollocationGrid, GramMatrix
 from rkburgers.orthonormalize import (
+    GramAsymmetryError,
     NotPositiveDefiniteError,
     OrthonormalBasis,
     add_exact_product,
@@ -87,6 +88,17 @@ class TestComputeBeta:
         g = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ValueError):
             compute_beta(_gram(g))
+
+    def test_asymmetry_names_the_worst_entry(self):
+        g = np.eye(4)
+        g[1, 3], g[3, 1] = 0.5, 0.5 + 1e-9
+        g[2, 0] = 1e-6
+        with pytest.raises(GramAsymmetryError) as err:
+            compute_beta(_gram(g))
+        assert (err.value.row, err.value.col) == (0, 2)
+        assert err.value.asymmetry == pytest.approx(1e-6)
+        assert "at entry (0, 2)" in str(err.value)
+        assert isinstance(err.value, ValueError)
 
     def test_indefinite_matrix_reports_pivot(self):
         g = np.diag([1.0, -1.0, 2.0])

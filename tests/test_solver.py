@@ -239,6 +239,21 @@ class TestClassicalOrderLimit:
         assert report.max_abs_error < 5e-3
 
 
+class TestSolverOptions:
+    @pytest.mark.parametrize(
+        "field,value",
+        [("picard_iters", -2), ("picard_iters", 1.5), ("picard_iters", True),
+         ("quadrature_nodes", 0), ("quadrature_nodes", "64"), ("quadrature_nodes", 8.0)],
+    )
+    def test_invalid_field_rejected_when_built(self, field, value):
+        with pytest.raises(ValueError, match=f"SolverOptions.{field} must be an integer"):
+            SolverOptions(**{field: value})
+
+    def test_defaults_and_numpy_integers_accepted(self):
+        assert SolverOptions() == SolverOptions(quadrature_nodes=64, picard_iters=0)
+        assert SolverOptions(quadrature_nodes=np.int64(8), picard_iters=np.int32(0)).quadrature_nodes == 8
+
+
 class TestPicardOption:
     def test_polish_preserves_accuracy(self):
         problem = build_example51(0.9)

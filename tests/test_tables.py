@@ -7,13 +7,16 @@ table path performs the same floating-point operations in the same
 order, so the comparisons are ``np.array_equal``, not approximate.
 """
 
+import collections
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+import rkburgers.operator as operator_module
 from oracles import _ctk, _dc, apply_operator, psi_eval
 from rkburgers.fracmath import weighted_moment
 from rkburgers.kernels import r2, r3
@@ -115,6 +118,31 @@ class TestKernelTables:
         table = r2(v[:, None], v[None, :], *orders)
         assert _same(table, [[r2(t, e, *orders) for e in v] for t in v])
 
+    def test_r3_stacked_orders_match_scalar(self):
+        # v holds 0 and 1, and the outer product puts every value on the diagonal
+        v = self.VALUES
+        orders = list(itertools.product(range(4), range(4)))
+        stack = r3(v[:, None], v[None, :], *zip(*orders))
+        assert stack.shape == (len(orders), v.size, v.size)
+        pinned = np.isin(v, (0.0, 1.0))
+        for table, (dx, dxi) in zip(stack, orders):
+            assert _same(table, [[r3(x, s, dx, dxi) for s in v] for x in v])
+            for section in ([table[:, pinned]] if dxi == 0 else []) + ([table[pinned]] if dx == 0 else []):
+                assert np.all(section == 0.0) and not np.signbit(section).any()
+
+    def test_r2_stacked_orders_match_scalar(self):
+        v = self.VALUES
+        orders = list(itertools.product(range(3), range(3)))
+        stack = r2(v[:, None], v[None, :], *zip(*orders))
+        for table, o in zip(stack, orders):
+            assert _same(table, [[r2(t, e, *o) for e in v] for t in v])
+
+    def test_stacked_orders_broadcast_and_keep_their_axis(self):
+        v = self.VALUES
+        assert _same(r3(v, 0.5, 1, [0, 2]), [r3(v, 0.5, 1, 0), r3(v, 0.5, 1, 2)])
+        assert _same(r3(0.25, 0.75, [0, 3], [1, 1]), [r3(0.25, 0.75, 0, 1), r3(0.25, 0.75, 3, 1)])
+        assert r2(v, v, [1]).shape == (1, v.size)
+
     def test_domain_and_order_checked(self):
         with pytest.raises(ValueError, match="outside the domain"):
             r3(np.array([0.2, 1.5]), 0.5)
@@ -122,6 +150,10 @@ class TestKernelTables:
             r2(0.5, np.array([np.nan]))
         with pytest.raises(ValueError):
             r3(np.array([0.5]), 0.5, 4, 0)
+        with pytest.raises(ValueError, match="dxi_order must be an integer in 0..3, got 4"):
+            r3(0.5, 0.5, [0, 1], [2, 4])
+        with pytest.raises(ValueError, match="sequence of orders"):
+            r2(0.5, 0.5, [[0]], 0)
 
 
 class TestTimeTables:
@@ -226,6 +258,43 @@ def test_solve_and_residual_build_one_table_set_each(monkeypatch):
     assert len(builds) == 1
     residual(sol, 0.5, 0.5)
     assert len(builds) == 2
+
+
+def test_solve_and_error_report_build_each_factor_once_per_table_set(monkeypatch):
+    # the Gram build reuses its single-transform table, transposed, for the point slot,
+    # and each build takes every r3 order it needs from one call
+    calls = collections.Counter()
+    for name in ("_ctk_table", "r3", "r2"):
+        fn = getattr(operator_module, name)
+        monkeypatch.setattr(operator_module, name, _counting(calls, name, fn))
+    init = BasisTables.__init__
+    monkeypatch.setattr(BasisTables, "__init__", _counting(calls, "BasisTables", init))
+    sol = solve(build_example52(0.8), CollocationGrid.uniform(5, 4))
+    error_report(sol, [(0.1 * i, 0.1 * j) for i in range(1, 7) for j in range(1, 7)])
+    assert calls == {"BasisTables": 2, "_ctk_table": 2, "r3": 2, "r2": 2}
+
+
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_scattered_tables_stay_small():
+    # 400 points with 400 distinct xi and eta values each: every table is 400 x 400,
+    # and the nine stacked r3 orders take 11.5 MB
+    grid = CollocationGrid.from_points(_jittered(20, 20))
+    basis = build_basis(grid, build_example52(0.8))
+    xs, es = [x for x, _ in grid.points], [e for _, e in grid.points]
+    tracemalloc.start()
+    try:
+        BasisTables(basis, xs, es, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 @pytest.mark.parametrize("order", [0, 1])

@@ -1,7 +1,7 @@
 import math
 
 from rkburgers.operator import CollocationGrid, Problem
-from rkburgers.problems import build_example51
+from rkburgers.problems import build_example51, build_example52
 from rkburgers.verification import (
     check_double_caputo,
     check_forcing,
@@ -43,6 +43,12 @@ class TestBrokenFixtures:
         result = check_gram(build_example51(0.9), grid)
         assert not result.passed
         assert result.measure > 1e-3 or math.isinf(result.measure)
+
+
+    def test_under_resolved_quadrature_fails_the_gram_check(self):
+        result = check_gram(build_example52(0.8), CollocationGrid.uniform(6, 6), nodes=2)
+        assert not result.passed
+        assert result.measure > 1e-8
 
 
 class TestDoubleCaputoOracle:
