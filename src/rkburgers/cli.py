@@ -28,9 +28,10 @@ from .verification import run_default_checks
 
 __all__ = ["main", "RunConfig", "parse_mesh"]
 
-# The largest n measured to solve in seconds: `solve` at n = 2500 takes about
-# 8 s and peaks at 0.38 GB on a 2-vCPU machine.  Each n x n matrix takes
-# 8 n**2 bytes, 0.8 GB at n = 10,000, and the factorization is O(n**3).
+# The largest n measured to solve in seconds: `solve` at n = 2500 took 6.25 s
+# and peaked at 0.38 GB on a 2-vCPU machine (README's scaling table).  Each
+# n x n matrix takes 8 n**2 bytes, 0.8 GB at n = 10,000, and the
+# factorization is O(n**3).
 MAX_POINTS = 2_500
 
 # The flags each subcommand reads.  A config file may set the same keys,
@@ -195,8 +196,11 @@ def _write_text(path: Optional[str], text: str):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _meta_path(out: str) -> str:
@@ -328,13 +332,13 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(cfg)
         return _cmd_convergence(cfg)
-    except (NotPositiveDefiniteError, GramAsymmetryError) as exc:  # ValueErrors, but numerical
+    except (NotPositiveDefiniteError, GramAsymmetryError, np.linalg.LinAlgError) as exc:  # ValueErrors, but numerical
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (_ValidationError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    except (GramAssemblyError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (GramAssemblyError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

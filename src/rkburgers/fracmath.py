@@ -13,6 +13,7 @@ is bit-identical to the scalar ``**`` and costs no numpy call of its own.
 """
 
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -35,6 +36,12 @@ def order_value(alpha) -> float:
     if not (0.0 < a <= 1.0):
         raise ValueError(f"fractional order must satisfy 0 < alpha <= 1, got {a}")
     return a
+
+
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Reject a count that is not an integer >= least: numpy integers pass, bools and floats do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 # Lanczos coefficients, g = 7, n = 9.  Relative error below 1e-14 on the
@@ -169,7 +176,8 @@ def weighted_moment(m: int, alpha: float, a, b, c):
     return float(total) if total.ndim == 0 else total
 
 
-@lru_cache(maxsize=256)
+# typed: True and 1 are equal keys, and a cached 1 must not let True past the check
+@lru_cache(maxsize=256, typed=True)
 def jacobi_rule(exponent: float, n: int):
     """Golub-Welsch rule for integral_0^1 f(u) (1 - u)**exponent du, exponent > -1.
 
@@ -182,9 +190,13 @@ def jacobi_rule(exponent: float, n: int):
         (nodes, weights) as read-only float arrays of length n, exact for
         polynomial integrands of degree <= 2n - 1.  The weights are positive
         and sum to the weighted measure of (0, 1), 1/(exponent + 1).
+
+    Raises:
+        ValueError: if n is not an integer >= 1 (a bool is not), or exponent <= -1.
+        numpy.linalg.LinAlgError: if the eigensolver does not converge.
+        ArithmeticError: if the weights miss the weighted measure.
     """
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
+    _check_count("node count", n)
     aj = float(exponent)
     if aj <= -1.0:
         raise ValueError(f"weight exponent must exceed -1, got {aj}")
@@ -192,22 +204,18 @@ def jacobi_rule(exponent: float, n: int):
     denom = (2 * i + aj) * (2 * i + aj + 2)
     diag = np.empty(n)
     diag[0] = -aj / (aj + 2.0)
-    if n > 1:
-        diag[1:] = -(aj * aj) / denom[1:]
+    diag[1:] = -(aj * aj) / denom[1:]
     j = np.arange(1, n, dtype=float)
     s = 2 * j + aj
     off = np.sqrt(4 * j * (j + aj) * j * (j + aj) / (s * s * (s * s - 1)))
     jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    try:
-        vals, vecs = np.linalg.eigh(jac)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise RuntimeError(f"eigen-solve of the Jacobi recurrence failed: {exc}") from exc
+    vals, vecs = np.linalg.eigh(jac)
     mu0 = 2.0 ** (aj + 1.0) / (aj + 1.0)  # integral of (1-x)**aj over [-1, 1]
     u = 0.5 * (vals + 1.0)
     w = mu0 * vecs[0, :] ** 2 * 0.5 ** (aj + 1.0)
     measure = 1.0 / (aj + 1.0)
     if abs(float(np.sum(w)) - measure) > 1e-12 * measure:  # pragma: no cover
-        raise RuntimeError("quadrature weights do not reproduce the weighted measure")
+        raise ArithmeticError("quadrature weights do not reproduce the weighted measure")
     u.flags.writeable = False
     w.flags.writeable = False
     return u, w

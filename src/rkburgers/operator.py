@@ -46,6 +46,7 @@ import numpy as np
 
 from .fracmath import (
     DEFAULT_QUADRATURE_NODES,
+    _check_count,
     _power_table,
     gamma,
     jacobi_rule,
@@ -106,20 +107,18 @@ class Problem:
 
 @dataclass(frozen=True)
 class CollocationGrid:
-    """Ordered collocation points (xi_i, eta_i) in (0, 1] x (0, 1], n = p * q.
+    """Ordered, distinct collocation points (xi_i, eta_i) in (0, 1] x (0, 1], at least one.
 
-    The uniform construction takes xi_i = i/p and eta_j = j/q and orders the
-    points with the time index advancing fastest, so the sequential solver
-    sweep is well defined and reproducible.
+    The point order is the order of the solver's sweep.  ``uniform(p, q)``
+    takes xi_i = i/p and eta_j = j/q and orders the p * q points with the
+    time index advancing fastest; ``from_points`` keeps the order given.
     """
 
     points: tuple
-    p: int
-    q: int
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1 or self.p * self.q != len(self.points):
-            raise ValueError("grid requires positive p, q with p * q matching the point count")
+        if not self.points:
+            raise ValueError("a collocation grid needs at least one point")
         seen = set()
         for xi, eta in self.points:
             if not (0.0 < xi <= 1.0 and 0.0 < eta <= 1.0):
@@ -134,13 +133,13 @@ class CollocationGrid:
 
     @classmethod
     def uniform(cls, p: int, q: int) -> "CollocationGrid":
-        pts = tuple((i / p, j / q) for i in range(1, p + 1) for j in range(1, q + 1))
-        return cls(points=pts, p=p, q=q)
+        _check_count("uniform grid p", p)
+        _check_count("uniform grid q", q)
+        return cls(tuple((i / p, j / q) for i in range(1, p + 1) for j in range(1, q + 1)))
 
     @classmethod
     def from_points(cls, points) -> "CollocationGrid":
-        pts = tuple((float(x), float(e)) for x, e in points)
-        return cls(points=pts, p=len(pts), q=1)
+        return cls(tuple((float(x), float(e)) for x, e in points))
 
 
 @dataclass(frozen=True)
@@ -214,10 +213,7 @@ def double_caputo_time_kernel(
     a = order_value(alpha)
     if not (0.0 <= t_i <= 1.0 and 0.0 <= t_j <= 1.0):
         raise ValueError(f"arguments ({t_i}, {t_j}) outside [0, 1]")
-    try:
-        return float(_dc_table(t_i, t_j, a, nodes))
-    except _QuadratureError as err:
-        raise err.cause from None
+    return float(_dc_table(t_i, t_j, a, nodes))
 
 
 def build_basis(grid: CollocationGrid, problem: Problem) -> list:
@@ -265,15 +261,6 @@ def _ctk_table(eta, t_i, a: float) -> np.ndarray:
     return np.where(t_i <= 0.0, 0.0, val / gamma(1.0 - a))
 
 
-class _QuadratureError(Exception):
-    """A quadrature rule of ``_dc_table`` failed; ``pair`` is the first table index that needs it."""
-
-    def __init__(self, pair: tuple, cause: Exception):
-        super().__init__(str(cause))
-        self.pair = pair
-        self.cause = cause
-
-
 def _rule_sums(rule, outer, inner, power) -> np.ndarray:
     """w @ (outer - inner * u)**power for each pair, one dot product per pair.
 
@@ -296,10 +283,10 @@ def _dc_table(t_i, t_j, a: float, n_nodes: int) -> np.ndarray:
     t_i == t_j and otherwise one n_nodes-point Gauss-Jacobi sum per pair,
     the rule's weight exponent chosen by which of t_i, t_j is smaller.
     Every fractional power of a coordinate comes from one
-    ``_power_table`` over the arguments before they are broadcast.  Raises
-    _QuadratureError, naming the first pair that needs it, when a
-    quadrature rule cannot be built.
+    ``_power_table`` over the arguments before they are broadcast.  A
+    node count that is not an integer >= 1 raises ValueError, at a = 1 too.
     """
+    _check_count("node count", n_nodes)
     bases = t_i, t_j
     t_i, t_j = np.broadcast_arrays(t_i, t_j)
     live = (t_i > 0.0) & (t_j > 0.0)
@@ -314,22 +301,11 @@ def _dc_table(t_i, t_j, a: float, n_nodes: int) -> np.ndarray:
     const_part = k1 * tj_pow[0] / (1.0 - a)
     # the value where t_i == t_j; an array even for 0-d arguments, to be filled by pair
     frac_part = np.array(ti_pow[2] / (3.0 - 2.0 * a))
-    failed = []
-    for pairs, exponent, scale, outer, inner, power in (
-        (live & (t_j < t_i), -a, tj_pow[0], t_i, t_j, 2.0 - a),
-        (live & (t_j > t_i), 2.0 - a, ti_pow[3], t_j, t_i, -a),
+    for pairs, rule, scale, outer, inner, power in (
+        (live & (t_j < t_i), jacobi_rule(-a, n_nodes), tj_pow[0], t_i, t_j, 2.0 - a),
+        (live & (t_j > t_i), jacobi_rule(2.0 - a, n_nodes), ti_pow[3], t_j, t_i, -a),
     ):
-        if not pairs.any():
-            continue
-        try:
-            rule = jacobi_rule(exponent, n_nodes)
-        except (ValueError, RuntimeError) as exc:
-            failed.append((int(np.flatnonzero(pairs)[0]), exc))
-            continue
         frac_part[pairs] = scale[pairs] * _rule_sums(rule, outer[pairs], inner[pairs], power)
-    if failed:
-        first, exc = min(failed, key=lambda f: f[0])
-        raise _QuadratureError(np.unravel_index(first, t_i.shape), exc)
     return np.where(live, (const_part - k2 * frac_part) / (c * c), 0.0)
 
 
@@ -351,8 +327,8 @@ class BasisTables:
     to it.
 
     ``nodes`` is the quadrature node count of the double transform; without
-    it only the factors of psi are tabulated.  A failing time factor raises
-    GramAssemblyError at the first point and basis function that use it.
+    it only the factors of psi are tabulated.  A node count that is not an
+    integer >= 1 raises ValueError.
     """
 
     def __init__(self, basis: list, point_xi, point_eta, nodes: Optional[int] = None):
@@ -377,13 +353,7 @@ class BasisTables:
                 self._caputo_point = self._caputo_basis.T
             else:
                 self._caputo_point = _ctk_table(be[None, :], pe[:, None], a)
-            try:
-                self._caputo_both = _dc_table(be[None, :], pe[:, None], a, nodes)
-            except _QuadratureError as err:
-                u, v = err.pair
-                row = int(np.flatnonzero(self._point_eta == u)[0])
-                col = int(np.flatnonzero(self._basis_eta == v)[0])
-                raise GramAssemblyError(row, col, err.cause) from err.cause
+            self._caputo_both = _dc_table(be[None, :], pe[:, None], a, nodes)
 
     def _gather(self, points, fns):
         """Indices into the space and the time tables, and the basis coefficients."""
@@ -431,7 +401,7 @@ def assemble_gram(
     nodes: int = DEFAULT_QUADRATURE_NODES,
     basis: Optional[list] = None,
 ) -> GramMatrix:
-    """All n x n Gram entries; raises GramAssemblyError with indices on failure.
+    """All n x n Gram entries; GramAssemblyError at (row, 0) if a row's coefficients fail.
 
     Entry (i, j) is (L psi_j) at collocation point i, with the coefficient
     functions sampled once per point; the rows are gathered from

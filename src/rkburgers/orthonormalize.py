@@ -177,10 +177,10 @@ def compute_beta(gram: GramMatrix) -> OrthonormalBasis:
     a = g + g.T
     a *= 0.5
 
-    diag = np.diag(a).copy()
-    for k in range(n):
-        if not diag[k] > 0.0:
-            raise NotPositiveDefiniteError(k)
+    diag = np.diag(a)
+    failed = np.flatnonzero(~(diag > 0.0))  # NaN included
+    if failed.size:
+        raise NotPositiveDefiniteError(int(failed[0]))
     d = np.sqrt(diag)
     a /= d[:, None]
     a /= d[None, :]

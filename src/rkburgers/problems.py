@@ -60,21 +60,9 @@ def build_example51(alpha) -> Problem:
             - eta * math.sin(xi) * (xi * xi - xi) * (2.0 * xi - 1.0) * eta ** (2.0 + 2.0 * a)
         )
 
-    exact = SeparableSolution(
-        space=lambda xi: xi * xi - xi,
-        space_d1=lambda xi: 2.0 * xi - 1.0,
-        space_d2=lambda xi: 2.0,
-        time_power=1.0 + a,
-    )
-    return Problem(
-        alpha=a,
-        k1=lambda xi, eta: 1.0 + xi * eta,
-        k2=lambda xi, eta: xi * xi,
-        k3=lambda xi, eta: xi + 1.0,
-        k4=lambda xi, eta: -eta * math.sin(xi),
-        f=f,
-        exact=exact,
-        name="example51",
+    return build_custom(
+        a, k1="one_plus_xi_eta", k2="xi_squared", k3="xi_plus_one", k4="neg_eta_sin_xi", f=f,
+        exact_space="xi_sq_minus_xi", exact_power=1.0 + a, name="example51",
     )
 
 
@@ -98,21 +86,9 @@ def build_example52(alpha) -> Problem:
             - s * math.cos(math.pi * xi) * math.pi * eta ** (4.0 * a)
         )
 
-    exact = SeparableSolution(
-        space=lambda xi: math.sin(math.pi * xi),
-        space_d1=lambda xi: math.pi * math.cos(math.pi * xi),
-        space_d2=lambda xi: -math.pi * math.pi * math.sin(math.pi * xi),
-        time_power=2.0 * a,
-    )
-    return Problem(
-        alpha=a,
-        k1=lambda xi, eta: -1.0,
-        k2=lambda xi, eta: 0.0,
-        k3=lambda xi, eta: 0.0,
-        k4=lambda xi, eta: -1.0,
-        f=f,
-        exact=exact,
-        name="example52",
+    return build_custom(
+        a, k1="neg_one", k2="zero", k3="zero", k4="neg_one", f=f,
+        exact_space="sin_pi_xi", exact_power=2.0 * a, name="example52",
     )
 
 

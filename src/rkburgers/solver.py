@@ -23,14 +23,13 @@ functions.
 """
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fracmath import DEFAULT_QUADRATURE_NODES
+from .fracmath import DEFAULT_QUADRATURE_NODES, _check_count
 from .operator import (
     BasisTables,
     CollocationGrid,
@@ -70,10 +69,8 @@ class SolverOptions:
     picard_iters: int = 0
 
     def __post_init__(self):
-        for name, least in (("quadrature_nodes", 1), ("picard_iters", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"SolverOptions.{name} must be an integer >= {least}, got {value!r}")
+        _check_count("SolverOptions.quadrature_nodes", self.quadrature_nodes)
+        _check_count("SolverOptions.picard_iters", self.picard_iters, 0)
 
 
 @dataclass(frozen=True)
@@ -101,8 +98,6 @@ class ApproximateSolution:
 
 def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptions] = None) -> ApproximateSolution:
     """Run the sequential collocation sweep on the given grid."""
-    if grid.n == 0:
-        raise ValueError("empty collocation grid")
     opts = options or SolverOptions()
     basis = build_basis(grid, problem)
     gram = assemble_gram(grid, problem, nodes=opts.quadrature_nodes, basis=basis)
@@ -116,11 +111,8 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
     cum = np.zeros(n)  # prefix of beta' B, coefficients over the raw basis
     for k, row0, row1 in _psi_rows(tables, n, lower=True):
         xi, eta = grid.points[k]
-        if k == 0:
-            yv = dyv = 0.0
-        else:
-            yv = float(cum[:k] @ row0[:k])
-            dyv = float(cum[:k] @ row1[:k])
+        yv = float(cum[:k] @ row0[:k])  # +0.0 at k = 0, an empty sum
+        dyv = float(cum[:k] @ row1[:k])
         F[k] = problem.f(xi, eta) - problem.k4(xi, eta) * yv * dyv
         if not math.isfinite(F[k]):
             raise ArithmeticError(f"non-finite right-hand side at collocation index {k}")

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from rkburgers.cli import main, parse_mesh
@@ -104,6 +105,44 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: gram matrix asymmetry")
         assert "at entry (16, 17)" in err
+
+    @pytest.mark.parametrize("target", ["out", "surface", "meta"])
+    def test_unwritable_output_is_validation_error(self, tmp_path, capsys, target):
+        paths = {"out": tmp_path / "t.csv", "surface": tmp_path / "s.csv"}
+        if target == "meta":
+            (tmp_path / "t.meta.json").mkdir()  # the metadata file cannot be opened
+            bad = tmp_path / "t.meta.json"
+        else:
+            bad = paths[target] = tmp_path / "missing" / "x.csv"
+        argv = ["solve", "--example", "1", "--p", "2", "--q", "2",
+                "--out", str(paths["out"]), "--surface", str(paths["surface"])]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: cannot write {bad}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, ArithmeticError])
+    def test_failing_quadrature_rule_is_numerical_failure(self, monkeypatch, capsys, error):
+        # the rule's eigensolver failure and its weight-measure check
+        def failing_rule(exponent, n):
+            raise error("synthetic rule failure")
+
+        monkeypatch.setattr("rkburgers.operator.jacobi_rule", failing_rule)
+        assert main(["solve", "--example", "1", "--p", "2", "--q", "2"]) == 2
+        assert capsys.readouterr().err == "numerical failure: synthetic rule failure\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--example", "1", "--nodes", "0"],
+            ["verify", "--nodes", "0"],
+            ["convergence", "--example", "1", "--sizes", "4", "--nodes", "0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_zero_quadrature_nodes_is_validation_error(self, capsys, argv):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("validation error: ")
 
     def test_metadata_stays_beside_output_in_dotted_directory(self, tmp_path):
         out_dir = tmp_path / "run.v2"

@@ -46,6 +46,14 @@ class TestCollocationGrid:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             CollocationGrid.uniform(0, 3)
+        with pytest.raises(ValueError, match="at least one point"):
+            CollocationGrid.from_points([])
+
+    @pytest.mark.parametrize("p", [True, 2.5])
+    def test_uniform_rejects_a_count_that_is_not_an_integer(self, p):
+        # True would build a 1 x 2 grid and 2.5 fail inside range()
+        with pytest.raises(ValueError, match="uniform grid p must be an integer >= 1"):
+            CollocationGrid.uniform(p, 2)
 
 
 class TestCaputoTimeKernel:
@@ -248,13 +256,21 @@ class TestAssembleGram:
             assemble_gram(grid, bad, basis=basis)
         assert (err.value.row, err.value.col) == (3, 0)
 
-    def test_quadrature_failure_carries_indices(self):
-        # no quadrature nodes: the first entry with distinct time slots fails,
-        # basis function 1 at collocation point 0
-        problem = build_example51(0.9)
-        with pytest.raises(GramAssemblyError) as err:
-            assemble_gram(CollocationGrid.uniform(2, 2), problem, nodes=0)
-        assert (err.value.row, err.value.col) == (0, 1)
+    def test_bad_node_count_is_a_value_error(self):
+        # one check for every grid, order and pair of times, including the
+        # one-time-level grids and the equal times that use no rule
+        grids = [CollocationGrid.uniform(2, 2), CollocationGrid.uniform(1, 1), CollocationGrid.uniform(3, 1)]
+        jacobi_rule(-0.5, 1)  # a cached rule for 1 must not answer for True
+        for nodes in (0, -1, 2.5, True):
+            for alpha in (0.9, 1.0):
+                for grid in grids:
+                    with pytest.raises(ValueError, match="node count must be an integer >= 1"):
+                        assemble_gram(grid, build_example51(alpha), nodes=nodes)
+            for t_i, t_j in ((0.5, 0.5), (0.3, 0.5)):
+                with pytest.raises(ValueError, match="node count must be an integer >= 1"):
+                    double_caputo_time_kernel(t_i, t_j, 0.8, nodes=nodes)
+            with pytest.raises(ValueError, match="node count must be an integer >= 1"):
+                jacobi_rule(-0.5, nodes)
 
     def test_basis_must_match_the_grid(self):
         problem = build_example51(0.9)

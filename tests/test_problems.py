@@ -5,6 +5,7 @@ import pytest
 from rkburgers.fracmath import caputo_power, gamma
 from rkburgers.operator import Problem
 from rkburgers.problems import (
+    COEFFICIENT_CATALOG,
     SPACE_FACTOR_CATALOG,
     SeparableSolution,
     build_custom,
@@ -92,6 +93,20 @@ class TestBuildProblem:
     def test_unknown_identifier(self):
         with pytest.raises(ValueError):
             build_problem("3", 0.9)
+
+    @pytest.mark.parametrize(
+        "build, names, space",
+        [
+            (build_example51, ("one_plus_xi_eta", "xi_squared", "xi_plus_one", "neg_eta_sin_xi"), "xi_sq_minus_xi"),
+            (build_example52, ("neg_one", "zero", "zero", "neg_one"), "sin_pi_xi"),
+        ],
+        ids=["example51", "example52"],
+    )
+    def test_benchmarks_take_their_coefficients_from_the_catalogs(self, build, names, space):
+        problem = build(0.8)
+        assert [problem.k1, problem.k2, problem.k3, problem.k4] == [COEFFICIENT_CATALOG[k] for k in names]
+        exact = problem.exact
+        assert (exact.space, exact.space_d1, exact.space_d2) == SPACE_FACTOR_CATALOG[space]
 
 
 class TestVerifyForcing:
