@@ -10,6 +10,7 @@ stand in for the flags; explicit flags win over config entries.
 """
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -20,6 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import __version__
+from .fracmath import DEFAULT_QUADRATURE_NODES
 from .operator import CollocationGrid, GramAssemblyError
 from .orthonormalize import GramAsymmetryError, NotPositiveDefiniteError
 from .problems import build_custom, build_problem, COEFFICIENT_CATALOG
@@ -48,10 +50,6 @@ _CASTS = {"alpha": float, "p": int, "q": int, "nodes": int, "picard": int}
 _CHOICES = {"example": ("1", "2"), "format": ("csv", "json")}
 
 
-class _ValidationError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; validation is 1 here
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -64,7 +62,7 @@ class RunConfig:
     alpha: float = 0.9
     p: int = 5
     q: int = 5
-    nodes: int = 64
+    nodes: int = DEFAULT_QUADRATURE_NODES
     picard: int = 0
     mesh: str = "0.1:0.1:0.6"
     out: Optional[str] = None
@@ -75,15 +73,15 @@ class RunConfig:
 
     def validate(self):
         if self.p < 1 or self.q < 1:
-            raise _ValidationError("p and q must be positive")
+            raise ValueError("p and q must be positive")
         if self.p * self.q > MAX_POINTS:
-            raise _ValidationError(f"p * q = {self.p * self.q} exceeds the guard rail {MAX_POINTS}")
+            raise ValueError(f"p * q = {self.p * self.q} exceeds the guard rail {MAX_POINTS}")
         if self.nodes < 1:
-            raise _ValidationError("quadrature node count must be positive")
+            raise ValueError("quadrature node count must be positive")
         if self.picard < 0:
-            raise _ValidationError("picard iteration count must be non-negative")
+            raise ValueError("picard iteration count must be non-negative")
         if self.format not in ("csv", "json"):
-            raise _ValidationError(f"unknown output format {self.format!r}")
+            raise ValueError(f"unknown output format {self.format!r}")
 
 
 def parse_mesh(spec: str) -> List[float]:
@@ -91,9 +89,9 @@ def parse_mesh(spec: str) -> List[float]:
     try:
         start, step, end = (float(tok) for tok in spec.split(":"))
     except ValueError as exc:
-        raise _ValidationError(f"mesh spec must be start:step:end, got {spec!r}") from exc
+        raise ValueError(f"mesh spec must be start:step:end, got {spec!r}") from exc
     if step <= 0 or end < start:
-        raise _ValidationError(f"degenerate mesh spec {spec!r}")
+        raise ValueError(f"degenerate mesh spec {spec!r}")
     count = int(round((end - start) / step)) + 1
     return [round(start + i * step, 12) for i in range(count)]
 
@@ -110,7 +108,7 @@ def _parse_sizes(spec: str) -> List[Tuple[int, int]]:
             n = int(tok)
             root = int(round(n**0.5))
             if root * root != n:
-                raise _ValidationError(f"size {n} is not a perfect square; use the PxQ form")
+                raise ValueError(f"size {n} is not a perfect square; use the PxQ form")
             sizes.append((root, root))
     return sizes
 
@@ -124,11 +122,11 @@ def _read_config_file(path: str) -> dict:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise _ValidationError(f"config line without '=': {raw.strip()!r}")
+                    raise ValueError(f"config line without '=': {raw.strip()!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
                 entries[key] = value
     except OSError as exc:
-        raise _ValidationError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     return entries
 
 _CUSTOM_KEYS = ("problem", "k1", "k2", "k3", "k4", "f", "exact_space", "exact_power")
@@ -142,26 +140,26 @@ def _apply_config_file(cfg: RunConfig, explicit: set, command: str):
         readable.update(_CUSTOM_KEYS)
     for key, value in entries.items():
         if key not in known:
-            raise _ValidationError(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         if key not in readable:
-            raise _ValidationError(f"config key {key!r} is not read by {command}")
+            raise ValueError(f"config key {key!r} is not read by {command}")
         if key in _CUSTOM_KEYS:
             cfg.custom[key] = value
         elif key not in explicit:
             try:
                 setattr(cfg, key, _CASTS.get(key, str)(value))
             except ValueError as exc:
-                raise _ValidationError(f"config key {key}={value!r}: {exc}") from exc
+                raise ValueError(f"config key {key}={value!r}: {exc}") from exc
 
 
 def _build_problem(cfg: RunConfig):
     if cfg.custom.get("problem") == "custom":
         missing = [k for k in ("k1", "k2", "k3", "k4", "f") if k not in cfg.custom]
         if missing:
-            raise _ValidationError(f"custom problem config missing keys: {', '.join(missing)}")
+            raise ValueError(f"custom problem config missing keys: {', '.join(missing)}")
         f_name = cfg.custom["f"]
         if f_name not in COEFFICIENT_CATALOG:
-            raise _ValidationError(f"f = {f_name!r} is not in the coefficient catalog")
+            raise ValueError(f"f = {f_name!r} is not in the coefficient catalog")
         power = cfg.custom.get("exact_power")
         return build_custom(
             cfg.alpha,
@@ -174,7 +172,7 @@ def _build_problem(cfg: RunConfig):
             exact_power=float(power) if power is not None else None,
         )
     if cfg.example is None:
-        raise _ValidationError("select a problem with --example or a config file")
+        raise ValueError("select a problem with --example or a config file")
     return build_problem(cfg.example, cfg.alpha)
 
 
@@ -200,17 +198,33 @@ def _write_text(path: Optional[str], text: str):
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+            raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _meta_path(out: str) -> str:
     return os.path.splitext(out)[0] + ".meta.json"
 
 
+def _check_writable(*paths: Optional[str]):
+    """``_write_text``'s ValueError for the first path it could not write to; creates nothing."""
+    for path in (path for path in paths if path is not None):
+        parent = os.path.dirname(path) or "."
+        if not path or not os.path.isdir(parent):
+            code = errno.ENOENT
+        elif os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise ValueError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def _cmd_solve(cfg: RunConfig) -> int:
     cfg.validate()
     problem = _build_problem(cfg)
     mesh = parse_mesh(cfg.mesh)
+    _check_writable(cfg.out, cfg.out and _meta_path(cfg.out), cfg.surface)
     t0 = time.perf_counter()
     sol = solve(
         problem,
@@ -260,11 +274,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
         "wall_seconds": wall,
         "version": __version__,
     }
-    meta_text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
-    if cfg.out is not None:
-        _write_text(_meta_path(cfg.out), meta_text)
-    else:
-        sys.stdout.write(meta_text)
+    _write_text(cfg.out and _meta_path(cfg.out), json.dumps(meta, indent=2, sort_keys=True) + "\n")
     if report is not None:
         print(f"max abs error {report.max_abs_error:.6e}, mean {report.mean_abs_error:.6e}, {wall:.2f} s")
     return 0
@@ -281,14 +291,14 @@ def _cmd_verify(cfg: RunConfig) -> int:
 def _cmd_convergence(cfg: RunConfig) -> int:
     cfg.validate()
     if not cfg.sizes:
-        raise _ValidationError("convergence requires --sizes, e.g. --sizes 9,25,49 or 3x3,5x5")
+        raise ValueError("convergence requires --sizes, e.g. --sizes 9,25,49 or 3x3,5x5")
     sizes = _parse_sizes(cfg.sizes)
     for p, q in sizes:
         if p < 1 or q < 1 or p * q > MAX_POINTS:
-            raise _ValidationError(f"size {p}x{q} outside the guard rail")
+            raise ValueError(f"size {p}x{q} outside the guard rail")
     problem = _build_problem(cfg)
     if problem.exact is None:
-        raise _ValidationError("convergence study requires a problem with an exact solution")
+        raise ValueError("convergence study requires a problem with an exact solution")
     mesh = parse_mesh(cfg.mesh)
     rows = convergence_study(
         problem,
@@ -332,15 +342,13 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(cfg)
         return _cmd_convergence(cfg)
-    except (NotPositiveDefiniteError, GramAsymmetryError, np.linalg.LinAlgError) as exc:  # ValueErrors, but numerical
+    except (NotPositiveDefiniteError, GramAsymmetryError, np.linalg.LinAlgError,  # ValueErrors, but numerical
+            GramAssemblyError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (_ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    except (GramAssemblyError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

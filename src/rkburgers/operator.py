@@ -165,13 +165,12 @@ class GramMatrix:
     entries: np.ndarray
     tables: Optional["BasisTables"] = field(default=None, repr=False, compare=False)
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
 
 class GramAssemblyError(RuntimeError):
-    """A Gram entry failed to evaluate; carries the failing (row, col) indices."""
+    """A Gram entry failed to evaluate; carries the failing (row, col) indices.
+
+    A coefficient that fails at collocation point i fails all of row i: (i, 0).
+    """
 
     def __init__(self, row: int, col: int, cause: Exception):
         super().__init__(f"gram entry ({row}, {col}) failed: {cause}")
@@ -217,18 +216,19 @@ def double_caputo_time_kernel(
 
 
 def build_basis(grid: CollocationGrid, problem: Problem) -> list:
-    """Basis functions for every collocation point, coefficients frozen at the centres."""
-    return [
-        BasisFunction(
-            xi=xi,
-            eta=eta,
-            k1=problem.k1(xi, eta),
-            k2=problem.k2(xi, eta),
-            k3=problem.k3(xi, eta),
-            alpha=problem.alpha,
-        )
-        for xi, eta in grid.points
-    ]
+    """Basis functions for every collocation point, coefficients frozen at the centres.
+
+    The only sampling of k1, k2 and k3 at collocation points; one that
+    raises at point i raises GramAssemblyError at (i, 0).
+    """
+    basis = []
+    for i, (xi, eta) in enumerate(grid.points):
+        try:
+            k = problem.k1(xi, eta), problem.k2(xi, eta), problem.k3(xi, eta)
+        except Exception as exc:
+            raise GramAssemblyError(i, 0, exc) from exc
+        basis.append(BasisFunction(xi, eta, *k, alpha=problem.alpha))
+    return basis
 
 
 def psi_eval(b: BasisFunction, xi: float, eta: float, dxi_order: int = 0) -> float:
@@ -324,7 +324,8 @@ class BasisTables:
     broadcast together, and combine them.  They are the package's only
     formulas for psi and L psi; the operations and their order are those
     of the scalar reference the tests hold, so each value is bit-identical
-    to it.
+    to it.  ``_coeffs`` holds the basis functions' frozen k1, k2, k3 as
+    one 3 x n array, from which the Gram's rows read their coefficients.
 
     ``nodes`` is the quadrature node count of the double transform; without
     it only the factors of psi are tabulated.  A node count that is not an
@@ -340,7 +341,7 @@ class BasisTables:
         be, self._basis_eta = np.unique([b.eta for b in basis], return_inverse=True)
         px, self._point_x = np.unique(np.asarray(point_xi, dtype=float), return_inverse=True)
         pe, self._point_eta = np.unique(np.asarray(point_eta, dtype=float), return_inverse=True)
-        self._k = [np.array([getattr(b, k) for b in basis], dtype=float) for k in ("k1", "k2", "k3")]
+        self._coeffs = np.array([[getattr(b, k) for b in basis] for k in ("k1", "k2", "k3")], dtype=float)
 
         # rows: distinct point coordinates, columns: distinct basis coordinates
         orders = [(dx, dxi) for dx in range(3) for dxi in range(2 if nodes is None else 3)]
@@ -355,43 +356,40 @@ class BasisTables:
                 self._caputo_point = _ctk_table(be[None, :], pe[:, None], a)
             self._caputo_both = _dc_table(be[None, :], pe[:, None], a, nodes)
 
-    def _gather(self, points, fns):
-        """Indices into the space and the time tables, and the basis coefficients."""
+    def _gather(self, points, fns, orders):
+        """Index into the time tables, then psi_l's two space factors at each xi-derivative order.
+
+        r3 and k1 d2r3 + k2 r3 + k3 dr3: the named derivatives and k1, k2, k3
+        are at psi_l's centre, the order is the point's xi-derivative.
+        """
         x = self._point_x[points], self._basis_x[fns]
         t = self._point_eta[points], self._basis_eta[fns]
-        return x, t, [k[fns] for k in self._k]
+        k1, k2, k3 = self._coeffs[:, fns]
+        factors = []
+        for d in orders:
+            frac = self._space[0, d][x]
+            factors.append((frac, k1 * self._space[2, d][x] + k2 * frac + k3 * self._space[1, d][x]))
+        return t, factors
 
     def psi(self, points, fns, dxi_order: int = 0) -> np.ndarray:
         """psi_l (or its xi-derivative, dxi_order 0 or 1) at the points."""
         if dxi_order not in (0, 1):
             raise ValueError(f"dxi_order must be 0 or 1, got {dxi_order}")
-        x, t, (k1, k2, k3) = self._gather(points, fns)
-        space_frac = self._space[0, dxi_order][x]
-        space_smooth = (
-            k1 * self._space[2, dxi_order][x]
-            + k2 * space_frac
-            + k3 * self._space[1, dxi_order][x]
-        )
-        return self._r2[t] * space_smooth + self._caputo_basis[t] * space_frac
+        t, [(frac, smooth)] = self._gather(points, fns, [dxi_order])
+        return self._r2[t] * smooth + self._caputo_basis[t] * frac
 
     def operator(self, points, fns, c1, c2, c3) -> np.ndarray:
         """(L psi_l) at the points with coefficients c1, c2, c3 sampled there; needs ``nodes``."""
-        x, t, (k1, k2, k3) = self._gather(points, fns)
-        s00, s01, s02 = (self._space[0, d][x] for d in range(3))
-        a0, a1, a2 = (
-            k1 * self._space[2, d][x] + k2 * s + k3 * self._space[1, d][x]
-            for d, s in enumerate((s00, s01, s02))
-        )
+        t, factors = self._gather(points, fns, range(3))
         r2v = self._r2[t]
         phi = self._caputo_basis[t]  # fractional time factor of psi_l itself
-        total = (
-            c1 * (phi * s02 + r2v * a2)
-            + c2 * (phi * s00 + r2v * a0)
-            + c3 * (phi * s01 + r2v * a1)
-        )
+        # psi_l and its first two xi-derivatives at the points
+        psi0, psi1, psi2 = (r2v * smooth + phi * frac for frac, smooth in factors)
+        total = c1 * psi2 + c2 * psi0 + c3 * psi1
         # Caputo transform, at the point, of each of psi_l's two time factors.
-        total += self._caputo_point[t] * a0
-        total += self._caputo_both[t] * s00
+        frac, smooth = factors[0]
+        total += self._caputo_point[t] * smooth
+        total += self._caputo_both[t] * frac
         return total
 
 
@@ -401,12 +399,12 @@ def assemble_gram(
     nodes: int = DEFAULT_QUADRATURE_NODES,
     basis: Optional[list] = None,
 ) -> GramMatrix:
-    """All n x n Gram entries; GramAssemblyError at (row, 0) if a row's coefficients fail.
+    """All n x n Gram entries of ``basis`` (by default built from ``problem``) at the grid's points.
 
-    Entry (i, j) is (L psi_j) at collocation point i, with the coefficient
-    functions sampled once per point; the rows are gathered from
-    ``BasisTables`` a block at a time, and the tables are handed back with
-    the entries.
+    Entry (i, j) is (L psi_j) at collocation point i, with the coefficients
+    frozen in psi_i, the basis function centred there; the rows are
+    gathered from ``BasisTables`` a block at a time, and the tables are
+    handed back with the entries.
     """
     if basis is None:
         basis = build_basis(grid, problem)
@@ -414,14 +412,8 @@ def assemble_gram(
     if len(basis) != n:
         raise ValueError(f"{len(basis)} basis functions for {n} collocation points")
     tables = BasisTables(basis, [x for x, _ in grid.points], [e for _, e in grid.points], nodes)
-    coeffs = np.empty((3, n))
-    for i, (xi, eta) in enumerate(grid.points):
-        try:
-            coeffs[:, i] = problem.k1(xi, eta), problem.k2(xi, eta), problem.k3(xi, eta)
-        except Exception as exc:  # the row's coefficients; column 0 is its first entry
-            raise GramAssemblyError(i, 0, exc) from exc
     entries = np.empty((n, n))
     for start in range(0, n, _ROW_BLOCK):
         rows = np.arange(start, min(start + _ROW_BLOCK, n))[:, None]
-        entries[start : start + _ROW_BLOCK] = tables.operator(rows, slice(None), *coeffs[:, rows])
+        entries[start : start + _ROW_BLOCK] = tables.operator(rows, slice(None), *tables._coeffs[:, rows])
     return GramMatrix(entries=entries, tables=tables)

@@ -62,10 +62,6 @@ class OrthonormalBasis:
     beta: np.ndarray
     source: GramMatrix
 
-    @property
-    def n(self) -> int:
-        return self.beta.shape[0]
-
 
 def _split_rows(m):
     """Row slices s_1 + ... + s_k == m, exact, for error-free products.

@@ -97,23 +97,27 @@ class ApproximateSolution:
 
 
 def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptions] = None) -> ApproximateSolution:
-    """Run the sequential collocation sweep on the given grid."""
+    """Run the sequential collocation sweep on the given grid.
+
+    Samples each problem callable once per point: k1, k2, k3 in
+    ``build_basis``, f and k4 for the sweep and every Picard pass.
+    """
     opts = options or SolverOptions()
     basis = build_basis(grid, problem)
     gram = assemble_gram(grid, problem, nodes=opts.quadrature_nodes, basis=basis)
     onb = compute_beta(gram)
     beta = onb.beta
     n = grid.n
+    f, k4 = np.array([(problem.f(xi, eta), problem.k4(xi, eta)) for xi, eta in grid.points], dtype=float).T
 
     tables = gram.tables
     F = np.zeros(n)
     B = np.zeros(n)
     cum = np.zeros(n)  # prefix of beta' B, coefficients over the raw basis
     for k, row0, row1 in _psi_rows(tables, n, lower=True):
-        xi, eta = grid.points[k]
         yv = float(cum[:k] @ row0[:k])  # +0.0 at k = 0, an empty sum
         dyv = float(cum[:k] @ row1[:k])
-        F[k] = problem.f(xi, eta) - problem.k4(xi, eta) * yv * dyv
+        F[k] = f[k] - k4[k] * yv * dyv
         if not math.isfinite(F[k]):
             raise ArithmeticError(f"non-finite right-hand side at collocation index {k}")
         B[k] = float(beta[k, : k + 1] @ F[: k + 1])
@@ -121,10 +125,7 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
 
     for _ in range(opts.picard_iters):
         for k, row0, row1 in _psi_rows(tables, n, lower=False):
-            xi, eta = grid.points[k]
-            yv = float(cum @ row0)
-            dyv = float(cum @ row1)
-            F[k] = problem.f(xi, eta) - problem.k4(xi, eta) * yv * dyv
+            F[k] = f[k] - k4[k] * float(cum @ row0) * float(cum @ row1)
         B = beta @ F
         cum = beta.T @ B
 

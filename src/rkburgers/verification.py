@@ -12,7 +12,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import fracmath, kernels
-from .fracmath import gamma, jacobi_rule, weighted_moment
+from .fracmath import DEFAULT_QUADRATURE_NODES, gamma, jacobi_rule, weighted_moment
 from .operator import (
     CollocationGrid,
     Problem,
@@ -207,7 +207,8 @@ def check_double_caputo(tol_oracle: float = 1e-8, tol_nodes: float = 1e-10) -> C
     return CheckResult("double caputo transform vs oracle", passed, max(worst_oracle, worst_nodes), tol_oracle)
 
 
-def check_gram(problem: Problem, grid: CollocationGrid, nodes: int = 64, tol: float = 1e-8) -> CheckResult:
+def check_gram(problem: Problem, grid: CollocationGrid, nodes: int = DEFAULT_QUADRATURE_NODES,
+               tol: float = 1e-8) -> CheckResult:
     """Symmetry, positive definiteness, and orthonormalization residual in one pass."""
     gram = assemble_gram(grid, problem, nodes=nodes)
     g = gram.entries
@@ -233,7 +234,8 @@ def check_forcing(problems: Optional[list] = None, tol: float = 1e-10) -> CheckR
     return CheckResult("forcing consistency", worst <= tol, worst, tol)
 
 
-def run_default_checks(alpha: float = 0.9, p: int = 4, q: int = 4, nodes: int = 64) -> List[CheckResult]:
+def run_default_checks(alpha: float = 0.9, p: int = 4, q: int = 4,
+                       nodes: int = DEFAULT_QUADRATURE_NODES) -> List[CheckResult]:
     """The standard verification battery at a desk-scale grid."""
     results = [
         check_gamma_reflection(),

@@ -121,6 +121,32 @@ class TestSolveCommand:
         assert err.startswith(f"validation error: cannot write {bad}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("target", ["surface", "empty-out"])
+    def test_unwritable_output_fails_before_the_solve(self, tmp_path, capsys, monkeypatch, target):
+        # every output path is checked before the solve, so none is written
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the outputs")
+
+        monkeypatch.setattr("rkburgers.cli.solve", no_solve)
+        out = "" if target == "empty-out" else str(tmp_path / "t.csv")
+        surface = str(tmp_path / "missing" / "s.csv")
+        bad = surface if out else ""  # --out is checked first
+        argv = ["solve", "--example", "1", "--p", "2", "--q", "2", "--out", out, "--surface", surface]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"validation error: cannot write {bad}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_without_out_writes_table_then_metadata_to_stdout(self, capsys):
+        assert main(["solve", "--example", "1", "--p", "2", "--q", "2", "--mesh", "0.5:0.1:0.6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "xi/eta,5.00000e-01,6.00000e-01"
+        assert [line.split(",")[0] for line in lines[1:3]] == ["5.00000e-01", "6.00000e-01"]
+        meta = json.loads("\n".join(lines[3:-1]))
+        assert (meta["command"], meta["out"], meta["n"]) == ("solve", None, 4)
+        cells = [float(cell) for line in lines[1:3] for cell in line.split(",")[1:]]
+        assert meta["max_abs_error"] == pytest.approx(max(cells), rel=1e-5)
+        assert lines[-1].startswith("max abs error ")
+
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError, ArithmeticError])
     def test_failing_quadrature_rule_is_numerical_failure(self, monkeypatch, capsys, error):
         # the rule's eigensolver failure and its weight-measure check
@@ -219,6 +245,37 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"alpha = 0.9\n{line}\n", encoding="utf-8")
         assert main(argv + ["--config", str(cfg)]) == 1
+
+
+_CUSTOM = "problem = custom\nalpha = 0.9\nk1 = one\nk2 = zero\nk3 = zero\nk4 = zero\n"
+
+
+@pytest.mark.parametrize(
+    "argv, config, first_line",
+    [
+        (["solve", "--example", "1", "--p", "0"], None, "p and q must be positive"),
+        (["solve", "--example", "1", "--picard", "-1"], None, "picard iteration count must be non-negative"),
+        (["solve", "--example", "1"], "format = xml", "unknown output format 'xml'"),
+        (["solve", "--example", "1", "--mesh", "1:2"], None, "mesh spec must be start:step:end, got '1:2'"),
+        (["solve", "--example", "1", "--mesh", "0.5:0.1:0.1"], None, "degenerate mesh spec '0.5:0.1:0.1'"),
+        (["solve"], "example 1", "config line without '=': 'example 1'"),
+        (["solve", "--example", "1"], "p = two", "config key p='two': invalid literal for int() with base 10: 'two'"),
+        (["solve"], _CUSTOM + "f = nope", "f = 'nope' is not in the coefficient catalog"),
+        (["solve"], None, "select a problem with --example or a config file"),
+        (["convergence", "--sizes", "4"], _CUSTOM + "f = sin_pi_xi",
+         "convergence study requires a problem with an exact solution"),
+    ],
+    ids=["p-zero", "picard-negative", "format-xml", "mesh-two-fields", "mesh-degenerate",
+         "config-line-without-equals", "config-p-not-int", "custom-f-unknown", "no-problem",
+         "convergence-without-exact"],
+)
+def test_validation_error_message(tmp_path, capsys, argv, config, first_line):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n", encoding="utf-8")
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[0] == f"validation error: {first_line}"
 
 
 class TestVerifyCommand:

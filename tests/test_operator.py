@@ -18,6 +18,7 @@ from rkburgers.operator import (
     psi_eval,
 )
 from rkburgers.problems import build_example51
+from rkburgers.solver import solve
 from rkburgers.verification import double_caputo_oracle, time_kernel_oracle
 
 
@@ -242,19 +243,27 @@ class TestAssembleGram:
         ],
         ids=["uniform", "from_points"],
     )
-    def test_entry_failure_carries_indices(self, grid):
+    def test_coefficient_failure_carries_indices(self, grid):
+        # build_basis samples the coefficients, so solve and assemble_gram name the same entry
         def bad_k1(xi, eta):
             if xi == 1.0 and eta == 1.0:
                 raise FloatingPointError("synthetic coefficient failure")
             return 1.0
 
         zero = lambda xi, eta: 0.0
-        clean = Problem(alpha=0.5, k1=lambda xi, eta: 1.0, k2=zero, k3=zero, k4=zero, f=zero)
         bad = Problem(alpha=0.5, k1=bad_k1, k2=zero, k3=zero, k4=zero, f=zero)
-        basis = build_basis(grid, clean)
-        with pytest.raises(GramAssemblyError) as err:
-            assemble_gram(grid, bad, basis=basis)
-        assert (err.value.row, err.value.col) == (3, 0)
+        for call in (lambda: solve(bad, grid), lambda: assemble_gram(grid, bad)):
+            with pytest.raises(GramAssemblyError, match=r"gram entry \(3, 0\) failed: synthetic") as err:
+                call()
+            assert (err.value.row, err.value.col) == (3, 0)
+            assert isinstance(err.value.__cause__, FloatingPointError)
+
+    def test_gram_of_a_given_basis_reads_its_coefficients(self):
+        grid = CollocationGrid.uniform(3, 3)
+        problem = build_example51(0.8)
+        other = _pure_fractional_problem(0.8)
+        gram = assemble_gram(grid, other, basis=build_basis(grid, problem))
+        assert np.array_equal(gram.entries, assemble_gram(grid, problem).entries)
 
     def test_bad_node_count_is_a_value_error(self):
         # one check for every grid, order and pair of times, including the

@@ -73,6 +73,21 @@ class TestSolveBasics:
         with pytest.raises(ArithmeticError, match="index 3"):
             solve(problem, grid)
 
+    def test_each_problem_callable_sampled_once_per_point(self):
+        base = build_example51(0.9)
+        calls = {name: 0 for name in ("k1", "k2", "k3", "k4", "f")}
+
+        def counted(name):
+            def fn(xi, eta):
+                calls[name] += 1
+                return getattr(base, name)(xi, eta)
+
+            return fn
+
+        problem = Problem(alpha=base.alpha, **{name: counted(name) for name in calls})
+        solve(problem, CollocationGrid.uniform(3, 3), SolverOptions(picard_iters=2))
+        assert calls == {name: 9 for name in calls}
+
 
 class TestCollocationExactness:
     def test_linear_problem_residual_at_collocation_points(self):
