@@ -7,12 +7,17 @@ equilibrated matrix A: LAPACK's Cholesky gives L, a blocked triangular
 inverse gives X ~ L**-1, and one refinement step (Higham, *Accuracy and
 Stability of Numerical Algorithms*, ch. 10 and 12) removes the
 factorization's backward error.  The residual R = A - L L' is formed
-from error-free products: L is split by rows into slices whose pairwise
-products every BLAS computes exactly, and the products are accumulated
-with TwoSum (Ozaki, Ogita, Oishi and Rump,
+from error-free products: L is split by rows into three slices, whose
+four pairwise products among the first two every BLAS computes exactly;
+those are accumulated with TwoSum, and the five that involve the last
+slice are grouped into two plain products (Ozaki, Ogita, Oishi and Rump,
 "Error-free transformations of matrix multiplication by using fast
-routines of matrix multiplication", Numer. Algorithms 59, 2012).  The
-step sets X <- X - Phi(X R X') X, where Phi keeps the strict lower
+routines of matrix multiplication", Numer. Algorithms 59, 2012).  As L
+is lower triangular and L L' symmetric, these 6 products run over the
+lower block triangle only, a 64-column block at a time, and each block's
+product is added to its transposed place as well; A's own entries,
+which equilibration leaves not exactly symmetric, are never mirrored.
+The step sets X <- X - Phi(X R X') X, where Phi keeps the strict lower
 triangle and half the diagonal, so X stays lower triangular.  At
 desk-scale condition numbers (1e8 and above for the larger grids) this
 keeps the orthonormality defect at the floor imposed by storing the
@@ -31,7 +36,7 @@ __all__ = ["OrthonormalBasis", "NotPositiveDefiniteError", "GramAsymmetryError",
 _SYMMETRY_TOL = 1e-8
 _SLICES = 3
 _INVERSE_BLOCK = 32  # below this size the triangular inverse is a row loop
-_ROW_BLOCK = 64  # rows per block of an error-free product
+_ROW_BLOCK = 64  # rows, or columns of L L', per block of an error-free product
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -63,7 +68,27 @@ class OrthonormalBasis:
     source: GramMatrix
 
 
-def _split_rows(m):
+def _split_bits(m):
+    """Significant bits of a rounded slice, for rows as long as m's."""
+    return (53 - math.ceil(math.log2(max(m.shape[1], 1)))) // 2 - 1
+
+
+def _round_off(rest, bits):
+    """Cut the next rounded slice off rest, in place; return it and a power of two per row dividing it.
+
+    With 2**(e-1) <= max|rest_i| < 2**e, rest_i + sigma lies in
+    [sigma/2, 2 sigma), where the floats are spaced at least 2**(e - bits)
+    apart; so is the slice, down to the smallest subnormal.
+    """
+    _, exponent = np.frexp(np.max(np.abs(rest), axis=1, initial=0.0))
+    sigma = np.ldexp(1.0, exponent + 53 - bits)[:, None]
+    piece = rest + sigma
+    piece -= sigma
+    rest -= piece
+    return piece, np.ldexp(1.0, np.maximum(exponent - bits, -1074))[:, None]
+
+
+def split_rows(m):
     """Row slices s_1 + ... + s_k == m, exact, for error-free products.
 
     Every slice but the last is rounded to a power-of-two grid set by its
@@ -76,45 +101,117 @@ def _split_rows(m):
     involve it, which do round, are off by about n 2**-(53 + 2 bits) of
     max|x_i| max|y_j|: some 2**-40 of a plain product's rounding error.
     """
-    bits = (53 - math.ceil(math.log2(max(m.shape[1], 1)))) // 2 - 1
-    rest = np.array(m, dtype=float)
-    slices = []
-    for _ in range(_SLICES - 1):
-        _, exponent = np.frexp(np.max(np.abs(rest), axis=1, initial=0.0))
-        sigma = np.ldexp(1.0, exponent + 53 - bits)[:, None]
-        piece = rest + sigma
-        piece -= sigma
-        rest -= piece
-        slices.append(piece)
-    slices.append(rest)
-    return slices
+    return _split(np.array(m, dtype=float), _split_bits(m))
+
+
+def _split(rest, bits):
+    """``split_rows`` of rest, whose rows may be cut short of their zeros; rest becomes the last slice."""
+    return [_round_off(rest, bits)[0] for _ in range(_SLICES - 1)] + [rest]
+
+
+class RowSplit:
+    """``split_rows(m)`` kept in half of m's memory and restored a block of rows at a time.
+
+    A rounded slice is an integer below 2**26 times a power of two per
+    row, so it is stored as int32 counts and that power; the last slice
+    is m less the rounded ones.  ``split[rows]`` is exactly
+    ``[s[rows] for s in split_rows(m)]``.  A caller that multiplies one m
+    by several matrices splits it once this way.
+    """
+
+    def __init__(self, m):
+        self.m = np.asarray(m, dtype=float)
+        self.counts = np.empty((_SLICES - 1,) + self.m.shape, dtype=np.int32)
+        self.units = np.empty((_SLICES - 1, self.m.shape[0], 1))
+        bits = _split_bits(self.m)
+        for start in range(0, self.m.shape[0], _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            rest = np.array(self.m[rows])
+            for counts, units in zip(self.counts, self.units):
+                piece, units[rows] = _round_off(rest, bits)
+                counts[rows] = piece / units[rows]
+
+    def __getitem__(self, rows):
+        slices = [counts[rows] * units[rows] for counts, units in zip(self.counts, self.units)]
+        rest = np.array(self.m[rows])
+        for piece in slices:
+            rest -= piece
+        return slices + [rest]
+
+
+def _two_sum_into(h, l, p):
+    """h + l += p: h takes the rounded sum and l its rounding error (Knuth's TwoSum).
+
+    TwoSum needs no ordering of the summands; p is left as it is, so it
+    may be a view of a product that is still to be added elsewhere.
+    """
+    s = h + p
+    t = s - h
+    e = p - t
+    np.subtract(s, t, out=t)
+    h -= t
+    l += h
+    l += e
+    h[...] = s
 
 
 def add_exact_product(hi, lo, x, y):
     """hi + lo += x @ y', the product carried far beyond working precision.
 
-    x and y are split by rows (``_split_rows``); each slice product is
-    added to hi and its rounding error to lo with Knuth's TwoSum, which
-    needs no ordering of the summands.  The work runs on blocks of rows
-    of x, split one block at a time, which keeps the temporaries small.
+    x and y are split by rows (``split_rows``); x may also be passed as a
+    ``RowSplit``, so that a caller multiplying one x by several y splits
+    it once.  Each of the 9 slice products is added with TwoSum, on
+    blocks of rows of x, which keeps the products small.
     """
-    ys = _split_rows(y)
+    xs = x if isinstance(x, RowSplit) else RowSplit(x)
+    ys = split_rows(y)
     for start in range(0, hi.shape[0], _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        # x's slices of these rows: the split of each row depends on that row alone
-        xs = [s[rows] for s in ys] if y is x else _split_rows(x[rows])
         h, l = hi[rows], lo[rows]
-        for xi in xs:
+        for xi in xs[rows]:
             for yj in ys:
-                p = xi @ yj.T
-                s = h + p
-                t = s - h
-                p -= t
-                np.subtract(s, t, out=t)
-                h -= t
-                l += h
-                l += p
-                h[...] = s
+                _two_sum_into(h, l, xi @ yj.T)
+
+
+def add_exact_square(hi, low):
+    """hi += low @ low' for lower-triangular low, each entry's exact sum rounded once.
+
+    low is split by rows into x1 + x2 + x3 (``split_rows``).  The 4
+    products of the rounded slices x1, x2 are exact and are summed with
+    TwoSum; the 5 with x3 round anyway, so they are grouped into 2 plain
+    products, x3 (x1 + x2)' + low x3': 6 products instead of 9.  They run
+    one block of columns at a time, over the rows from the block's start
+    and, as low is lower triangular, the columns up to the block's end,
+    into one tile pair: the block's share of the lower block triangle.
+    The pair is added there and, transposed, to the strict upper part
+    right of the diagonal block.  No other block touches those entries,
+    so each is rounded once and no n x n low part is kept.  Only the
+    product is mirrored, never hi's entries, so an hi that is not
+    exactly symmetric stays as it is.
+    """
+    n = low.shape[0]
+    bits = _split_bits(low)
+    # split_rows(low), a block of rows at a time over the columns up to the
+    # block's end: the rest of each row is zero in every slice.
+    x1, x2, x3 = (np.zeros((n, n)) for _ in range(_SLICES))
+    for start in range(0, n, _ROW_BLOCK):
+        rows, inner = slice(start, start + _ROW_BLOCK), slice(0, start + _ROW_BLOCK)
+        for x, piece in zip((x1, x2, x3), _split(np.array(low[rows, inner]), bits)):
+            x[rows, inner] = piece
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n)
+        cols, inner = slice(start, stop), slice(0, stop)
+        t_hi = x1[start:, inner] @ x1[cols, inner].T
+        t_lo = x3[start:, inner] @ (x1[cols, inner] + x2[cols, inner]).T
+        t_lo += low[start:, inner] @ x3[cols, inner].T
+        for a, b in ((x1, x2), (x2, x1), (x2, x2)):
+            _two_sum_into(t_hi, t_lo, a[start:, inner] @ b[cols, inner].T)
+        below = stop - start  # the tile's rows past the diagonal block
+        for h, th, tl in ((hi[start:, cols], t_hi, t_lo), (hi[cols, stop:], t_hi[below:].T, t_lo[below:].T)):
+            l = np.zeros(h.shape)
+            _two_sum_into(h, l, th)
+            l += tl
+            h += l
 
 
 def _cholesky(a):
@@ -165,11 +262,14 @@ def compute_beta(gram: GramMatrix) -> OrthonormalBasis:
     n = g.shape[0]
     if g.shape != (n, n):
         raise ValueError(f"gram matrix must be square, got shape {g.shape}")
+    # Each n x n intermediate is released once used: together they set the
+    # peak memory of a solve.
     if n:
         asym = np.abs(g - g.T) / (1.0 + np.abs(g))
         worst = int(np.argmax(asym))  # a NaN entry is left to the pivots
         if asym.flat[worst] > _SYMMETRY_TOL:
             raise GramAsymmetryError(*divmod(worst, n), float(asym.flat[worst]))
+        del asym
     a = g + g.T
     a *= 0.5
 
@@ -182,22 +282,18 @@ def compute_beta(gram: GramMatrix) -> OrthonormalBasis:
     a /= d[None, :]
 
     low = _cholesky(a)
-    # Each n x n intermediate is released once used: together they set the
-    # peak memory of a solve.
     # R = A - L L' from error-free products, accumulated as -A + L L' and negated.
     np.negative(a, out=a)
-    lo = np.zeros((n, n))
-    add_exact_product(a, lo, low, low)
-    a += lo
-    del lo
+    add_exact_square(a, low)
     np.negative(a, out=a)
     x = np.zeros((n, n))
     _invert_lower(low, x)
     del low
     e = x @ a
     del a
-    phi = np.tril(e @ x.T)
+    phi = e @ x.T
     del e
+    phi = np.tril(phi)
     phi.flat[:: n + 1] *= 0.5
     x -= phi @ x
     x /= d[None, :]

@@ -42,7 +42,7 @@ from .operator import (
 # scalar basis evaluations during a solve; keeping the name makes that count
 # read 0 instead of missing.
 from .operator import psi_eval  # noqa: F401
-from .orthonormalize import OrthonormalBasis, add_exact_product, compute_beta
+from .orthonormalize import OrthonormalBasis, RowSplit, add_exact_product, compute_beta
 
 __all__ = [
     "SolverOptions",
@@ -108,7 +108,8 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
     onb = compute_beta(gram)
     beta = onb.beta
     n = grid.n
-    f, k4 = np.array([(problem.f(xi, eta), problem.k4(xi, eta)) for xi, eta in grid.points], dtype=float).T
+    # Python floats: an overflow gives inf, which the checks below name, rather than a numpy warning.
+    f, k4 = np.array([(problem.f(xi, eta), problem.k4(xi, eta)) for xi, eta in grid.points], dtype=float).T.tolist()
 
     tables = gram.tables
     F = np.zeros(n)
@@ -118,14 +119,14 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
         yv = float(cum[:k] @ row0[:k])  # +0.0 at k = 0, an empty sum
         dyv = float(cum[:k] @ row1[:k])
         F[k] = f[k] - k4[k] * yv * dyv
-        if not math.isfinite(F[k]):
-            raise ArithmeticError(f"non-finite right-hand side at collocation index {k}")
+        _check_finite(F, k)
         B[k] = float(beta[k, : k + 1] @ F[: k + 1])
         cum[: k + 1] += B[k] * beta[k, : k + 1]
 
     for _ in range(opts.picard_iters):
         for k, row0, row1 in _psi_rows(tables, n, lower=False):
             F[k] = f[k] - k4[k] * float(cum @ row0) * float(cum @ row1)
+            _check_finite(F, k)
         B = beta @ F
         cum = beta.T @ B
 
@@ -139,6 +140,12 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
         raw_coeffs=cum,
         options=opts,
     )
+
+
+def _check_finite(F, k):
+    """ArithmeticError naming collocation index k if F_k is not finite."""
+    if not math.isfinite(F[k]):
+        raise ArithmeticError(f"non-finite right-hand side at collocation index {k}")
 
 
 def _psi_rows(tables: BasisTables, n: int, lower: bool):
@@ -303,6 +310,7 @@ def norm_recursion_defect(s: ApproximateSolution) -> float:
     g = s.basis.source.entries
     quad = np.empty(n)
     prefix = np.zeros(n)
+    g_split = RowSplit(g)  # one split of G serves every block of prefixes
     # The prefixes run in blocks of n/8 (at least _BLOCK), so the work
     # arrays stay a fixed fraction of one n x n matrix.
     width = max(_BLOCK, n // 8)
@@ -314,7 +322,7 @@ def norm_recursion_defect(s: ApproximateSolution) -> float:
         prefix = u[-1]
         hi = np.zeros((n, stop - start))
         lo = np.zeros((n, stop - start))
-        add_exact_product(hi, lo, g, u)
+        add_exact_product(hi, lo, g_split, u)
         terms, err = _two_prod(u.T, hi)
         err += u.T * lo
         block = np.zeros(stop - start)

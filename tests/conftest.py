@@ -3,6 +3,8 @@ import functools
 import pytest
 
 from rkburgers import CollocationGrid, SolverOptions, build_problem, solve
+from rkburgers.operator import Problem
+from rkburgers.problems import build_example51
 
 TABLE_MESH = [round(0.1 * i, 12) for i in range(1, 7)]
 TABLE_POINTS = [(x, e) for x in TABLE_MESH for e in TABLE_MESH]
@@ -18,3 +20,21 @@ def _cached_solve(example: str, alpha: float, p: int, q: int, picard: int = 0):
 def solution_factory():
     """Session-wide memo of solver runs; solutions are immutable so sharing is safe."""
     return _cached_solve
+
+
+def overflowing_example51():
+    """Example 5.1's k1-k3 with f = 1e150 and k4 = 1e300 at (0.5, 0.5), else 0.
+
+    The sweep's F stays 1e150 on a 2 x 2 grid, where (0.5, 0.5) is point
+    0; a Picard pass then takes F_0 past the float range.
+    """
+    base = build_example51(0.9)
+    return Problem(
+        alpha=base.alpha,
+        k1=base.k1,
+        k2=base.k2,
+        k3=base.k3,
+        k4=lambda xi, eta: 1e300 if (xi, eta) == (0.5, 0.5) else 0.0,
+        f=lambda xi, eta: 1e150,
+        name="example51-overflowing",
+    )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rkburgers.cli import main, parse_mesh
+from tests.conftest import overflowing_example51
 
 
 def _read(path):
@@ -156,6 +157,11 @@ class TestSolveCommand:
         monkeypatch.setattr("rkburgers.operator.jacobi_rule", failing_rule)
         assert main(["solve", "--example", "1", "--p", "2", "--q", "2"]) == 2
         assert capsys.readouterr().err == "numerical failure: synthetic rule failure\n"
+
+    def test_nonfinite_picard_pass_is_numerical_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr("rkburgers.cli.build_problem", lambda example, alpha: overflowing_example51())
+        assert main(["solve", "--example", "1", "--p", "2", "--q", "2", "--picard", "1"]) == 2
+        assert capsys.readouterr().err == "numerical failure: non-finite right-hand side at collocation index 0\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -10,8 +10,11 @@ from rkburgers.orthonormalize import (
     GramAsymmetryError,
     NotPositiveDefiniteError,
     OrthonormalBasis,
+    RowSplit,
     add_exact_product,
+    add_exact_square,
     compute_beta,
+    split_rows,
 )
 from rkburgers.problems import build_problem
 from tests.conftest import TABLE_POINTS
@@ -46,6 +49,14 @@ def _fsum_beta(g):
         for j in range(i - 1, -1, -1):
             inv[i, j] = _fsum_row_dot(0.0, low[i, j:i], inv[j:i, j]) / low[i, i]
     return inv / d[None, :]
+
+
+def _integers(m):
+    """m's entries as Python ints over one power-of-two denominator, for exact products."""
+    fracs = [Fraction(v) for v in m.ravel().tolist()]
+    den = max(f.denominator for f in fracs)
+    ints = [f.numerator * (den // f.denominator) for f in fracs]
+    return np.array(ints, dtype=object).reshape(m.shape), den
 
 
 def _defect(beta, g):
@@ -189,3 +200,70 @@ class TestAddExactProduct:
                 exact = Fraction(start[i, j]) + sum(Fraction(a) * Fraction(b) for a, b in zip(x[i], y[j]))
                 bound = 2.0**-85 * np.max(np.abs(x[i])) * np.max(np.abs(y[j]))
                 assert abs(Fraction(hi[i, j]) + Fraction(lo[i, j]) - exact) <= Fraction(bound)
+
+
+class TestRowSplit:
+    def test_restores_the_split_exactly(self):
+        # 130 rows span three row blocks; a zero row, a row of small normal and
+        # subnormal entries, a row of subnormals only, whose slices lie on the
+        # subnormal grid, and magnitudes spread over 120 binades.
+        rng = np.random.default_rng(6)
+        m = rng.normal(size=(130, 40)) * np.exp2(rng.integers(-60, 60, size=(130, 40)))
+        m[0] = 0.0
+        m[1] *= 2.0**-1000
+        m[2] = 5e-324 * rng.integers(-1000, 1000, size=40)
+        split = RowSplit(m)
+        whole = split_rows(m)
+        for rows in (slice(0, 64), slice(60, 130), slice(129, 130)):
+            for got, want in zip(split[rows], whole):
+                assert np.array_equal(got, want[rows])
+
+
+class TestBlockEdges:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+    def test_orthonormality_defect_within_the_oracle(self, n):
+        # Eigenvalues from 1 down to 1e-8 with random eigenvectors: an error in
+        # the residual R shows as a defect near 1e-8, some 20 times the float64
+        # floor both factorizations reach.  One matrix's max-abs defect at that
+        # floor scatters by about 25%, so the means of eight are compared.
+        rng = np.random.default_rng(n)
+        new, oracle = [], []
+        for _ in range(8):
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            g = (q * np.logspace(0, -8, n)) @ q.T
+            g = 0.5 * (g + g.T)
+            new.append(_defect(compute_beta(_gram(g)).beta, g))
+            oracle.append(_defect(_fsum_beta(g), g))
+        assert np.mean(new) <= 1.25 * np.mean(oracle)
+
+
+class TestAddExactSquare:
+    def test_matches_the_rational_product_on_both_triangles(self):
+        # 130 rows span column blocks of 64, 64 and 2; magnitudes spread over 40
+        # binades.  The grouped products with the last slice round, at about
+        # 2**-95 of the row maxima for 21-bit slices, so 2**-85 leaves a margin
+        # beyond the one final rounding.
+        rng = np.random.default_rng(5)
+        n = 130
+        low = np.tril(rng.normal(size=(n, n)) * np.exp2(rng.integers(-20, 20, size=(n, n))))
+        a = low @ low.T
+        # A's (i, j) and (j, i) differ in the last bit, within and across blocks.
+        pairs = [(1, 0), (63, 62), (64, 63), (100, 30), (129, 64), (129, 128)]
+        for i, j in pairs:
+            a[j, i] = a[i, j]
+            a[i, j] = np.nextafter(a[i, j], np.inf)
+        got = -a
+        add_exact_square(got, low)
+        ints, den = _integers(low)
+        square = ints @ ints.T
+        row_max = np.max(np.abs(low), axis=1)
+        tol = 2.0**-85 * np.outer(row_max, row_max)
+        for i in range(n):
+            for j in range(n):
+                exact = Fraction(square[i, j], den * den) - Fraction(a[i, j])
+                # the exact value rounded once, give or take the tolerance
+                bound = Fraction(tol[i, j]) + Fraction(np.spacing(abs(float(exact)))) / 2
+                assert abs(Fraction(got[i, j]) - exact) <= bound
+                if (i, j) in pairs:
+                    # a mirrored A would miss (j, i) by a whole unit in its last place
+                    assert abs(Fraction(a[i, j]) - Fraction(a[j, i])) > 4 * bound

@@ -15,7 +15,7 @@ from rkburgers.solver import (
     residual,
     solve,
 )
-from tests.conftest import TABLE_POINTS
+from tests.conftest import TABLE_POINTS, overflowing_example51
 
 
 def _zero_data_problem():
@@ -72,6 +72,12 @@ class TestSolveBasics:
         grid = CollocationGrid.from_points([(0.25, 0.5), (0.25, 1.0), (0.5, 0.5), (0.5, 1.0)])
         with pytest.raises(ArithmeticError, match="index 3"):
             solve(problem, grid)
+
+    def test_nonfinite_picard_pass_reported_with_index(self):
+        grid = CollocationGrid.uniform(2, 2)
+        assert np.all(np.isfinite(solve(overflowing_example51(), grid).raw_coeffs))
+        with pytest.raises(ArithmeticError, match="index 0"):
+            solve(overflowing_example51(), grid, SolverOptions(picard_iters=1))
 
     def test_each_problem_callable_sampled_once_per_point(self):
         base = build_example51(0.9)
