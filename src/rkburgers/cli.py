@@ -249,10 +249,10 @@ def _cmd_solve(cfg: RunConfig) -> int:
     if cfg.surface is not None:
         pts = [i / 50.0 for i in range(51)]
         values = evaluate(sol, np.array(pts)[:, None], np.array(pts)[None, :]).tolist()
+        labels = [f"{v:.10g}" for v in pts]
         lines = ["xi,eta,y"]
-        for x, row in zip(pts, values):
-            for e, y in zip(pts, row):
-                lines.append(f"{x:.10g},{e:.10g},{y:.10g}")
+        for x, row in zip(labels, values):
+            lines.extend(f"{x},{e},{y:.10g}" for e, y in zip(labels, row))
         _write_text(cfg.surface, "\n".join(lines) + "\n")
 
     meta = {

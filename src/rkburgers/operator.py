@@ -319,9 +319,12 @@ class BasisTables:
     uniform p x q grid needs p**2 space and q**2 time values per factor,
     and each table is filled by array code: the kernels' array form for
     the space factors and r2, ``_ctk_table`` and ``_dc_table`` for the
-    Caputo transforms.  ``psi`` and ``operator`` gather the factors for an
-    index (or index array, or slice) of points and of basis functions,
-    broadcast together, and combine them.  They are the package's only
+    Caputo transforms.  Each table is raveled once, as it is built, with
+    a row per distinct point coordinate.  ``psi`` and ``operator`` gather
+    the factors for an index (or index array, or slice) of points and of
+    basis functions, broadcast together, by one flat index per coordinate
+    (the point's row offset plus the basis function's column) and one
+    ``take`` of each table, and combine them.  They are the package's only
     formulas for psi and L psi; the operations and their order are those
     of the scalar reference the tests hold, so each value is bit-identical
     to it.  ``_coeffs`` holds the basis functions' frozen k1, k2, k3 as
@@ -339,36 +342,42 @@ class BasisTables:
         a = alphas.pop() if alphas else 1.0  # no basis functions: empty tables
         bx, self._basis_x = np.unique([b.xi for b in basis], return_inverse=True)
         be, self._basis_eta = np.unique([b.eta for b in basis], return_inverse=True)
-        px, self._point_x = np.unique(np.asarray(point_xi, dtype=float), return_inverse=True)
-        pe, self._point_eta = np.unique(np.asarray(point_eta, dtype=float), return_inverse=True)
+        px, point_x = np.unique(np.asarray(point_xi, dtype=float), return_inverse=True)
+        pe, point_eta = np.unique(np.asarray(point_eta, dtype=float), return_inverse=True)
+        # each point's row offset into the raveled tables
+        self._point_x, self._point_eta = point_x * bx.size, point_eta * be.size
         self._coeffs = np.array([[getattr(b, k) for b in basis] for k in ("k1", "k2", "k3")], dtype=float)
 
-        # rows: distinct point coordinates, columns: distinct basis coordinates
+        # rows: distinct point coordinates, columns: distinct basis coordinates; raveled
         orders = [(dx, dxi) for dx in range(3) for dxi in range(2 if nodes is None else 3)]
-        self._space = dict(zip(orders, r3(bx[None, :], px[:, None], *zip(*orders))))
+        self._space = dict(zip(orders, r3(bx[None, :], px[:, None], *zip(*orders)).reshape(len(orders), -1)))
         # r2 and its Caputo transform in the basis slot, in the point slot, in both
-        self._r2 = r2(be[None, :], pe[:, None])
-        self._caputo_basis = _ctk_table(pe[:, None], be[None, :], a)
+        self._r2 = r2(be[None, :], pe[:, None]).ravel()
+        caputo_basis = _ctk_table(pe[:, None], be[None, :], a)
+        self._caputo_basis = caputo_basis.ravel()
         if nodes is not None:
             if np.array_equal(pe, be):  # the Gram's points: the same table, slots swapped
-                self._caputo_point = self._caputo_basis.T
+                self._caputo_point = caputo_basis.T.ravel()
             else:
-                self._caputo_point = _ctk_table(be[None, :], pe[:, None], a)
-            self._caputo_both = _dc_table(be[None, :], pe[:, None], a, nodes)
+                self._caputo_point = _ctk_table(be[None, :], pe[:, None], a).ravel()
+            self._caputo_both = _dc_table(be[None, :], pe[:, None], a, nodes).ravel()
 
     def _gather(self, points, fns, orders):
-        """Index into the time tables, then psi_l's two space factors at each xi-derivative order.
+        """The time tables' flat index, then psi_l's two space factors at each xi-derivative order.
 
-        r3 and k1 d2r3 + k2 r3 + k3 dr3: the named derivatives and k1, k2, k3
-        are at psi_l's centre, the order is the point's xi-derivative.
+        A flat index is the point's row offset plus the basis function's
+        column, and each space table is read with one ``take`` of it.  The
+        space factors are r3 and k1 d2r3 + k2 r3 + k3 dr3: the named
+        derivatives and k1, k2, k3 are at psi_l's centre, the order is the
+        point's xi-derivative.
         """
-        x = self._point_x[points], self._basis_x[fns]
-        t = self._point_eta[points], self._basis_eta[fns]
+        x = self._point_x[points] + self._basis_x[fns]
+        t = self._point_eta[points] + self._basis_eta[fns]
         k1, k2, k3 = self._coeffs[:, fns]
         factors = []
         for d in orders:
-            frac = self._space[0, d][x]
-            factors.append((frac, k1 * self._space[2, d][x] + k2 * frac + k3 * self._space[1, d][x]))
+            frac = self._space[0, d].take(x)
+            factors.append((frac, k1 * self._space[2, d].take(x) + k2 * frac + k3 * self._space[1, d].take(x)))
         return t, factors
 
     def psi(self, points, fns, dxi_order: int = 0) -> np.ndarray:
@@ -376,20 +385,20 @@ class BasisTables:
         if dxi_order not in (0, 1):
             raise ValueError(f"dxi_order must be 0 or 1, got {dxi_order}")
         t, [(frac, smooth)] = self._gather(points, fns, [dxi_order])
-        return self._r2[t] * smooth + self._caputo_basis[t] * frac
+        return self._r2.take(t) * smooth + self._caputo_basis.take(t) * frac
 
     def operator(self, points, fns, c1, c2, c3) -> np.ndarray:
         """(L psi_l) at the points with coefficients c1, c2, c3 sampled there; needs ``nodes``."""
         t, factors = self._gather(points, fns, range(3))
-        r2v = self._r2[t]
-        phi = self._caputo_basis[t]  # fractional time factor of psi_l itself
+        r2v = self._r2.take(t)
+        phi = self._caputo_basis.take(t)  # fractional time factor of psi_l itself
         # psi_l and its first two xi-derivatives at the points
         psi0, psi1, psi2 = (r2v * smooth + phi * frac for frac, smooth in factors)
         total = c1 * psi2 + c2 * psi0 + c3 * psi1
         # Caputo transform, at the point, of each of psi_l's two time factors.
         frac, smooth = factors[0]
-        total += self._caputo_point[t] * smooth
-        total += self._caputo_both[t] * frac
+        total += self._caputo_point.take(t) * smooth
+        total += self._caputo_both.take(t) * frac
         return total
 
 

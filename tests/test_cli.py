@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rkburgers.cli import main, parse_mesh
+from rkburgers.solver import evaluate, solve
 from tests.conftest import overflowing_example51
 
 
@@ -88,6 +89,27 @@ class TestSolveCommand:
         lines = _read(surface).strip().splitlines()
         assert lines[0] == "xi,eta,y"
         assert len(lines) == 1 + 51 * 51
+
+    def test_surface_bytes(self, tmp_path, monkeypatch):
+        # the file holds, in xi-major order, every point of the 51 x 51 mesh with
+        # the solution's value there, each number in %.10g
+        solved = []
+
+        def recording_solve(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr("rkburgers.cli.solve", recording_solve)
+        surface = tmp_path / "surface.csv"
+        argv = ["solve", "--example", "1", "--alpha", "0.9", "--p", "3", "--q", "3",
+                "--out", str(tmp_path / "err.csv"), "--surface", str(surface)]
+        assert main(argv) == 0
+        pts = [i / 50.0 for i in range(51)]
+        values = evaluate(solved[0], np.array(pts)[:, None], np.array(pts)[None, :])
+        lines = ["xi,eta,y"] + [
+            f"{x:.10g},{e:.10g},{values[i, j]:.10g}" for i, x in enumerate(pts) for j, e in enumerate(pts)
+        ]
+        assert surface.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
     def test_example2_benchmark_bound(self, tmp_path):
         out = tmp_path / "err2.csv"

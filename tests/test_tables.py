@@ -205,6 +205,23 @@ class TestTimeTables:
             assert _same(row, [apply_operator(b, problem, xi, eta) for b in basis])
 
 
+def test_block_gathers_on_tables_of_unequal_widths():
+    # The basis has 12 distinct xi and 12 distinct eta values, the points 5 and 7,
+    # so a flat index built with a wrong table width reads the wrong entries.
+    problem = build_example52(0.8)
+    basis = build_basis(CollocationGrid.from_points(_jittered(4, 3)), problem)
+    points = [(x, e) for x in (0.0, 0.2, 0.55, 0.8, 1.0) for e in (0.0, 0.1, 0.3, 0.45, 0.6, 0.9, 1.0)]
+    tables = BasisTables(basis, [x for x, _ in points], [e for _, e in points], nodes=64)
+    rows = np.arange(len(points))[:, None]
+    fns = np.array([11, 0, 7, 3, 5, 8, 1])
+    for order in (0, 1):
+        expected = [[psi_eval(basis[l], xi, eta, order) for l in fns] for xi, eta in points]
+        assert _same(tables.psi(rows, fns, order), expected)
+    c1, c2, c3 = (np.array([[k(xi, eta)] for xi, eta in points]) for k in (problem.k1, problem.k2, problem.k3))
+    expected = [[apply_operator(basis[l], problem, xi, eta) for l in fns] for xi, eta in points]
+    assert _same(tables.operator(rows, fns, c1, c2, c3), expected)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_solve_matches_scalar_reference(case):
     build, alpha, grid = CASES[case]
