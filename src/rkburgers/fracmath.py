@@ -10,6 +10,8 @@ fractional powers from ``_power_table``: one table per call, holding the
 C library's ``pow`` (a Python float ``**``) of every distinct base, found
 by one ``np.unique`` over all the bases, at every exponent, so each power
 is bit-identical to the scalar ``**`` and costs no numpy call of its own.
+A ``weighted_moment`` call over a sequence of orders builds one such
+table for all of them.
 """
 
 import math
@@ -140,7 +142,7 @@ def _check_limits(a, b, c):
         raise ValueError(f"integration limits must satisfy 0 <= a <= b, got a = {a[k]}, b = {b[k]}{at}")
 
 
-def weighted_moment(m: int, alpha: float, a, b, c):
+def weighted_moment(m, alpha: float, a, b, c):
     """Closed form of integral_a^b r**m (c - r)**(-alpha) dr for 0 <= a <= b <= c.
 
     Substituting u = c - r and expanding (c - u)**m binomially around the
@@ -150,29 +152,48 @@ def weighted_moment(m: int, alpha: float, a, b, c):
     ``a``, ``b`` and ``c`` may be arrays, broadcast together: the result is
     then the moment for every element, each as the scalar call computes it
     (every power from one ``_power_table``, the terms added in the same
-    order).  Scalar limits give a float.
+    order).  Scalar limits give a float.  ``m`` may be a sequence of
+    orders: the result then holds one moment per order, stacked along a
+    new first axis, and the orders share one check of the limits, one
+    power table and each exponent's difference of powers.
+
+    >>> weighted_moment((1, 0), 0.5, 0.0, 1.0, 1.0).tolist()  # B(2, 1/2) and B(1, 1/2)
+    [1.3333333333333335, 2.0]
 
     Raises:
-        ValueError: on a non-integrable range (b > c) or disordered limits,
-            NaN included, naming the first offending element.
+        ValueError: on an order that is not a non-negative integer, a
+            non-integrable range (b > c) or disordered limits, NaN
+            included, naming the first offending element.
     """
-    if m < 0 or m != int(m):
-        raise ValueError(f"moment order must be a non-negative integer, got {m}")
+    if np.ndim(m) > 1:
+        raise ValueError("moment order must be an order or a sequence of orders")
+    orders = np.ravel(m).tolist()
+    for k in orders:
+        if k < 0 or k != int(k):
+            raise ValueError(f"moment order must be a non-negative integer, got {k}")
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"weight exponent must lie in (0, 1), got {alpha}")
     a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
     _check_limits(*np.broadcast_arrays(a, b, c))
-    m = int(m)
+    orders = [int(k) for k in orders]
+    top = max(orders)
     # c, lo and hi keep their own shapes, so the power table sees no broadcast copies
     lo, hi = c - b, c - a
-    exponents = [j + 1.0 - alpha for j in range(m + 1)]
-    table, (c_at, hi_at, lo_at) = _power_table((c, hi, lo), [float(m - j) for j in range(m + 1)] + exponents)
-    total = 0.0
+    exponents = [j + 1.0 - alpha for j in range(top + 1)]
+    # table[e] is c**e for e = 0 .. top, table[top + 1 + j] is u**exponents[j]
+    table, (c_at, hi_at, lo_at) = _power_table((c, hi, lo), [float(e) for e in range(top + 1)] + exponents)
+    totals = [0.0] * len(orders)
     for j, p in enumerate(exponents):
-        frac = table[m + 1 + j]
-        term = math.comb(m, j) * table[j][c_at] * (frac[hi_at] - frac[lo_at]) / p
-        total = total + (-term if j % 2 else term)
-    total = np.where(a == b, 0.0, total)
+        frac = table[top + 1 + j]
+        diff = frac[hi_at] - frac[lo_at]
+        for i, k in enumerate(orders):
+            if j <= k:
+                term = math.comb(k, j) * table[k - j][c_at] * diff / p
+                totals[i] = totals[i] + (-term if j % 2 else term)
+    total = np.stack(totals)
+    np.copyto(total, 0.0, where=a == b)
+    if not np.ndim(m):
+        total = total[0]
     return float(total) if total.ndim == 0 else total
 
 

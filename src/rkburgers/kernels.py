@@ -138,6 +138,14 @@ def _horner(tables, u, v):
     return total
 
 
+def _at_any(x, values):
+    """Where x equals one of a few values; on short rows cheaper than ``np.isin``."""
+    mask = x == values[0]
+    for v in values[1:]:
+        mask |= x == v
+    return mask
+
+
 def _on_arrays(stack, pinned, param, arg, d_param, d_arg):
     """The kernel at every pair of the broadcast arrays, each as the scalar path computes it.
 
@@ -151,8 +159,8 @@ def _on_arrays(stack, pinned, param, arg, d_param, d_arg):
     values = _horner(stack[dp, da], param, arg)
     np.copyto(values, _horner(stack[da, dp], arg, param), where=arg > param)
     lead = (-1,) + (1,) * (values.ndim - 1)
-    zero = (da == 0).reshape(lead) & np.isin(arg, pinned)
-    zero = zero | (dp == 0).reshape(lead) & np.isin(param, pinned)
+    zero = (da == 0).reshape(lead) & _at_any(arg, pinned)
+    zero = zero | (dp == 0).reshape(lead) & _at_any(param, pinned)
     np.copyto(values, 0.0, where=zero)
     return values if np.ndim(d_param) or np.ndim(d_arg) else values[0]
 

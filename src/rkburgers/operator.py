@@ -17,10 +17,10 @@ frozen at the point:
 
 Gram entries come from applying L a second time, in the evaluation slots,
 at collocation point i.  The time factor then carries Caputo transforms in
-both slots: the single transform has a closed form built from
-weighted_moment, the double transform reduces to one weakly singular
-integral evaluated by Gauss-Jacobi quadrature with the range split at the
-inner evaluation time.
+both slots: the single transform has a closed form, three moments from
+one weighted_moment call plus an elementary tail; the double transform
+reduces to one weakly singular integral evaluated by Gauss-Jacobi
+quadrature with the range split at the inner evaluation time.
 
 Every such value is a sum of products of an r3 space factor, a function of
 the two xi values, and a time factor, a function of the two eta values.
@@ -237,26 +237,29 @@ def psi_eval(b: BasisFunction, xi: float, eta: float, dxi_order: int = 0) -> flo
     Vanishes identically on xi = 0, xi = 1 and eta = 0.  One value of
     ``BasisTables.psi``, over tables for this one point and function.
     """
+    if np.ndim(dxi_order):
+        raise ValueError(f"dxi_order must be 0 or 1, got {dxi_order}")
     return float(BasisTables([b], [xi], [eta]).psi(0, 0, dxi_order))
 
 
 def _ctk_table(eta, t_i, a: float) -> np.ndarray:
     """``caputo_time_kernel(eta, t_i, a)`` over broadcast arrays of eta and t_i in [0, 1].
 
-    The integrand splits at min(eta, t_i) into ``weighted_moment`` pieces;
-    the tail beyond eta is added only where t_i > eta, and t_i = 0 gives
-    exactly 0.  At a = 1 the transform is the plain derivative of r2.
+    The integrand splits at m = min(eta, t_i).  Below m it is a quadratic
+    in r, whose three moments come from one ``weighted_moment`` call; the
+    constant eta + eta**2/2 beyond eta integrates in closed form to
+    (t_i - m)**(1 - a) / (1 - a) times it, the power from ``_power_table``
+    as the moment's would be, and is added only where t_i > eta.  t_i = 0
+    gives exactly 0.  At a = 1 the transform is the plain derivative of r2.
     """
     eta, t_i = np.asarray(eta, dtype=float), np.asarray(t_i, dtype=float)
     if a == 1.0:
         return np.where(t_i <= 0.0, 0.0, r2(t_i, eta, 1, 0))
     m = np.minimum(eta, t_i)
-    val = (
-        -0.5 * weighted_moment(2, a, 0.0, m, t_i)
-        + eta * weighted_moment(1, a, 0.0, m, t_i)
-        + eta * weighted_moment(0, a, 0.0, m, t_i)
-    )
-    tail = (eta + 0.5 * eta * eta) * weighted_moment(0, a, m, t_i, t_i)
+    w2, w1, w0 = weighted_moment((2, 1, 0), a, 0.0, m, t_i)
+    val = -0.5 * w2 + eta * w1 + eta * w0
+    table, [at] = _power_table([t_i - m], [1.0 - a])
+    tail = (eta + 0.5 * eta * eta) * (table[0][at] / (1.0 - a))
     val = np.where(t_i > eta, val + tail, val)
     return np.where(t_i <= 0.0, 0.0, val / gamma(1.0 - a))
 
@@ -380,12 +383,21 @@ class BasisTables:
             factors.append((frac, k1 * self._space[2, d].take(x) + k2 * frac + k3 * self._space[1, d].take(x)))
         return t, factors
 
-    def psi(self, points, fns, dxi_order: int = 0) -> np.ndarray:
-        """psi_l (or its xi-derivative, dxi_order 0 or 1) at the points."""
-        if dxi_order not in (0, 1):
-            raise ValueError(f"dxi_order must be 0 or 1, got {dxi_order}")
-        t, [(frac, smooth)] = self._gather(points, fns, [dxi_order])
-        return self._r2.take(t) * smooth + self._caputo_basis.take(t) * frac
+    def psi(self, points, fns, dxi_order=0) -> np.ndarray:
+        """psi_l (or its xi-derivative, dxi_order 0 or 1) at the points.
+
+        ``dxi_order`` may be a sequence of orders: the result then holds
+        one array per order, stacked along a new first axis, from one
+        flat index per coordinate and one read of each time table.
+        """
+        orders = np.ravel(dxi_order).tolist()
+        for d in orders:
+            if d not in (0, 1):
+                raise ValueError(f"dxi_order must be 0 or 1, got {d}")
+        t, factors = self._gather(points, fns, orders)
+        r2v, phi = self._r2.take(t), self._caputo_basis.take(t)
+        rows = [r2v * smooth + phi * frac for frac, smooth in factors]
+        return np.stack(rows) if np.ndim(dxi_order) else rows[0]
 
     def operator(self, points, fns, c1, c2, c3) -> np.ndarray:
         """(L psi_l) at the points with coefficients c1, c2, c3 sampled there; needs ``nodes``."""

@@ -157,8 +157,7 @@ def _psi_rows(tables: BasisTables, n: int, lower: bool):
     for start in range(0, n, _BLOCK):
         steps = np.arange(start, min(start + _BLOCK, n))
         cols = slice(0, int(steps[-1])) if lower else slice(None)
-        rows0 = tables.psi(steps[:, None], cols, 0)
-        rows1 = tables.psi(steps[:, None], cols, 1)
+        rows0, rows1 = tables.psi(steps[:, None], cols, (0, 1))
         yield from zip(steps.tolist(), rows0, rows1)
 
 

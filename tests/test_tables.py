@@ -33,7 +33,7 @@ from rkburgers.operator import (
 )
 from rkburgers.orthonormalize import compute_beta
 from rkburgers.problems import build_example51, build_example52
-from rkburgers.solver import SolverOptions, error_report, evaluate, residual, solve
+from rkburgers.solver import SolverOptions, _psi_rows, error_report, evaluate, residual, solve
 
 
 def _jittered(p, q):
@@ -185,6 +185,33 @@ class TestTimeTables:
         expected = [oracles.weighted_moment(m, alpha, *t) for t in triples]
         assert _same(weighted_moment(m, alpha, *np.array(triples).T), expected)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    def test_stacked_moment_orders_match_single_orders(self, alpha):
+        triples = np.array([t for t in itertools.product(self.ETAS.tolist(), repeat=3) if t[0] <= t[1] <= t[2]]).T
+        stacked = weighted_moment((3, 2, 1, 0), alpha, *triples)
+        assert stacked.shape == (4, triples.shape[1])
+        for row, m in zip(stacked, (3, 2, 1, 0)):
+            assert _same(row, weighted_moment(m, alpha, *triples))
+
+    def test_moment_orders_keep_their_shapes(self):
+        assert type(weighted_moment(2, 0.5, 0.0, 0.5, 1.0)) is float
+        assert _same(weighted_moment((2, 0), 0.5, 0.0, 0.5, 1.0), [weighted_moment(k, 0.5, 0.0, 0.5, 1.0) for k in (2, 0)])
+        assert weighted_moment([1], 0.5, np.zeros((2, 3)), 0.5, 1.0).shape == (1, 2, 3)
+
+    @pytest.mark.parametrize("bad", [-1, 1.5])
+    def test_bad_order_in_a_sequence_is_named(self, bad):
+        with pytest.raises(ValueError, match=f"moment order must be a non-negative integer, got {bad}"):
+            weighted_moment((2, bad, 0), 0.5, 0.0, 0.5, 1.0)
+
+    def test_single_transform_table_takes_one_moment_call(self, monkeypatch):
+        calls = collections.Counter()
+        monkeypatch.setattr(operator_module, "weighted_moment", _counting(calls, "weighted_moment", weighted_moment))
+        e = self.ETAS
+        _ctk_table(e[:, None], e[None, :], 0.7)
+        assert calls == {"weighted_moment": 1}
+        _ctk_table(e[None, :], e[:, None], 0.7)
+        assert calls == {"weighted_moment": 2}
+
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9, 1.0])
     def test_public_transforms_are_zero_d_tables(self, alpha):
         e = self.ETAS.tolist()
@@ -220,6 +247,29 @@ def test_block_gathers_on_tables_of_unequal_widths():
     c1, c2, c3 = (np.array([[k(xi, eta)] for xi, eta in points]) for k in (problem.k1, problem.k2, problem.k3))
     expected = [[apply_operator(basis[l], problem, xi, eta) for l in fns] for xi, eta in points]
     assert _same(tables.operator(rows, fns, c1, c2, c3), expected)
+
+
+def test_sweep_rows_take_both_orders_from_one_gather():
+    # 72 points: two blocks of sweep steps, the second one short
+    grid = CollocationGrid.from_points(_jittered(9, 8))
+    problem = build_example51(0.9)
+    basis = build_basis(grid, problem)
+    tables = assemble_gram(grid, problem, basis=basis).tables
+    n = grid.n
+    for lower in (True, False):
+        for k, row0, row1 in _psi_rows(tables, n, lower):
+            cols = slice(0, row0.size)
+            assert row0.size == n or (lower and k <= row0.size < n)
+            assert _same(row0, tables.psi(k, cols, 0)) and _same(row1, tables.psi(k, cols, 1))
+    steps = np.arange(64, n)[:, None]
+    for cols in (slice(0, n - 1), slice(None)):
+        single = [tables.psi(steps, cols, order) for order in (1, 0)]
+        assert _same(tables.psi(steps, cols, (1, 0)), np.stack(single))
+    with pytest.raises(ValueError, match="dxi_order must be 0 or 1, got 2"):
+        tables.psi(steps, cols, (0, 2))
+    # the one-value form keeps a single order
+    with pytest.raises(ValueError, match=r"dxi_order must be 0 or 1, got \(0, 1\)"):
+        operator_module.psi_eval(basis[0], 0.5, 0.5, (0, 1))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
