@@ -12,6 +12,7 @@ stand in for the flags; explicit flags win over config entries.
 import argparse
 import errno
 import json
+import math
 import os
 import sys
 import time
@@ -30,8 +31,8 @@ from .verification import run_default_checks
 
 __all__ = ["main", "RunConfig", "parse_mesh"]
 
-# The largest n measured to solve in seconds: `solve` at n = 2500 took 6.25 s
-# and peaked at 0.38 GB on a 2-vCPU machine (README's scaling table).  Each
+# The largest n measured to solve in seconds: `solve` at n = 2500 took 3.89 s
+# and peaked at 338 MB on a 2-vCPU machine (README's scaling table).  Each
 # n x n matrix takes 8 n**2 bytes, 0.8 GB at n = 10,000, and the
 # factorization is O(n**3).
 MAX_POINTS = 2_500
@@ -85,15 +86,23 @@ class RunConfig:
 
 
 def parse_mesh(spec: str) -> List[float]:
-    """Parse 'start:step:end' into an inclusive list of mesh values."""
+    """Parse 'start:step:end' into an inclusive list of at most MAX_POINTS mesh values in [0, 1]."""
     try:
         start, step, end = (float(tok) for tok in spec.split(":"))
     except ValueError as exc:
         raise ValueError(f"mesh spec must be start:step:end, got {spec!r}") from exc
+    if not all(map(math.isfinite, (start, step, end))):
+        raise ValueError(f"mesh spec {spec!r} has a non-finite field")
     if step <= 0 or end < start:
         raise ValueError(f"degenerate mesh spec {spec!r}")
-    count = int(round((end - start) / step)) + 1
-    return [round(start + i * step, 12) for i in range(count)]
+    # capped before rounding, as a quotient that overflowed to inf has no integer
+    count = round(min((end - start) / step, MAX_POINTS)) + 1
+    if count > MAX_POINTS:
+        raise ValueError(f"mesh spec {spec!r} gives more than {MAX_POINTS} values")
+    mesh = [round(start + i * step, 12) for i in range(count)]
+    if mesh[0] < 0.0 or mesh[-1] > 1.0:
+        raise ValueError(f"mesh spec {spec!r} leaves [0, 1]")
+    return mesh
 
 
 def _parse_sizes(spec: str) -> List[Tuple[int, int]]:

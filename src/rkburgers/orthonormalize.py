@@ -21,7 +21,8 @@ The step sets X <- X - Phi(X R X') X, where Phi keeps the strict lower
 triangle and half the diagonal, so X stays lower triangular.  At
 desk-scale condition numbers (1e8 and above for the larger grids) this
 keeps the orthonormality defect at the floor imposed by storing the
-factor in 64-bit floats.
+factor in 64-bit floats.  ``norm_recursion_defect`` checks the basis of
+a solution with the same error-free products.
 """
 
 import math
@@ -31,7 +32,7 @@ import numpy as np
 
 from .operator import GramMatrix
 
-__all__ = ["OrthonormalBasis", "NotPositiveDefiniteError", "GramAsymmetryError", "compute_beta"]
+__all__ = ["OrthonormalBasis", "NotPositiveDefiniteError", "GramAsymmetryError", "compute_beta", "norm_recursion_defect"]
 
 _SYMMETRY_TOL = 1e-8
 _SLICES = 3
@@ -114,9 +115,9 @@ class RowSplit:
 
     A rounded slice is an integer below 2**26 times a power of two per
     row, so it is stored as int32 counts and that power; the last slice
-    is m less the rounded ones.  ``split[rows]`` is exactly
-    ``[s[rows] for s in split_rows(m)]``.  A caller that multiplies one m
-    by several matrices splits it once this way.
+    is m less the rounded ones.  ``split[key]``, for rows or (rows, cols),
+    is exactly ``[s[key] for s in split_rows(m)]``.  A caller that
+    multiplies one m by several matrices splits it once this way.
     """
 
     def __init__(self, m):
@@ -131,9 +132,10 @@ class RowSplit:
                 piece, units[rows] = _round_off(rest, bits)
                 counts[rows] = piece / units[rows]
 
-    def __getitem__(self, rows):
-        slices = [counts[rows] * units[rows] for counts, units in zip(self.counts, self.units)]
-        rest = np.array(self.m[rows])
+    def __getitem__(self, key):
+        rows = key[0] if isinstance(key, tuple) else key
+        slices = [counts[key] * units[rows] for counts, units in zip(self.counts, self.units)]
+        rest = np.array(self.m[key])
         for piece in slices:
             rest -= piece
         return slices + [rest]
@@ -158,17 +160,16 @@ def _two_sum_into(h, l, p):
 def add_exact_product(hi, lo, x, y):
     """hi + lo += x @ y', the product carried far beyond working precision.
 
-    x and y are split by rows (``split_rows``); x may also be passed as a
-    ``RowSplit``, so that a caller multiplying one x by several y splits
-    it once.  Each of the 9 slice products is added with TwoSum, on
-    blocks of rows of x, which keeps the products small.
+    x is a ``RowSplit``, split once for several y; hi covers x's leading
+    rows and y, split by rows, its leading columns, the rest being zero.
+    Each of the 9 slice products is added with TwoSum, on blocks of rows
+    of x, which keeps the products small.
     """
-    xs = x if isinstance(x, RowSplit) else RowSplit(x)
     ys = split_rows(y)
     for start in range(0, hi.shape[0], _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
+        rows = slice(start, min(start + _ROW_BLOCK, hi.shape[0]))
         h, l = hi[rows], lo[rows]
-        for xi in xs[rows]:
+        for xi in x[rows, : y.shape[1]]:
             for yj in ys:
                 _two_sum_into(h, l, xi @ yj.T)
 
@@ -299,3 +300,68 @@ def compute_beta(gram: GramMatrix) -> OrthonormalBasis:
     x /= d[None, :]
     x.flags.writeable = False
     return OrthonormalBasis(beta=x, source=gram)
+
+
+_SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp split constant
+
+
+def _two_prod(a, b):
+    """Elementwise product with its exact floating-point error term."""
+    p = a * b
+    ah = a * _SPLITTER
+    ah = ah - (ah - a)
+    al = a - ah
+    bh = b * _SPLITTER
+    bh = bh - (bh - b)
+    bl = b - bh
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p, err
+
+
+def norm_recursion_defect(s) -> float:
+    """Max over prefixes m of | ||y_m||^2 - sum B_i^2 | / (1 + sum B_i^2) for a solution s.
+
+    The squared norm of the partial sum is the quadratic form of the raw
+    coefficient prefix u_m through the Gram matrix, evaluated with exact
+    products and compensated sums so the reported defect reflects the
+    orthonormalization itself rather than evaluation round-off: the rows
+    of U are the prefixes, G U' is carried as hi + lo, and each u_m' G u_m
+    is summed from TwoProd terms, one block of prefixes at a time.  As
+    beta is lower triangular, a block's prefixes vanish past its last
+    index, so only G's leading block is read, from one ``RowSplit`` of G.
+    The normalization by 1 + sum B_i^2 matches the scale-aware form used
+    for the Gram symmetry tolerance; the unnormalized defect sits at the
+    64-bit representation floor of the triangular factor once the squared
+    norm is large and the Gram matrix is ill conditioned.
+    """
+    n = s.n
+    quad = np.empty(n)
+    prefix = np.zeros(n)
+    g_split = RowSplit(s.basis.source.entries)  # splitting G's leading blocks anew would move bits
+    # The prefixes run in blocks of n/8 (at least _ROW_BLOCK), so the work
+    # arrays stay a fixed fraction of one n x n matrix.
+    width = max(_ROW_BLOCK, n // 8)
+    for start in range(0, n, width):
+        stop = min(start + width, n)
+        # Row m - start is the prefix u_{m+1}, accumulated in the order the sweep uses.
+        steps = s.B[start:stop, None] * s.basis.beta[start:stop, :stop]
+        u = np.cumsum(np.concatenate([prefix[None, :stop], steps]), axis=0)[1:]
+        prefix[:stop] = u[-1]
+        hi, lo = np.zeros((2, stop, stop - start))
+        add_exact_product(hi, lo, g_split, u)
+        terms, err = _two_prod(u.T, hi)
+        err += u.T * lo
+        # row by row, as np.sum adds two or more columns; one column it would sum pairwise
+        comp = np.add.accumulate(err, axis=0)[-1]
+        block = np.zeros(stop - start)
+        for row in terms:
+            _two_sum_into(block, comp, row)
+        quad[start:stop] = block + comp
+
+    sq, sq_err = _two_prod(s.B, s.B)
+    running = np.empty(n)
+    acc = 0.0
+    for m in range(n):
+        acc = math.fsum((acc, sq[m], sq_err[m]))
+        running[m] = acc
+    return float(np.max(np.abs(quad - running) / (1.0 + running), initial=0.0))

@@ -42,7 +42,7 @@ from .operator import (
 # scalar basis evaluations during a solve; keeping the name makes that count
 # read 0 instead of missing.
 from .operator import psi_eval  # noqa: F401
-from .orthonormalize import OrthonormalBasis, RowSplit, add_exact_product, compute_beta
+from .orthonormalize import OrthonormalBasis, compute_beta, norm_recursion_defect
 
 __all__ = [
     "SolverOptions",
@@ -57,7 +57,7 @@ __all__ = [
     "norm_recursion_defect",
 ]
 
-_BLOCK = 64  # sweep steps, basis functions or norm prefixes per gathered block
+_BLOCK = 64  # sweep steps or basis functions per gathered block
 _POINT_BLOCK = 256  # evaluation points per gathered block
 
 
@@ -273,71 +273,3 @@ def convergence_study(
         report = error_report(sol, eval_mesh)
         rows.append(ConvergenceRow(n=p * q, max_abs_error=report.max_abs_error, wall_seconds=time.perf_counter() - t0))
     return rows
-
-
-_SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp split constant
-
-
-def _two_prod(a, b):
-    """Elementwise product with its exact floating-point error term."""
-    p = a * b
-    ah = a * _SPLITTER
-    ah = ah - (ah - a)
-    al = a - ah
-    bh = b * _SPLITTER
-    bh = bh - (bh - b)
-    bl = b - bh
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
-
-
-def norm_recursion_defect(s: ApproximateSolution) -> float:
-    """Max over prefixes m of | ||y_m||^2 - sum B_i^2 | / (1 + sum B_i^2).
-
-    The squared norm of the partial sum is the quadratic form of the raw
-    coefficient prefix u_m through the Gram matrix, evaluated with exact
-    products and compensated sums so the reported defect reflects the
-    orthonormalization itself rather than evaluation round-off: the rows
-    of U are the prefixes, G U' is carried as hi + lo, and each u_m' G u_m
-    is summed from TwoProd terms, one block of prefixes at a time.  The
-    normalization by 1 + sum B_i^2 matches the scale-aware form used for
-    the Gram symmetry tolerance; the unnormalized defect sits at the
-    64-bit representation floor of the triangular factor once the squared
-    norm is large and the Gram matrix is ill conditioned.
-    """
-    n = s.n
-    g = s.basis.source.entries
-    quad = np.empty(n)
-    prefix = np.zeros(n)
-    g_split = RowSplit(g)  # one split of G serves every block of prefixes
-    # The prefixes run in blocks of n/8 (at least _BLOCK), so the work
-    # arrays stay a fixed fraction of one n x n matrix.
-    width = max(_BLOCK, n // 8)
-    for start in range(0, n, width):
-        stop = min(start + width, n)
-        # Row m - start is the prefix u_{m+1}, accumulated in the order the sweep uses.
-        steps = s.B[start:stop, None] * s.basis.beta[start:stop]
-        u = np.cumsum(np.concatenate([prefix[None], steps]), axis=0)[1:]
-        prefix = u[-1]
-        hi = np.zeros((n, stop - start))
-        lo = np.zeros((n, stop - start))
-        add_exact_product(hi, lo, g_split, u)
-        terms, err = _two_prod(u.T, hi)
-        err += u.T * lo
-        block = np.zeros(stop - start)
-        # row by row, as np.sum adds two or more columns; one column it would sum pairwise
-        comp = np.add.accumulate(err, axis=0)[-1]
-        for row in terms:  # TwoSum down the columns
-            total = block + row
-            z = total - block
-            comp += (block - (total - z)) + (row - z)
-            block = total
-        quad[start:stop] = block + comp
-
-    sq, sq_err = _two_prod(s.B, s.B)
-    running = np.empty(n)
-    acc = 0.0
-    for m in range(n):
-        acc = math.fsum((acc, sq[m], sq_err[m]))
-        running[m] = acc
-    return float(np.max(np.abs(quad - running) / (1.0 + running), initial=0.0))

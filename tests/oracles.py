@@ -1,19 +1,25 @@
-"""Frozen scalar reference for the fractional transforms and the basis.
+"""Frozen references for the fractional transforms, the basis and the norm-recursion defect.
 
 These are the one-value-at-a-time functions the solver computed with
 before its array tables existed, kept verbatim: the scalar Caputo time
 factors ``_ctk`` and ``_dc``, ``psi_eval``'s body, ``apply_operator``
-and the scalar ``weighted_moment``.  The package's array code performs
-the same floating-point operations in the same order, so the tests
-compare it with these bit for bit.  Do not change them to follow the
-package: a change here moves the reference, not the code under test.
+and the scalar ``weighted_moment``; and ``norm_recursion_defect`` as it
+was when it multiplied all of G against every block of prefixes.  The
+package's array code performs the same floating-point operations in the
+same order, and its defect too but for products with zeros and the
+order of its compensation terms, so the tests compare it with these bit
+for bit.  Do not change them to follow the package: a change here moves
+the reference, not the code under test.
 """
 
 import math
 
+import numpy as np
+
 from rkburgers.fracmath import DEFAULT_QUADRATURE_NODES, gamma, jacobi_rule
 from rkburgers.kernels import r2, r3
 from rkburgers.operator import BasisFunction, Problem
+from rkburgers.orthonormalize import RowSplit, add_exact_product
 
 
 def weighted_moment(m: int, alpha: float, a: float, b: float, c: float) -> float:
@@ -137,3 +143,59 @@ def apply_operator(
     total += _ctk(b.eta, eta, a) * a0
     total += _dc(b.eta, eta, a, nodes) * s00
     return total
+
+
+def _two_prod(a, b):
+    """Elementwise product with its exact floating-point error term."""
+    p = a * b
+    ah = a * 134217729.0
+    ah = ah - (ah - a)
+    al = a - ah
+    bh = b * 134217729.0
+    bh = bh - (bh - b)
+    bl = b - bh
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p, err
+
+
+def norm_recursion_defect(s) -> float:
+    """Max over prefixes m of | ||y_m||^2 - sum B_i^2 | / (1 + sum B_i^2), over all of G.
+
+    Each block of prefixes, U, is multiplied against the whole of G, whose
+    rows past the block's last prefix meet only U's zeros, and the
+    compensated column sums are written out by hand.  It uses the
+    package's ``RowSplit`` and ``add_exact_product``, which
+    ``TestRowSplit`` and ``TestAddExactProduct`` check on their own.
+    """
+    n = s.n
+    g = s.basis.source.entries
+    quad = np.empty(n)
+    prefix = np.zeros(n)
+    g_split = RowSplit(g)
+    width = max(64, n // 8)
+    for start in range(0, n, width):
+        stop = min(start + width, n)
+        steps = s.B[start:stop, None] * s.basis.beta[start:stop]
+        u = np.cumsum(np.concatenate([prefix[None], steps]), axis=0)[1:]
+        prefix = u[-1]
+        hi = np.zeros((n, stop - start))
+        lo = np.zeros((n, stop - start))
+        add_exact_product(hi, lo, g_split, u)
+        terms, err = _two_prod(u.T, hi)
+        err += u.T * lo
+        block = np.zeros(stop - start)
+        comp = np.add.accumulate(err, axis=0)[-1]
+        for row in terms:  # TwoSum down the columns
+            total = block + row
+            z = total - block
+            comp += (block - (total - z)) + (row - z)
+            block = total
+        quad[start:stop] = block + comp
+
+    sq, sq_err = _two_prod(s.B, s.B)
+    running = np.empty(n)
+    acc = 0.0
+    for m in range(n):
+        acc = math.fsum((acc, sq[m], sq_err[m]))
+        running[m] = acc
+    return float(np.max(np.abs(quad - running) / (1.0 + running), initial=0.0))

@@ -286,6 +286,11 @@ _CUSTOM = "problem = custom\nalpha = 0.9\nk1 = one\nk2 = zero\nk3 = zero\nk4 = z
         (["solve", "--example", "1"], "format = xml", "unknown output format 'xml'"),
         (["solve", "--example", "1", "--mesh", "1:2"], None, "mesh spec must be start:step:end, got '1:2'"),
         (["solve", "--example", "1", "--mesh", "0.5:0.1:0.1"], None, "degenerate mesh spec '0.5:0.1:0.1'"),
+        (["solve", "--example", "1", "--mesh", "0:1:inf"], None, "mesh spec '0:1:inf' has a non-finite field"),
+        (["solve", "--example", "1", "--mesh", "0.5:0.5:1.5"], None, "mesh spec '0.5:0.5:1.5' leaves [0, 1]"),
+        (["solve", "--example", "1", "--mesh", "0:1e-9:1"], None, "mesh spec '0:1e-9:1' gives more than 2500 values"),
+        (["convergence", "--example", "1", "--sizes", "4", "--mesh", "0:1e-9:1"], None,
+         "mesh spec '0:1e-9:1' gives more than 2500 values"),
         (["solve"], "example 1", "config line without '=': 'example 1'"),
         (["solve", "--example", "1"], "p = two", "config key p='two': invalid literal for int() with base 10: 'two'"),
         (["solve"], _CUSTOM + "f = nope", "f = 'nope' is not in the coefficient catalog"),
@@ -293,7 +298,8 @@ _CUSTOM = "problem = custom\nalpha = 0.9\nk1 = one\nk2 = zero\nk3 = zero\nk4 = z
         (["convergence", "--sizes", "4"], _CUSTOM + "f = sin_pi_xi",
          "convergence study requires a problem with an exact solution"),
     ],
-    ids=["p-zero", "picard-negative", "format-xml", "mesh-two-fields", "mesh-degenerate",
+    ids=["p-zero", "picard-negative", "format-xml", "mesh-two-fields", "mesh-degenerate", "mesh-infinite",
+         "mesh-outside-the-square", "mesh-too-many-values", "convergence-mesh-too-many-values",
          "config-line-without-equals", "config-p-not-int", "custom-f-unknown", "no-problem",
          "convergence-without-exact"],
 )

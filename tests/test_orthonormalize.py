@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 import rkburgers.solver
 from rkburgers.operator import CollocationGrid, GramMatrix
 from rkburgers.orthonormalize import (
@@ -14,6 +15,7 @@ from rkburgers.orthonormalize import (
     add_exact_product,
     add_exact_square,
     compute_beta,
+    norm_recursion_defect,
     split_rows,
 )
 from rkburgers.problems import build_problem
@@ -194,7 +196,7 @@ class TestAddExactProduct:
         hi = rng.normal(size=(70, 4))
         lo = np.zeros((70, 4))
         start = hi.copy()
-        add_exact_product(hi, lo, x, y)
+        add_exact_product(hi, lo, RowSplit(x), y)
         for i in range(70):
             for j in range(4):
                 exact = Fraction(start[i, j]) + sum(Fraction(a) * Fraction(b) for a, b in zip(x[i], y[j]))
@@ -206,7 +208,8 @@ class TestRowSplit:
     def test_restores_the_split_exactly(self):
         # 130 rows span three row blocks; a zero row, a row of small normal and
         # subnormal entries, a row of subnormals only, whose slices lie on the
-        # subnormal grid, and magnitudes spread over 120 binades.
+        # subnormal grid, and magnitudes spread over 120 binades.  Keys of rows
+        # or of (rows, cols), the latter as a leading block of G is read.
         rng = np.random.default_rng(6)
         m = rng.normal(size=(130, 40)) * np.exp2(rng.integers(-60, 60, size=(130, 40)))
         m[0] = 0.0
@@ -214,9 +217,22 @@ class TestRowSplit:
         m[2] = 5e-324 * rng.integers(-1000, 1000, size=40)
         split = RowSplit(m)
         whole = split_rows(m)
-        for rows in (slice(0, 64), slice(60, 130), slice(129, 130)):
-            for got, want in zip(split[rows], whole):
-                assert np.array_equal(got, want[rows])
+        keys = (slice(0, 64), slice(60, 130), slice(129, 130), (slice(60, 130), slice(0, 17)), (slice(0, 3), slice(0, 40)))
+        for key in keys:
+            for got, want in zip(split[key], whole):
+                assert np.array_equal(got, want[key])
+
+
+class TestNormRecursionDefect:
+    @pytest.mark.parametrize(
+        "example,alpha,p", [("1", 0.9, 5), ("1", 0.8, 7), ("2", 0.8, 10), ("2", 0.8, 14), ("2", 0.8, 20)]
+    )
+    def test_matches_the_full_width_oracle_bit_for_bit(self, solution_factory, example, alpha, p):
+        # Past a block's last prefix, G's rows and U's columns meet only U's
+        # zeros; what is left is carried far beyond working precision, so
+        # leaving them out keeps the defect's last bits on these solves.
+        sol = solution_factory(example, alpha, p, p)
+        assert norm_recursion_defect(sol) == oracles.norm_recursion_defect(sol)
 
 
 class TestBlockEdges:
