@@ -16,31 +16,25 @@ diagonal the "arg <= param" branch applies; derivatives of total order
 two and higher jump across the diagonal, so integration across it must
 split there.
 
-``r2`` and ``r3`` also take arrays, and sequences of derivative orders.
-Every derivative order's coefficient table is zero-padded to the
-underived table's shape and stacked at import; an array call evaluates
-all the orders it is given in one Horner pass over that stack, picks the
-branch elementwise and keeps the exact-zero sections.  A Horner step over
-a padded zero coefficient adds an exact zero, so every element is
-bit-identical to the scalar call for that pair and order.  The pass over
-the coefficient rows runs on the first argument alone, on as many
-columns at once as keep it no larger than the result, so besides the
-result a call holds one array of the result's size: the other branch.
+``r2`` and ``r3`` have one evaluator, for scalars and arrays alike, and
+take sequences of derivative orders too; a scalar call is a 0-d array
+call that returns a float.  Every derivative order's coefficient table
+is zero-padded to the underived table's shape and stacked at import; a
+call evaluates all the orders it is given in one Horner pass over that
+stack, picks the branch elementwise and keeps the exact-zero sections.
+A Horner step over a padded zero coefficient adds an exact zero, so
+every element is bit-identical to a two-dimensional ``polyval`` of that
+order's own table at that pair.  The pass over the coefficient rows runs
+on the first argument alone, on as many columns at once as keep it no
+larger than the result, so besides the result a call holds one array of
+the result's size: the other branch.
 """
 
 import math
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval2d
 
 __all__ = ["r1", "r2", "r3"]
-
-
-def _check_unit(name: str, value: float) -> float:
-    v = float(value)
-    if not (0.0 <= v <= 1.0):
-        raise ValueError(f"{name} = {value} outside the domain [0, 1]")
-    return v
 
 
 def _check_order(name: str, value, top: int) -> None:
@@ -87,6 +81,7 @@ _C2[1, 1] = 1.0
 _C2[1, 2] = 0.5
 _C2[0, 3] = -1.0 / 6.0
 
+# each derivative order's own table, keyed by (param order, arg order)
 _D3 = {(a, b): _diff_table(_C3, a, b) for a in range(4) for b in range(4)}
 _D2 = {(a, b): _diff_table(_C2, a, b) for a in range(3) for b in range(3)}
 
@@ -104,25 +99,21 @@ _S3 = _stack(_D3, _C3.shape, 3)
 _S2 = _stack(_D2, _C2.shape, 2)
 
 
-def _two_branch(tables, param, arg, d_param, d_arg):
-    if arg <= param:
-        return float(polyval2d(param, arg, tables[(d_param, d_arg)]))
-    return float(polyval2d(arg, param, tables[(d_arg, d_param)]))
-
-
 def _horner(tables, u, v):
-    """polyval2d(u, v, table) for each table of the stack, along a new first axis.
+    """The 2-D power series of each table of the stack at (u, v), along a new first axis.
 
-    The steps are polyval2d's, elementwise: a Horner pass over the rows
-    in u for every coefficient column, then a pass over the columns in v.
-    The row pass runs on u before it meets v, on as many columns at once
-    as keep its values no larger than the result, so the result is the
-    only array of its size.
+    The steps are numpy's two-dimensional ``polyval``, elementwise: a
+    Horner pass over the rows in u for every coefficient column, then a
+    pass over the columns in v.  The row pass runs on u before it meets
+    v, on as many columns at once as keep its values no larger than the
+    result, so the result is the only array of its size; a result smaller
+    than a row of coefficients, such as a scalar call's, takes all the
+    columns in one pass.  Each column's steps are the same either way.
     """
     shape = np.broadcast_shapes(u.shape, v.shape)
     c = tables.reshape(tables.shape + (1,) * len(shape))
     u0, v0 = u * 0, v * 0
-    step = max(1, math.prod(shape) // max(u.size, 1))
+    step = max(1, max(math.prod(shape), c.shape[2]) // max(u.size, 1))
     total = None
     for stop in range(c.shape[2], 0, -step):
         cols = slice(max(stop - step, 0), stop)
@@ -147,13 +138,14 @@ def _at_any(x, values):
 
 
 def _on_arrays(stack, pinned, param, arg, d_param, d_arg):
-    """The kernel at every pair of the broadcast arrays, each as the scalar path computes it.
+    """The kernel at every pair of the broadcast arrays, 0-d included.
 
     ``d_param`` and ``d_arg`` are orders, or sequences of orders broadcast
     together; for sequences the result stacks one derivative per order
-    along a new first axis.  Both branch polynomials run the scalar
-    path's Horner steps elementwise; a section whose underived slot sits
-    at a pinned value is exactly zero.
+    along a new first axis.  Both branch polynomials run their Horner
+    steps elementwise and the branch is picked per pair; a section whose
+    underived slot sits at a pinned value is exactly +0.0.  Scalar
+    arguments and orders give a float.
     """
     dp, da = (np.atleast_1d(np.asarray(o, dtype=np.intp)) for o in (d_param, d_arg))
     values = _horner(stack[dp, da], param, arg)
@@ -162,7 +154,9 @@ def _on_arrays(stack, pinned, param, arg, d_param, d_arg):
     zero = (da == 0).reshape(lead) & _at_any(arg, pinned)
     zero = zero | (dp == 0).reshape(lead) & _at_any(param, pinned)
     np.copyto(values, 0.0, where=zero)
-    return values if np.ndim(d_param) or np.ndim(d_arg) else values[0]
+    if np.ndim(d_param) or np.ndim(d_arg):
+        return values
+    return values[0] if values.ndim > 1 else float(values[0])
 
 
 def _check_units(name: str, values) -> np.ndarray:
@@ -175,48 +169,40 @@ def _check_units(name: str, values) -> np.ndarray:
 
 def r1(x: float, xi: float) -> float:
     """First-order kernel, 1 + min(x, xi)."""
-    x = _check_unit("x", x)
-    xi = _check_unit("xi", xi)
-    return 1.0 + min(x, xi)
+    return 1.0 + float(min(_check_units("x", x), _check_units("xi", xi)))
 
 
 def r2(t, eta, dt_order: int = 0, deta_order: int = 0):
     """Second-order time kernel, or a partial derivative of it.
 
-    Satisfies r2(t, 0) = 0 and r2(t, eta) = r2(eta, t).  ``t`` and ``eta``
-    may be arrays: the result is then the kernel at every pair of the
-    broadcast arrays, each element bit-identical to the scalar call.  The
+    Satisfies r2(t, 0) = 0 and r2(t, eta) = r2(eta, t).  Scalar ``t`` and
+    ``eta`` give a float.  Arrays give the kernel at every pair of the
+    broadcast arrays, each element the value of the scalar call.  The
     orders may be sequences, broadcast together: the result then holds one
-    such array per order, stacked along a new first axis.
+    such value or array per order, stacked along a new first axis.
+
+    >>> r2(0.5, 0.3)
+    0.168
+    >>> r2([0.0, 0.5], 0.3)
+    array([0.   , 0.168])
     """
     _check_order("dt_order", dt_order, 2)
     _check_order("deta_order", deta_order, 2)
-    if np.ndim(t) or np.ndim(eta) or np.ndim(dt_order) or np.ndim(deta_order):
-        return _on_arrays(_S2, (0.0,), _check_units("t", t), _check_units("eta", eta), dt_order, deta_order)
-    t = _check_unit("t", t)
-    eta = _check_unit("eta", eta)
-    # a section with an underived slot pinned at eta = 0 (or t = 0) is
-    # identically zero, so every remaining derivative vanishes exactly
-    if (deta_order == 0 and eta == 0.0) or (dt_order == 0 and t == 0.0):
-        return 0.0
-    return _two_branch(_D2, t, eta, dt_order, deta_order)
+    return _on_arrays(_S2, (0.0,), _check_units("t", t), _check_units("eta", eta), dt_order, deta_order)
 
 
 def r3(x, xi, dx_order: int = 0, dxi_order: int = 0):
     """Third-order space kernel, or a partial derivative of it.
 
     Satisfies r3(x, 0) = r3(x, 1) = 0 and r3(x, xi) = r3(xi, x).  ``x``
-    and ``xi`` may be arrays, and the orders sequences, as for ``r2``.
+    and ``xi`` may be scalars or arrays, and the orders sequences, as for
+    ``r2``.
+
+    >>> r3(0.5, 0.5)
+    0.06315104166666667
+    >>> r3(0.5, [0.0, 0.5, 1.0])
+    array([0.        , 0.06315104, 0.        ])
     """
     _check_order("dx_order", dx_order, 3)
     _check_order("dxi_order", dxi_order, 3)
-    if np.ndim(x) or np.ndim(xi) or np.ndim(dx_order) or np.ndim(dxi_order):
-        return _on_arrays(_S3, (0.0, 1.0), _check_units("x", x), _check_units("xi", xi), dx_order, dxi_order)
-    x = _check_unit("x", x)
-    xi = _check_unit("xi", xi)
-    # sections pinned at an underived boundary slot are identically zero
-    if (dxi_order == 0 and (xi == 0.0 or xi == 1.0)) or (
-        dx_order == 0 and (x == 0.0 or x == 1.0)
-    ):
-        return 0.0
-    return _two_branch(_D3, x, xi, dx_order, dxi_order)
+    return _on_arrays(_S3, (0.0, 1.0), _check_units("x", x), _check_units("xi", xi), dx_order, dxi_order)

@@ -102,11 +102,8 @@ def split_rows(m):
     involve it, which do round, are off by about n 2**-(53 + 2 bits) of
     max|x_i| max|y_j|: some 2**-40 of a plain product's rounding error.
     """
-    return _split(np.array(m, dtype=float), _split_bits(m))
-
-
-def _split(rest, bits):
-    """``split_rows`` of rest, whose rows may be cut short of their zeros; rest becomes the last slice."""
+    rest = np.array(m, dtype=float)
+    bits = _split_bits(rest)
     return [_round_off(rest, bits)[0] for _ in range(_SLICES - 1)] + [rest]
 
 
@@ -177,7 +174,8 @@ def add_exact_product(hi, lo, x, y):
 def add_exact_square(hi, low):
     """hi += low @ low' for lower-triangular low, each entry's exact sum rounded once.
 
-    low is split by rows into x1 + x2 + x3 (``split_rows``).  The 4
+    low is split by rows into x1 + x2 + x3 (``split_rows``); the zeros
+    above its diagonal stay zero in every slice.  The 4
     products of the rounded slices x1, x2 are exact and are summed with
     TwoSum; the 5 with x3 round anyway, so they are grouped into 2 plain
     products, x3 (x1 + x2)' + low x3': 6 products instead of 9.  They run
@@ -191,14 +189,7 @@ def add_exact_square(hi, low):
     exactly symmetric stays as it is.
     """
     n = low.shape[0]
-    bits = _split_bits(low)
-    # split_rows(low), a block of rows at a time over the columns up to the
-    # block's end: the rest of each row is zero in every slice.
-    x1, x2, x3 = (np.zeros((n, n)) for _ in range(_SLICES))
-    for start in range(0, n, _ROW_BLOCK):
-        rows, inner = slice(start, start + _ROW_BLOCK), slice(0, start + _ROW_BLOCK)
-        for x, piece in zip((x1, x2, x3), _split(np.array(low[rows, inner]), bits)):
-            x[rows, inner] = piece
+    x1, x2, x3 = split_rows(low)
     for start in range(0, n, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, n)
         cols, inner = slice(start, stop), slice(0, stop)

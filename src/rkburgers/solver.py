@@ -161,15 +161,6 @@ def _psi_rows(tables: BasisTables, n: int, lower: bool):
         yield from zip(steps.tolist(), rows0, rows1)
 
 
-def _sum_in_order(total, terms):
-    """total + terms[0] + terms[1] + ..., added one row at a time.
-
-    ``np.add.accumulate`` forms every partial sum in turn, so each element
-    is rounded exactly as in a loop over the rows.
-    """
-    return np.add.accumulate(np.concatenate([np.asarray(total)[None], terms]), axis=0)[-1]
-
-
 def evaluate(s: ApproximateSolution, xi, eta, dxi_order: int = 0):
     """y_n (or its first xi-derivative) anywhere on [0, 1]^2.
 
@@ -207,7 +198,8 @@ def _expansion(s: ApproximateSolution, tables: BasisTables, points, dxi_order: i
     total = np.zeros(np.size(points))
     for block in range(0, fns.size, _BLOCK):
         fn = slice(block, block + _BLOCK)
-        total = _sum_in_order(total, coeffs[fn] * tables.psi(points, fns[fn, None], dxi_order))
+        for row in coeffs[fn] * tables.psi(points, fns[fn, None], dxi_order):
+            total += row
     return total
 
 
@@ -222,7 +214,9 @@ def residual(s: ApproximateSolution, xi: float, eta: float) -> float:
     tables = BasisTables(s.basis_functions, [xi], [eta], s.options.quadrature_nodes)
     row = tables.operator(0, slice(None), p.k1(xi, eta), p.k2(xi, eta), p.k3(xi, eta))
     fns = np.flatnonzero(s.raw_coeffs != 0.0)
-    ly = _sum_in_order(0.0, s.raw_coeffs[fns] * row[fns])
+    ly = 0.0
+    for term in s.raw_coeffs[fns] * row[fns]:
+        ly += term
     yv, dyv = (float(_expansion(s, tables, np.arange(1), order)[0]) for order in (0, 1))
     return float(ly) - (p.f(xi, eta) - p.k4(xi, eta) * yv * dyv)
 

@@ -1,9 +1,11 @@
-"""Frozen references for the fractional transforms, the basis and the norm-recursion defect.
+"""Frozen references for the kernels, the fractional transforms, the basis and the norm-recursion defect.
 
 These are the one-value-at-a-time functions the solver computed with
-before its array tables existed, kept verbatim: the scalar Caputo time
-factors ``_ctk`` and ``_dc``, ``psi_eval``'s body, ``apply_operator``
-and the scalar ``weighted_moment``; and ``norm_recursion_defect`` as it
+before its array tables existed, kept verbatim: the scalar kernels ``r2``
+and ``r3`` (one ``polyval2d`` per value, on the package's coefficient
+tables ``_D2`` and ``_D3``), the scalar Caputo time factors ``_ctk`` and
+``_dc``, ``psi_eval``'s body, ``apply_operator`` and the scalar
+``weighted_moment``; and ``norm_recursion_defect`` as it
 was when it multiplied all of G against every block of prefixes.  The
 package's array code performs the same floating-point operations in the
 same order, and its defect too but for products with zeros and the
@@ -15,11 +17,52 @@ the reference, not the code under test.
 import math
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval2d
 
 from rkburgers.fracmath import DEFAULT_QUADRATURE_NODES, gamma, jacobi_rule
-from rkburgers.kernels import r2, r3
+from rkburgers.kernels import _D2, _D3, _check_order
 from rkburgers.operator import BasisFunction, Problem
 from rkburgers.orthonormalize import RowSplit, add_exact_product
+
+
+def _check_unit(name: str, value: float) -> float:
+    v = float(value)
+    if not (0.0 <= v <= 1.0):
+        raise ValueError(f"{name} = {value} outside the domain [0, 1]")
+    return v
+
+
+def _two_branch(tables, param, arg, d_param, d_arg):
+    if arg <= param:
+        return float(polyval2d(param, arg, tables[(d_param, d_arg)]))
+    return float(polyval2d(arg, param, tables[(d_arg, d_param)]))
+
+
+def r2(t: float, eta: float, dt_order: int = 0, deta_order: int = 0) -> float:
+    """Second-order time kernel, or a partial derivative of it, at one pair."""
+    _check_order("dt_order", dt_order, 2)
+    _check_order("deta_order", deta_order, 2)
+    t = _check_unit("t", t)
+    eta = _check_unit("eta", eta)
+    # a section with an underived slot pinned at eta = 0 (or t = 0) is
+    # identically zero, so every remaining derivative vanishes exactly
+    if (deta_order == 0 and eta == 0.0) or (dt_order == 0 and t == 0.0):
+        return 0.0
+    return _two_branch(_D2, t, eta, dt_order, deta_order)
+
+
+def r3(x: float, xi: float, dx_order: int = 0, dxi_order: int = 0) -> float:
+    """Third-order space kernel, or a partial derivative of it, at one pair."""
+    _check_order("dx_order", dx_order, 3)
+    _check_order("dxi_order", dxi_order, 3)
+    x = _check_unit("x", x)
+    xi = _check_unit("xi", xi)
+    # sections pinned at an underived boundary slot are identically zero
+    if (dxi_order == 0 and (xi == 0.0 or xi == 1.0)) or (
+        dx_order == 0 and (x == 0.0 or x == 1.0)
+    ):
+        return 0.0
+    return _two_branch(_D3, x, xi, dx_order, dxi_order)
 
 
 def weighted_moment(m: int, alpha: float, a: float, b: float, c: float) -> float:

@@ -1,7 +1,7 @@
 """The table path against the scalar functions it replaces, bit for bit.
 
-Every reference below is built from one-value-at-a-time calls to
-scalar ``r2``/``r3`` and the frozen ``apply_operator`` and ``psi_eval`` of
+Every reference below is built from one-value-at-a-time calls to the
+frozen ``r2``, ``r3``, ``apply_operator`` and ``psi_eval`` of
 ``oracles``, in the loops the solver ran before the tables existed.  The
 table path performs the same floating-point operations in the same
 order, so the comparisons are ``np.array_equal``, not approximate.
@@ -110,13 +110,30 @@ class TestKernelTables:
     def test_r3_on_arrays_matches_scalar(self, orders):
         v = self.VALUES
         table = r3(v[:, None], v[None, :], *orders)
-        assert _same(table, [[r3(x, s, *orders) for s in v] for x in v])
+        assert _same(table, [[oracles.r3(x, s, *orders) for s in v] for x in v])
 
     @pytest.mark.parametrize("orders", list(itertools.product(range(3), range(3))))
     def test_r2_on_arrays_matches_scalar(self, orders):
         v = self.VALUES
         table = r2(v[:, None], v[None, :], *orders)
-        assert _same(table, [[r2(t, e, *orders) for e in v] for t in v])
+        assert _same(table, [[oracles.r2(t, e, *orders) for e in v] for t in v])
+
+    @pytest.mark.parametrize(
+        "kernel, oracle, pinned, top",
+        [(r3, oracles.r3, (0.0, 1.0), 3), (r2, oracles.r2, (0.0,), 2)],
+        ids=["r3", "r2"],
+    )
+    def test_scalar_calls_are_floats_equal_to_the_oracle(self, kernel, oracle, pinned, top):
+        # a scalar call is a 0-d call of the array path; it must still give a float,
+        # and the +0.0 of every pinned section, not a -0.0
+        v = self.VALUES.tolist()
+        for orders in itertools.product(range(top + 1), repeat=2):
+            for x, s in itertools.product(v, v):
+                value = kernel(x, s, *orders)
+                assert type(value) is float
+                assert _same(value, oracle(x, s, *orders)), (x, s, orders)
+                if (orders[1] == 0 and s in pinned) or (orders[0] == 0 and x in pinned):
+                    assert value == 0.0 and math.copysign(1.0, value) > 0.0
 
     def test_r3_stacked_orders_match_scalar(self):
         # v holds 0 and 1, and the outer product puts every value on the diagonal
@@ -126,7 +143,7 @@ class TestKernelTables:
         assert stack.shape == (len(orders), v.size, v.size)
         pinned = np.isin(v, (0.0, 1.0))
         for table, (dx, dxi) in zip(stack, orders):
-            assert _same(table, [[r3(x, s, dx, dxi) for s in v] for x in v])
+            assert _same(table, [[oracles.r3(x, s, dx, dxi) for s in v] for x in v])
             for section in ([table[:, pinned]] if dxi == 0 else []) + ([table[pinned]] if dx == 0 else []):
                 assert np.all(section == 0.0) and not np.signbit(section).any()
 
@@ -135,7 +152,7 @@ class TestKernelTables:
         orders = list(itertools.product(range(3), range(3)))
         stack = r2(v[:, None], v[None, :], *zip(*orders))
         for table, o in zip(stack, orders):
-            assert _same(table, [[r2(t, e, *o) for e in v] for t in v])
+            assert _same(table, [[oracles.r2(t, e, *o) for e in v] for t in v])
 
     def test_stacked_orders_broadcast_and_keep_their_axis(self):
         v = self.VALUES
