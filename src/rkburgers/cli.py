@@ -95,8 +95,9 @@ def parse_mesh(spec: str) -> List[float]:
         raise ValueError(f"mesh spec {spec!r} has a non-finite field")
     if step <= 0 or end < start:
         raise ValueError(f"degenerate mesh spec {spec!r}")
+    # the values start + i * step that do not pass end by more than rounding error;
     # capped before rounding, as a quotient that overflowed to inf has no integer
-    count = round(min((end - start) / step, MAX_POINTS)) + 1
+    count = math.floor(min((end - start) / step + 1e-9, MAX_POINTS)) + 1
     if count > MAX_POINTS:
         raise ValueError(f"mesh spec {spec!r} gives more than {MAX_POINTS} values")
     mesh = [round(start + i * step, 12) for i in range(count)]
@@ -106,19 +107,22 @@ def parse_mesh(spec: str) -> List[float]:
 
 
 def _parse_sizes(spec: str) -> List[Tuple[int, int]]:
-    """Comma-separated sizes, each 'PxQ' or a perfect-square point count."""
+    """Comma-separated sizes, each 'PxQ' or a perfect-square point count, every count positive."""
     sizes = []
     for tok in spec.split(","):
         tok = tok.strip().lower()
-        if "x" in tok:
-            p_str, q_str = tok.split("x")
-            sizes.append((int(p_str), int(q_str)))
-        else:
-            n = int(tok)
-            root = int(round(n**0.5))
-            if root * root != n:
-                raise ValueError(f"size {n} is not a perfect square; use the PxQ form")
-            sizes.append((root, root))
+        try:
+            counts = [int(part) for part in tok.split("x")]
+        except ValueError:
+            counts = []
+        if len(counts) not in (1, 2) or min(counts) < 1:
+            raise ValueError(f"size {tok!r} is neither a positive point count nor PxQ with positive P and Q")
+        if len(counts) == 1:
+            root = math.isqrt(counts[0])
+            if root * root != counts[0]:
+                raise ValueError(f"size {counts[0]} is not a perfect square; use the PxQ form")
+            counts = [root, root]
+        sizes.append(tuple(counts))
     return sizes
 
 
@@ -215,8 +219,10 @@ def _meta_path(out: str) -> str:
 
 
 def _check_writable(*paths: Optional[str]):
-    """``_write_text``'s ValueError for the first path it could not write to; creates nothing."""
-    for path in (path for path in paths if path is not None):
+    """``_write_text``'s ValueError for the first path it could not write to, or a ValueError
+    for two paths naming the same file, which would hold only the last output; creates nothing."""
+    paths = [path for path in paths if path is not None]
+    for path in paths:
         parent = os.path.dirname(path) or "."
         if not path or not os.path.isdir(parent):
             code = errno.ENOENT
@@ -227,6 +233,10 @@ def _check_writable(*paths: Optional[str]):
         else:
             continue
         raise ValueError(f"cannot write {path}: {os.strerror(code)}")
+    files = [os.path.realpath(path) for path in paths]
+    for i, real in enumerate(files):
+        if real in files[:i]:
+            raise ValueError(f"{paths[files.index(real)]} and {paths[i]} name the same file")
 
 
 def _cmd_solve(cfg: RunConfig) -> int:

@@ -202,10 +202,11 @@ def weighted_moment(m, alpha: float, a, b, c):
 def jacobi_rule(exponent: float, n: int):
     """Golub-Welsch rule for integral_0^1 f(u) (1 - u)**exponent du, exponent > -1.
 
-    Builds the symmetric tridiagonal matrix of the three-term recurrence for
-    Jacobi polynomials with parameters (exponent, 0), takes its eigen
-    decomposition for nodes and first-eigenvector-component weights on
-    [-1, 1], then maps affinely to (0, 1).
+    Builds the lower triangle of the symmetric tridiagonal matrix of the
+    three-term recurrence for Jacobi polynomials with parameters
+    (exponent, 0), takes its eigen decomposition for nodes and
+    first-eigenvector-component weights on [-1, 1], then maps affinely to
+    (0, 1).
 
     Returns:
         (nodes, weights) as read-only float arrays of length n, exact for
@@ -229,8 +230,7 @@ def jacobi_rule(exponent: float, n: int):
     j = np.arange(1, n, dtype=float)
     s = 2 * j + aj
     off = np.sqrt(4 * j * (j + aj) * j * (j + aj) / (s * s * (s * s - 1)))
-    jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    vals, vecs = np.linalg.eigh(jac)
+    vals, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, -1), UPLO="L")
     mu0 = 2.0 ** (aj + 1.0) / (aj + 1.0)  # integral of (1-x)**aj over [-1, 1]
     u = 0.5 * (vals + 1.0)
     w = mu0 * vecs[0, :] ** 2 * 0.5 ** (aj + 1.0)

@@ -265,17 +265,20 @@ def _ctk_table(eta, t_i, a: float) -> np.ndarray:
 
 
 def _rule_sums(rule, outer, inner, power) -> np.ndarray:
-    """w @ (outer - inner * u)**power for each pair, one dot product per pair.
+    """w @ (outer - inner * u)**power for each pair, one batched dot product per block of pairs.
 
-    A matrix-vector product over the pairs would round differently from
-    the one-pair dot product of the scalar reference.
+    ``matmul`` over a stack of 1 x n rows takes each row's sum from the
+    same dot routine as the scalar reference's one-pair ``w @ row``, so
+    every sum rounds as it does there; a matrix-vector product over the
+    pairs would round differently.  ``_PAIR_BLOCK`` bounds the pairs x
+    nodes array of integrand values.
     """
     u, w = rule
     sums = np.empty(outer.size)
     for start in range(0, outer.size, _PAIR_BLOCK):
         block = slice(start, start + _PAIR_BLOCK)
         values = (outer[block, None] - inner[block, None] * u) ** power
-        sums[block] = [w @ row for row in values]
+        sums[block] = np.matmul(values[:, None, :], w)[:, 0]
     return sums
 
 
@@ -284,7 +287,8 @@ def _dc_table(t_i, t_j, a: float, n_nodes: int) -> np.ndarray:
 
     The constant part is closed form; the fractional part is exact where
     t_i == t_j and otherwise one n_nodes-point Gauss-Jacobi sum per pair,
-    the rule's weight exponent chosen by which of t_i, t_j is smaller.
+    the rule's weight exponent chosen by which of t_i, t_j is smaller, and
+    each branch's sums come from ``_rule_sums`` in whole-block calls.
     Every fractional power of a coordinate comes from one
     ``_power_table`` over the arguments before they are broadcast.  A
     node count that is not an integer >= 1 raises ValueError, at a = 1 too.

@@ -30,6 +30,14 @@ class TestParseMesh:
     def test_single_point(self):
         assert parse_mesh("0.5:0.1:0.5") == [0.5]
 
+    @pytest.mark.parametrize(
+        "spec, mesh",
+        [("0:0.3:0.5", [0.0, 0.3]), ("0:0.6:1", [0.0, 0.6]), ("0.5:0.3:1.0", [0.5, 0.8]),
+         ("0.5:0.1:0.6", [0.5, 0.6]), ("0.2:0.2:0.8", [0.2, 0.4, 0.6, 0.8])],
+    )
+    def test_last_value_does_not_pass_the_end(self, spec, mesh):
+        assert parse_mesh(spec) == mesh
+
 
 class TestSolveCommand:
     def test_example1_writes_table_and_metadata(self, tmp_path):
@@ -110,6 +118,16 @@ class TestSolveCommand:
             f"{x:.10g},{e:.10g},{values[i, j]:.10g}" for i, x in enumerate(pts) for j, e in enumerate(pts)
         ]
         assert surface.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("out, surface", [("t.csv", "d/../t.csv"), ("u.csv", "u.meta.json")])
+    def test_outputs_naming_the_same_file_rejected(self, tmp_path, monkeypatch, capsys, out, surface):
+        (tmp_path / "d").mkdir()
+        monkeypatch.setattr("rkburgers.cli.solve", lambda *args: pytest.fail("solved before the check"))
+        argv = ["solve", "--example", "1", "--p", "2", "--q", "2",
+                "--out", str(tmp_path / out), "--surface", str(tmp_path / surface)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.rstrip().endswith(f"{tmp_path / surface} name the same file")
+        assert [path.name for path in tmp_path.iterdir()] == ["d"]
 
     def test_example2_benchmark_bound(self, tmp_path):
         out = tmp_path / "err2.csv"
@@ -297,11 +315,20 @@ _CUSTOM = "problem = custom\nalpha = 0.9\nk1 = one\nk2 = zero\nk3 = zero\nk4 = z
         (["solve"], None, "select a problem with --example or a config file"),
         (["convergence", "--sizes", "4"], _CUSTOM + "f = sin_pi_xi",
          "convergence study requires a problem with an exact solution"),
+        (["convergence", "--example", "1", "--sizes", "9,-4"], None,
+         "size '-4' is neither a positive point count nor PxQ with positive P and Q"),
+        (["convergence", "--example", "1", "--sizes", "4x4x4"], None,
+         "size '4x4x4' is neither a positive point count nor PxQ with positive P and Q"),
+        (["convergence", "--example", "1", "--sizes", "2.5x3"], None,
+         "size '2.5x3' is neither a positive point count nor PxQ with positive P and Q"),
+        (["convergence", "--example", "1", "--sizes", "0x3"], None,
+         "size '0x3' is neither a positive point count nor PxQ with positive P and Q"),
     ],
     ids=["p-zero", "picard-negative", "format-xml", "mesh-two-fields", "mesh-degenerate", "mesh-infinite",
          "mesh-outside-the-square", "mesh-too-many-values", "convergence-mesh-too-many-values",
          "config-line-without-equals", "config-p-not-int", "custom-f-unknown", "no-problem",
-         "convergence-without-exact"],
+         "convergence-without-exact", "sizes-negative", "sizes-three-factors", "sizes-not-integer",
+         "sizes-zero-factor"],
 )
 def test_validation_error_message(tmp_path, capsys, argv, config, first_line):
     if config is not None:

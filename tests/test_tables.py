@@ -187,10 +187,20 @@ class TestTimeTables:
         swapped = _ctk_table(e[None, :], e[:, None], alpha)
         assert _same(swapped, [[_ctk(t, eta, alpha) for t in e] for eta in e])
 
-    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9, 1.0])
-    @pytest.mark.parametrize("nodes", [8, 64])
-    def test_double_transform(self, alpha, nodes):
-        e = self.ETAS
+    # 49 distinct values: each branch holds 1176 pairs, more than one block of operator._PAIR_BLOCK
+    DENSE_ETAS = np.array(sorted({e for _, e in _jittered(7, 7)}))
+
+    # one-node and odd node counts, and block edges, are where a batched dot could round differently
+    @pytest.mark.parametrize(
+        "alpha, dense",
+        [pytest.param(a, False, id=str(a)) for a in (0.3, 0.5, 0.7, 0.9, 1.0)]
+        + [pytest.param(a, True, id=f"{a}-dense") for a in (0.5, 0.8)],
+    )
+    @pytest.mark.parametrize("nodes", [1, 2, 8, 64, 65])
+    def test_double_transform(self, alpha, dense, nodes):
+        e = self.DENSE_ETAS if dense else self.ETAS
+        if dense:
+            assert e.size * (e.size - 1) // 2 > operator_module._PAIR_BLOCK
         table = _dc_table(e[:, None], e[None, :], alpha, nodes)
         assert _same(table, [[_dc(t_i, t_j, alpha, nodes) for t_j in e] for t_i in e])
 
