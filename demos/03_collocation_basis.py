@@ -16,10 +16,10 @@ from rkburgers import (
     assemble_gram,
     build_basis,
     build_example51,
-    caputo_time_kernel,
     compute_beta,
     psi_eval,
 )
+from rkburgers.operator import _ctk_table
 
 problem = build_example51(0.9)
 grid = CollocationGrid.uniform(3, 3)
@@ -35,9 +35,11 @@ print("\npsi_4 on the boundaries:",
 print("psi_4 at an interior point:", psi_eval(b, 0.45, 0.8))
 
 # The time factor of the fractional term is the Caputo transform of the
-# cubic kernel, closed form via weighted moments.
-print("caputo_time_kernel(eta=0.8, t=2/3, alpha=0.9):",
-      caputo_time_kernel(0.8, 2.0 / 3.0, 0.9))
+# cubic kernel, closed form via weighted moments.  The solver tabulates it
+# once over the grid's distinct eta values: row eta, column t.
+etas = np.unique([e for _, e in grid.points])
+print("\nsingle Caputo transform table over eta = 1/3, 2/3, 1 (alpha = 0.9):")
+print(_ctk_table(etas[:, None], etas[None, :], problem.alpha))
 
 # Gram matrix: symmetric, positive definite, and orthonormalizable.
 gram = assemble_gram(grid, problem)

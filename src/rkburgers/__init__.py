@@ -36,8 +36,6 @@ from .operator import (
     Problem,
     assemble_gram,
     build_basis,
-    caputo_time_kernel,
-    double_caputo_time_kernel,
     psi_eval,
 )
 from .orthonormalize import GramAsymmetryError, NotPositiveDefiniteError, OrthonormalBasis, compute_beta
@@ -77,8 +75,6 @@ __all__ = [
     "Problem",
     "assemble_gram",
     "build_basis",
-    "caputo_time_kernel",
-    "double_caputo_time_kernel",
     "psi_eval",
     "NotPositiveDefiniteError",
     "GramAsymmetryError",

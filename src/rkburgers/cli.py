@@ -313,12 +313,13 @@ def _cmd_convergence(cfg: RunConfig) -> int:
         raise ValueError("convergence requires --sizes, e.g. --sizes 9,25,49 or 3x3,5x5")
     sizes = _parse_sizes(cfg.sizes)
     for p, q in sizes:
-        if p < 1 or q < 1 or p * q > MAX_POINTS:
+        if p * q > MAX_POINTS:
             raise ValueError(f"size {p}x{q} outside the guard rail")
     problem = _build_problem(cfg)
     if problem.exact is None:
         raise ValueError("convergence study requires a problem with an exact solution")
     mesh = parse_mesh(cfg.mesh)
+    _check_writable(cfg.out)
     rows = convergence_study(
         problem,
         sizes,

@@ -10,7 +10,7 @@ with D_eta^alpha the Caputo derivative in time.  Each collocation point
 product kernel in its parameter slots, with the coefficient functions
 frozen at the point:
 
-    psi_i(xi, eta) = caputo_time_kernel(eta, eta_i) * r3(xi_i, xi)
+    psi_i(xi, eta) = (D_r^alpha r2(r, eta))(eta_i) * r3(xi_i, xi)
                      + r2(eta_i, eta) * [ k1_i * d2/dx2 r3(x, xi)|_{x=xi_i}
                                           + k2_i * r3(xi_i, xi)
                                           + k3_i * d/dx r3(x, xi)|_{x=xi_i} ]
@@ -27,10 +27,10 @@ the two xi values, and a time factor, a function of the two eta values.
 ``BasisTables`` tabulates the factors once over the distinct coordinates
 and combines them with array code; it holds the only implementation of
 psi and of L psi.  The time factors are ``_ctk_table`` (the single
-transform, in either slot) and ``_dc_table`` (the double transform), and
-the public one-value functions ``caputo_time_kernel``,
-``double_caputo_time_kernel`` and ``psi_eval`` are 0-d calls of them.
-The scalar code they replaced is kept, frozen, as the tests' reference.
+transform, in either slot) and ``_dc_table`` (the double transform), each
+the one formula for its transform; ``psi_eval`` is a 0-d call of the
+tables.  The scalar code they replaced is kept, frozen, as the tests'
+reference.
 
 A build takes every r3 derivative order it needs from one ``r3`` call
 over stacked orders.  Where its point eta values are its basis eta
@@ -62,8 +62,6 @@ __all__ = [
     "GramMatrix",
     "GramAssemblyError",
     "BasisTables",
-    "caputo_time_kernel",
-    "double_caputo_time_kernel",
     "build_basis",
     "psi_eval",
     "assemble_gram",
@@ -178,43 +176,6 @@ class GramAssemblyError(RuntimeError):
         self.col = col
 
 
-def caputo_time_kernel(eta: float, t_i: float, alpha) -> float:
-    """Caputo derivative of r -> r2(r, eta), taken at r = t_i, in closed form.
-
-    The integrand d/dr r2(r, eta) is -r**2/2 + eta*r + eta for r < eta and
-    the constant eta + eta**2/2 beyond, so the weakly singular integral
-    splits at r = min(eta, t_i) into weighted_moment pieces.
-    """
-    a = order_value(alpha)
-    if not (0.0 <= eta <= 1.0 and 0.0 <= t_i <= 1.0):
-        raise ValueError(f"arguments ({eta}, {t_i}) outside [0, 1]")
-    return float(_ctk_table(eta, t_i, a))
-
-
-def double_caputo_time_kernel(
-    t_i: float, t_j: float, alpha, nodes: int = DEFAULT_QUADRATURE_NODES
-) -> float:
-    """Caputo derivative, at t_j, of eta -> caputo_time_kernel(eta, t_i).
-
-    The inner transform's eta-derivative collapses to
-
-        h(eta) = [ K1 - (t_i - eta)**(2 - alpha) / ((1-alpha)(2-alpha)) ] / gamma(1-alpha)
-
-    for eta < t_i and the constant K1 / gamma(1-alpha) beyond, with
-    K1 = (1 + t_i) t_i**(1-alpha)/(1-alpha) - t_i**(2-alpha)/(2-alpha).
-    The outer integral of the constant part is elementary; the fractional
-    power is integrated over (0, min(t_i, t_j)) by an n-node Gauss-Jacobi
-    rule with the singular endpoint factor absorbed into the rule weight:
-    exponent -alpha when the weight singularity at t_j lies inside the
-    subrange, exponent 2 - alpha when the kernel's own fractional power
-    is the endpoint factor.
-    """
-    a = order_value(alpha)
-    if not (0.0 <= t_i <= 1.0 and 0.0 <= t_j <= 1.0):
-        raise ValueError(f"arguments ({t_i}, {t_j}) outside [0, 1]")
-    return float(_dc_table(t_i, t_j, a, nodes))
-
-
 def build_basis(grid: CollocationGrid, problem: Problem) -> list:
     """Basis functions for every collocation point, coefficients frozen at the centres.
 
@@ -243,14 +204,18 @@ def psi_eval(b: BasisFunction, xi: float, eta: float, dxi_order: int = 0) -> flo
 
 
 def _ctk_table(eta, t_i, a: float) -> np.ndarray:
-    """``caputo_time_kernel(eta, t_i, a)`` over broadcast arrays of eta and t_i in [0, 1].
+    """The Caputo derivative of r -> r2(r, eta), taken at r = t_i, over broadcast arrays in [0, 1]:
 
-    The integrand splits at m = min(eta, t_i).  Below m it is a quadratic
-    in r, whose three moments come from one ``weighted_moment`` call; the
-    constant eta + eta**2/2 beyond eta integrates in closed form to
-    (t_i - m)**(1 - a) / (1 - a) times it, the power from ``_power_table``
-    as the moment's would be, and is added only where t_i > eta.  t_i = 0
-    gives exactly 0.  At a = 1 the transform is the plain derivative of r2.
+        (1 / gamma(1 - a)) * int_0^t_i (t_i - r)**(-a) d/dr r2(r, eta) dr.
+
+    The integrand's smooth factor d/dr r2(r, eta) is -r**2/2 + eta*r + eta
+    for r < eta and the constant eta + eta**2/2 beyond, so the integral
+    splits at m = min(eta, t_i).  Below m the three moments of the
+    quadratic come from one ``weighted_moment`` call; the constant part
+    integrates in closed form to (t_i - m)**(1 - a) / (1 - a) times it,
+    the power from ``_power_table`` as the moment's would be, and is added
+    only where t_i > eta.  t_i = 0 gives exactly 0.  At a = 1 the
+    transform is the plain derivative of r2.
     """
     eta, t_i = np.asarray(eta, dtype=float), np.asarray(t_i, dtype=float)
     if a == 1.0:
@@ -283,15 +248,26 @@ def _rule_sums(rule, outer, inner, power) -> np.ndarray:
 
 
 def _dc_table(t_i, t_j, a: float, n_nodes: int) -> np.ndarray:
-    """``double_caputo_time_kernel(t_i, t_j, a, n_nodes)`` over broadcast arrays in [0, 1].
+    """The Caputo derivative, taken at t_j, of eta -> ``_ctk_table(eta, t_i, a)``, over broadcast arrays in [0, 1].
 
-    The constant part is closed form; the fractional part is exact where
-    t_i == t_j and otherwise one n_nodes-point Gauss-Jacobi sum per pair,
-    the rule's weight exponent chosen by which of t_i, t_j is smaller, and
-    each branch's sums come from ``_rule_sums`` in whole-block calls.
-    Every fractional power of a coordinate comes from one
-    ``_power_table`` over the arguments before they are broadcast.  A
-    node count that is not an integer >= 1 raises ValueError, at a = 1 too.
+    The single transform's eta-derivative collapses to
+
+        h(eta) = [ K1 - (t_i - eta)**(2 - a) / ((1 - a)(2 - a)) ] / gamma(1 - a)
+
+    for eta < t_i and the constant K1 / gamma(1 - a) beyond, with
+    K1 = (1 + t_i) t_i**(1 - a) / (1 - a) - t_i**(2 - a) / (2 - a).  The
+    outer integral of the constant part is elementary.  The fractional
+    power is integrated over (0, min(t_i, t_j)): exactly where t_i == t_j,
+    and otherwise by one n_nodes-point Gauss-Jacobi sum per pair with the
+    singular endpoint factor absorbed into the rule weight: exponent -a
+    when the weight singularity at t_j lies inside the subrange (t_j < t_i),
+    exponent 2 - a when the kernel's own fractional power is the endpoint
+    factor (t_j > t_i).  Each branch's sums come from ``_rule_sums`` in
+    whole-block calls.  Every fractional power of a coordinate comes from
+    one ``_power_table`` over the arguments before they are broadcast.  A
+    zero in either slot gives exactly 0; at a = 1 the transform is
+    1 + min(t_i, t_j).  A node count that is not an integer >= 1 raises
+    ValueError, at a = 1 too.
     """
     _check_count("node count", n_nodes)
     bases = t_i, t_j

@@ -388,6 +388,13 @@ class TestConvergenceCommand:
             ["convergence", "--example", "1", "--alpha", "0.9", "--sizes", "10"]
         ) == 1
 
+    def test_unwritable_output_fails_before_the_study(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("rkburgers.cli.convergence_study", lambda *args: pytest.fail("studied before the check"))
+        bad = tmp_path / "missing" / "c.csv"
+        assert main(["convergence", "--example", "1", "--sizes", "4", "--out", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"validation error: cannot write {bad}: ")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestExitCodes:
     def test_unknown_flag_is_validation(self):

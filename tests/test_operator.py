@@ -8,13 +8,14 @@ from rkburgers.fracmath import gamma, jacobi_rule
 from rkburgers.kernels import r2, r3
 from rkburgers.operator import (
     BasisFunction,
+    BasisTables,
     CollocationGrid,
     GramAssemblyError,
     Problem,
+    _ctk_table,
+    _dc_table,
     assemble_gram,
     build_basis,
-    caputo_time_kernel,
-    double_caputo_time_kernel,
     psi_eval,
 )
 from rkburgers.problems import build_example51
@@ -25,6 +26,22 @@ from rkburgers.verification import double_caputo_oracle, time_kernel_oracle
 def _pure_fractional_problem(alpha=0.5):
     zero = lambda xi, eta: 0.0
     return Problem(alpha=alpha, k1=zero, k2=zero, k3=zero, k4=zero, f=zero)
+
+
+def _single(eta, t_i, a):
+    """One value of the single Caputo transform table."""
+    return float(_ctk_table(eta, t_i, a))
+
+
+def _double(t_i, t_j, a, nodes):
+    """One value of the double Caputo transform table."""
+    return float(_dc_table(t_i, t_j, a, nodes))
+
+
+def _time_tables(t_basis, t_point, nodes=None):
+    """Tables of one basis function centred at time t_basis, at one point at time t_point."""
+    b = BasisFunction(xi=0.5, eta=t_basis, k1=0.0, k2=0.0, k3=0.0, alpha=0.5)
+    return BasisTables([b], [0.5], [t_point], nodes)
 
 
 class TestCollocationGrid:
@@ -58,45 +75,48 @@ class TestCollocationGrid:
 
 
 class TestCaputoTimeKernel:
+    """The single Caputo transform of r2, ``_ctk_table``, one value at a time."""
+
     def test_zero_evaluation_point(self):
-        assert caputo_time_kernel(0.5, 0.0, 0.7) == 0.0
+        assert _single(0.5, 0.0, 0.7) == 0.0
 
     def test_whole_range_below_breakpoint(self):
         # evaluation point below eta, single weighted-moment piece
-        value = caputo_time_kernel(0.4, 0.2, 0.5)
+        value = _single(0.4, 0.2, 0.5)
         assert value == pytest.approx(0.22338133261618484, rel=1e-12)
         assert value == pytest.approx(time_kernel_oracle(0.4, 0.2, 0.5), abs=1e-10)
 
     def test_split_range(self):
-        value = caputo_time_kernel(0.2, 0.4, 0.5)
+        value = _single(0.2, 0.4, 0.5)
         assert value == pytest.approx(0.15572487490144987, rel=1e-12)
         assert value == pytest.approx(time_kernel_oracle(0.2, 0.4, 0.5), abs=1e-10)
 
     def test_continuous_across_the_breakpoint(self):
         # the single- and split-range formulas must agree where they meet
         eta, a = 0.35, 0.8
-        below = caputo_time_kernel(eta, eta - 1e-12, a)
-        above = caputo_time_kernel(eta, eta + 1e-12, a)
-        at = caputo_time_kernel(eta, eta, a)
+        below = _single(eta, eta - 1e-12, a)
+        above = _single(eta, eta + 1e-12, a)
+        at = _single(eta, eta, a)
         assert below == pytest.approx(at, abs=1e-10)
         assert above == pytest.approx(at, abs=1e-10)
 
     def test_classical_limit_at_order_one(self):
         # at order one the transform is the plain kernel derivative, and
         # the weakly singular formulas approach it continuously
-        assert caputo_time_kernel(0.5, 0.4, 1.0) == r2(0.4, 0.5, 1, 0)
-        assert caputo_time_kernel(0.5, 0.4, 0.9999) == pytest.approx(
-            caputo_time_kernel(0.5, 0.4, 1.0), abs=1e-3
-        )
+        assert _single(0.5, 0.4, 1.0) == r2(0.4, 0.5, 1, 0)
+        assert _single(0.5, 0.4, 0.9999) == pytest.approx(_single(0.5, 0.4, 1.0), abs=1e-3)
 
+    # a time outside [0, 1] reaches users through the tables' r2 call: the
+    # point's time is the transform's eta, the basis function's its t_i
     def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            caputo_time_kernel(1.3, 0.5, 0.5)
+        with pytest.raises(ValueError, match="outside"):
+            _time_tables(0.5, 1.3)
 
     @pytest.mark.parametrize("args", [(math.nan, 0.5), (0.5, math.nan)])
     def test_nan_rejected(self, args):
+        eta, t_i = args
         with pytest.raises(ValueError, match="outside"):
-            caputo_time_kernel(*args, 0.5)
+            _time_tables(t_i, eta)
 
     def test_against_oracle_at_random_triples(self):
         rng = np.random.default_rng(42)
@@ -104,57 +124,56 @@ class TestCaputoTimeKernel:
             eta = float(rng.uniform(0.02, 1.0))
             t = float(rng.uniform(0.02, 1.0))
             a = float(rng.uniform(0.1, 0.95))
-            assert caputo_time_kernel(eta, t, a) == pytest.approx(
-                time_kernel_oracle(eta, t, a), abs=1e-8
-            )
+            assert _single(eta, t, a) == pytest.approx(time_kernel_oracle(eta, t, a), abs=1e-8)
 
 
 class TestDoubleCaputoTimeKernel:
+    """The double Caputo transform of r2, ``_dc_table``, one value at a time."""
+
     def test_diagonal_closed_form(self):
         # for equal time slots the whole transform is elementary:
         # (t + t**2/(3-2a)) adjusted by the measure constants; at
         # t = 0.2, a = 0.5 the value is 0.88 / pi
-        value = double_caputo_time_kernel(0.2, 0.2, 0.5, 64)
+        value = _double(0.2, 0.2, 0.5, 64)
         assert value == pytest.approx(0.88 / math.pi, rel=1e-13)
 
     def test_symmetry_of_the_two_quadrature_routes(self):
-        ab = double_caputo_time_kernel(0.2, 0.4, 0.5, 64)
-        ba = double_caputo_time_kernel(0.4, 0.2, 0.5, 64)
+        ab = _double(0.2, 0.4, 0.5, 64)
+        ba = _double(0.4, 0.2, 0.5, 64)
         assert ab == pytest.approx(ba, rel=1e-12)
         assert ab == pytest.approx(double_caputo_oracle(0.2, 0.4, 0.5), abs=1e-10)
 
     @pytest.mark.parametrize("a", [0.3, 0.7, 0.9])
     def test_against_two_dimensional_oracle(self, a):
         for t_i, t_j in ((0.2, 0.2), (0.15, 0.6), (0.6, 0.15), (0.9, 1.0), (1.0, 1.0)):
-            assert double_caputo_time_kernel(t_i, t_j, a, 64) == pytest.approx(
-                double_caputo_oracle(t_i, t_j, a), abs=1e-8
-            )
+            assert _double(t_i, t_j, a, 64) == pytest.approx(double_caputo_oracle(t_i, t_j, a), abs=1e-8)
 
     @pytest.mark.parametrize("a", [0.3, 0.7, 0.9])
     def test_node_count_convergence(self, a):
         for t_i, t_j in ((0.2, 0.2), (0.15, 0.6), (0.6, 0.15), (0.9, 1.0)):
-            v64 = double_caputo_time_kernel(t_i, t_j, a, 64)
-            v128 = double_caputo_time_kernel(t_i, t_j, a, 128)
+            v64 = _double(t_i, t_j, a, 64)
+            v128 = _double(t_i, t_j, a, 128)
             assert abs(v64 - v128) <= 1e-10
 
     @pytest.mark.parametrize("args", [(1.3, 0.5), (0.5, -0.1), (math.nan, 0.5), (0.5, math.nan)])
     def test_domain_validation(self, args):
+        # t_i is the basis function's time, t_j the point's
         with pytest.raises(ValueError, match="outside"):
-            double_caputo_time_kernel(*args, 0.5)
+            _time_tables(*args, nodes=64)
 
     def test_failing_rule_raises_its_own_error(self):
         # t_i < t_j needs a rule; no nodes is the rule's ValueError, not a private one
         with pytest.raises(ValueError, match="node count"):
-            double_caputo_time_kernel(0.2, 0.4, 0.5, 0)
+            _double(0.2, 0.4, 0.5, 0)
 
     def test_degenerate_time_slot(self):
-        assert double_caputo_time_kernel(0.5, 0.0, 0.5, 64) == 0.0
-        assert double_caputo_time_kernel(0.0, 0.5, 0.5, 64) == 0.0
+        assert _double(0.5, 0.0, 0.5, 64) == 0.0
+        assert _double(0.0, 0.5, 0.5, 64) == 0.0
 
     def test_classical_limit_at_order_one(self):
         # the doubly transformed kernel degenerates to 1 + min(r, s)
-        assert double_caputo_time_kernel(0.3, 0.7, 1.0, 64) == 1.3
-        near = double_caputo_time_kernel(0.3, 0.7, 0.9999, 64)
+        assert _double(0.3, 0.7, 1.0, 64) == 1.3
+        near = _double(0.3, 0.7, 0.9999, 64)
         assert near == pytest.approx(double_caputo_oracle(0.3, 0.7, 0.9999), abs=1e-8)
         assert near == pytest.approx(1.3, abs=1e-3)
 
@@ -182,7 +201,7 @@ class TestPsiEval:
     def test_pure_fractional_center_factorizes(self):
         problem = _pure_fractional_problem(0.5)
         b = BasisFunction(xi=0.2, eta=0.2, k1=0.0, k2=0.0, k3=0.0, alpha=0.5)
-        expected = caputo_time_kernel(0.4, 0.2, 0.5) * r3(0.2, 0.5)
+        expected = _single(0.4, 0.2, 0.5) * r3(0.2, 0.5)
         assert psi_eval(b, 0.5, 0.4) == pytest.approx(expected, rel=1e-14)
 
     def test_xi_derivative_against_finite_differences(self):
@@ -207,7 +226,7 @@ class TestGramEntry:
         problem = _pure_fractional_problem(0.5)
         grid = CollocationGrid.from_points([(0.5, 0.5)])
         basis = build_basis(grid, problem)
-        expected = double_caputo_time_kernel(0.5, 0.5, 0.5, 64) * 0.06315104166666667
+        expected = _double(0.5, 0.5, 0.5, 64) * 0.06315104166666667
         assert apply_operator(basis[0], problem, 0.5, 0.5) == pytest.approx(expected, rel=1e-13)
 
     def test_adjoint_symmetry_small_grid(self):
@@ -277,7 +296,7 @@ class TestAssembleGram:
                         assemble_gram(grid, build_example51(alpha), nodes=nodes)
             for t_i, t_j in ((0.5, 0.5), (0.3, 0.5)):
                 with pytest.raises(ValueError, match="node count must be an integer >= 1"):
-                    double_caputo_time_kernel(t_i, t_j, 0.8, nodes=nodes)
+                    _dc_table(t_i, t_j, 0.8, nodes)
             with pytest.raises(ValueError, match="node count must be an integer >= 1"):
                 jacobi_rule(-0.5, nodes)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rkburgers.operator import CollocationGrid, Problem
-from rkburgers.problems import build_example51
+from rkburgers.problems import build_example51, build_example52
 from rkburgers.solver import (
     SolverOptions,
     convergence_study,
@@ -241,6 +241,33 @@ class TestErrorReport:
         report = error_report(sol, TABLE_POINTS)
         assert report.max_abs_error <= 6.62e-3
         assert report.rows[0][3] <= 2.39e-3  # point (0.1, 0.1)
+
+
+class TestTimeMajorSweep:
+    """The paper's tables under the time-major sweep: for each eta, every xi.
+
+    ``CollocationGrid.uniform`` orders its points time-fastest; the same
+    points in time-major order, through ``from_points``, reproduce the
+    paper's example 5.2 maxima (7.67e-3, 6.29e-3, 4.39e-3) and its
+    example 5.1 ones.
+    """
+
+    @pytest.mark.parametrize(
+        "build, p, alpha, expected",
+        [
+            (build_example52, 10, 0.9, 7.676e-3),
+            (build_example52, 10, 0.8, 6.294e-3),
+            (build_example52, 10, 0.7, 4.398e-3),
+            (build_example51, 5, 0.9, 6.626e-4),
+            (build_example51, 5, 0.8, 6.914e-4),
+            (build_example51, 5, 0.7, 7.525e-4),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_table_maxima(self, build, p, alpha, expected):
+        grid = CollocationGrid.from_points([(i / p, j / p) for j in range(1, p + 1) for i in range(1, p + 1)])
+        report = error_report(solve(build(alpha), grid), TABLE_POINTS)
+        assert report.max_abs_error == pytest.approx(expected, rel=1e-2)
 
 
 class TestConvergenceStudy:

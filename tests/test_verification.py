@@ -45,6 +45,13 @@ class TestBrokenFixtures:
         assert result.measure > 1e-3 or math.isinf(result.measure)
 
 
+    def test_failing_node_half_reports_its_own_measure(self):
+        # the oracle half passes; the 64- vs 128-node half cannot meet 1e-20
+        result = check_double_caputo(tol_nodes=1e-20)
+        assert not result.passed
+        assert result.measure > result.tol
+        assert result.line().startswith("FAIL")
+
     def test_under_resolved_quadrature_fails_the_gram_check(self):
         result = check_gram(build_example52(0.8), CollocationGrid.uniform(6, 6), nodes=2)
         assert not result.passed
