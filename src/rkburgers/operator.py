@@ -24,9 +24,10 @@ quadrature with the range split at the inner evaluation time.
 
 Every such value is a sum of products of an r3 space factor, a function of
 the two xi values, and a time factor, a function of the two eta values.
-``BasisTables`` tabulates the factors once over the distinct coordinates
-and combines them with array code; it holds the only implementation of
-psi and of L psi.  The time factors are ``_ctk_table`` (the single
+``BasisTables`` tabulates the factors once over the distinct coordinates,
+gathers each block's factors once per distinct point coordinate in the
+block, and combines them with array code; it holds the only
+implementation of psi and of L psi.  The time factors are ``_ctk_table`` (the single
 transform, in either slot) and ``_dc_table`` (the double transform), each
 the one formula for its transform; ``psi_eval`` is a 0-d call of the
 tables.  The scalar code they replaced is kept, frozen, as the tests'
@@ -39,6 +40,7 @@ is the basis-slot table transposed, so a solve and its error report
 build two single-transform tables, not three.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -303,15 +305,20 @@ class BasisTables:
     and each table is filled by array code: the kernels' array form for
     the space factors and r2, ``_ctk_table`` and ``_dc_table`` for the
     Caputo transforms.  Each table is raveled once, as it is built, with
-    a row per distinct point coordinate.  ``psi`` and ``operator`` gather
-    the factors for an index (or index array, or slice) of points and of
-    basis functions, broadcast together, by one flat index per coordinate
-    (the point's row offset plus the basis function's column) and one
-    ``take`` of each table, and combine them.  They are the package's only
-    formulas for psi and L psi; the operations and their order are those
-    of the scalar reference the tests hold, so each value is bit-identical
-    to it.  ``_coeffs`` holds the basis functions' frozen k1, k2, k3 as
-    one 3 x n array, from which the Gram's rows read their coefficients.
+    a row per distinct point coordinate.  ``psi`` and ``operator`` work on
+    a block: an index (or index array, or slice) of points along one axis
+    and one of basis functions along the others, broadcast together.  A
+    block's space factors depend only on its distinct point xi values and
+    its time factors only on its distinct eta values, so the gather reads
+    and forms each factor once per distinct coordinate in the block, with
+    one flat index per coordinate (the point's row offset plus the basis
+    function's column) and one ``take`` of each table, and expands it to
+    the block with one ``take`` along the point axis.  The factors are
+    then combined in place.  These are the package's only formulas for psi
+    and L psi; the operations and their order are those of the scalar
+    reference the tests hold, so each value is bit-identical to it.
+    ``_coeffs`` holds the basis functions' frozen k1, k2, k3 as one 3 x n
+    array, from which the Gram's rows read their coefficients.
 
     ``nodes`` is the quadrature node count of the double transform; without
     it only the factors of psi are tabulated.  A node count that is not an
@@ -345,53 +352,94 @@ class BasisTables:
                 self._caputo_point = _ctk_table(be[None, :], pe[:, None], a).ravel()
             self._caputo_both = _dc_table(be[None, :], pe[:, None], a, nodes).ravel()
 
-    def _gather(self, points, fns, orders):
-        """The time tables' flat index, then psi_l's two space factors at each xi-derivative order.
+    def _gather(self, points, fns, orders, times):
+        """The time tables ``times``, then psi_l's two space factors at each xi-derivative order, over a block.
 
-        A flat index is the point's row offset plus the basis function's
-        column, and each space table is read with one ``take`` of it.  The
-        space factors are r3 and k1 d2r3 + k2 r3 + k3 dr3: the named
-        derivatives and k1, k2, k3 are at psi_l's centre, the order is the
-        point's xi-derivative.
+        A space factor depends only on the block's distinct point xi
+        values and a time factor only on its distinct eta values, so each
+        is computed on (distinct coordinates x functions) and expanded to
+        the block with one ``take`` along its point axis (``_distinct``).
+        Each table is read with one ``take`` of a flat index: the point's
+        row offset plus the basis function's column.  The space factors
+        are r3 and k1 d2r3 + k2 r3 + k3 dr3: the named derivatives and
+        k1, k2, k3 are at psi_l's centre, the order is the point's
+        xi-derivative.
         """
-        x = self._point_x[points] + self._basis_x[fns]
-        t = self._point_eta[points] + self._basis_eta[fns]
+        x, spread_x = _distinct(self._point_x[points], self._basis_x[fns])
+        t, spread_t = _distinct(self._point_eta[points], self._basis_eta[fns])
         k1, k2, k3 = self._coeffs[:, fns]
         factors = []
         for d in orders:
             frac = self._space[0, d].take(x)
-            factors.append((frac, k1 * self._space[2, d].take(x) + k2 * frac + k3 * self._space[1, d].take(x)))
-        return t, factors
+            smooth = k1 * self._space[2, d].take(x) + k2 * frac + k3 * self._space[1, d].take(x)
+            factors.append((spread_x(frac), spread_x(smooth)))
+        return [spread_t(table.take(t)) for table in times], factors
 
     def psi(self, points, fns, dxi_order=0) -> np.ndarray:
         """psi_l (or its xi-derivative, dxi_order 0 or 1) at the points.
 
         ``dxi_order`` may be a sequence of orders: the result then holds
         one array per order, stacked along a new first axis, from one
-        flat index per coordinate and one read of each time table.
+        gather of the block.
         """
         orders = np.ravel(dxi_order).tolist()
         for d in orders:
             if d not in (0, 1):
                 raise ValueError(f"dxi_order must be 0 or 1, got {d}")
-        t, factors = self._gather(points, fns, orders)
-        r2v, phi = self._r2.take(t), self._caputo_basis.take(t)
-        rows = [r2v * smooth + phi * frac for frac, smooth in factors]
+        (r2v, phi), factors = self._gather(points, fns, orders, (self._r2, self._caputo_basis))
+        rows = [_combine(r2v, smooth, phi, frac) for frac, smooth in factors]
         return np.stack(rows) if np.ndim(dxi_order) else rows[0]
 
     def operator(self, points, fns, c1, c2, c3) -> np.ndarray:
-        """(L psi_l) at the points with coefficients c1, c2, c3 sampled there; needs ``nodes``."""
-        t, factors = self._gather(points, fns, range(3))
-        r2v = self._r2.take(t)
-        phi = self._caputo_basis.take(t)  # fractional time factor of psi_l itself
-        # psi_l and its first two xi-derivatives at the points
-        psi0, psi1, psi2 = (r2v * smooth + phi * frac for frac, smooth in factors)
-        total = c1 * psi2 + c2 * psi0 + c3 * psi1
-        # Caputo transform, at the point, of each of psi_l's two time factors.
+        """(L psi_l) at the points with coefficients c1, c2, c3 sampled there, each broadcasting to the block; needs ``nodes``."""
+        times = self._r2, self._caputo_basis, self._caputo_point, self._caputo_both
+        (r2v, phi, caputo_point, caputo_both), factors = self._gather(points, fns, range(3), times)
+        # Caputo transform, at the point, of each of psi_l's two time factors,
+        # taken before the order-0 factors become psi_l below.
         frac, smooth = factors[0]
-        total += self._caputo_point.take(t) * smooth
-        total += self._caputo_both.take(t) * frac
-        return total
+        caputo_point *= smooth
+        caputo_both *= frac
+        # psi_l and its first two xi-derivatives at the points; phi is psi_l's own fractional time factor
+        psi0, psi1, psi2 = (_combine(r2v, smooth, phi, frac) for frac, smooth in factors)
+        # c1 * psi2 + c2 * psi0 + c3 * psi1, then the two Caputo terms
+        psi2 *= c1
+        psi0 *= c2
+        psi2 += psi0
+        psi1 *= c3
+        psi2 += psi1
+        psi2 += caputo_point
+        psi2 += caputo_both
+        return psi2
+
+
+def _combine(r2v, smooth, phi, frac):
+    """r2v * smooth + phi * frac, in the storage of the block-sized factors smooth and frac."""
+    smooth *= r2v
+    frac *= phi
+    smooth += frac
+    return smooth
+
+
+def _distinct(rows, cols):
+    """A block's flat table index over its distinct point rows, and the expansion of a factor back to the block.
+
+    ``rows`` are the points' row offsets and ``cols`` the basis
+    functions' columns; broadcast together they span the block.  The
+    points lie along one axis of the block and the functions along the
+    others, so a factor of (distinct rows) + cols, with the distinct rows
+    on that axis, is expanded by one ``take`` of each point's place among
+    them.  A single point is its own distinct set.
+    """
+    if rows.size == 1:
+        return rows + cols, lambda factor: factor
+    block = np.broadcast(rows, cols).shape
+    shape = (1,) * (len(block) - rows.ndim) + rows.shape
+    if rows.size not in shape or rows.size * cols.size != math.prod(block):
+        raise ValueError("a block's points must lie along one axis and its basis functions along the others")
+    axis = shape.index(rows.size)
+    # raveled, so the inverse is flat under every numpy version
+    distinct, inverse = np.unique(rows.ravel(), return_inverse=True)
+    return distinct.reshape(shape[:axis] + (-1,) + shape[axis + 1 :]) + cols, lambda factor: factor.take(inverse, axis)
 
 
 def assemble_gram(

@@ -37,7 +37,7 @@ __all__ = ["OrthonormalBasis", "NotPositiveDefiniteError", "GramAsymmetryError",
 _SYMMETRY_TOL = 1e-8
 _SLICES = 3
 _INVERSE_BLOCK = 32  # below this size the triangular inverse is a row loop
-_ROW_BLOCK = 64  # rows, or columns of L L', per block of an error-free product
+_ROW_BLOCK = 64  # rows of G per symmetry-check panel; rows, or columns of L L', per block of an error-free product
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -254,15 +254,23 @@ def compute_beta(gram: GramMatrix) -> OrthonormalBasis:
     n = g.shape[0]
     if g.shape != (n, n):
         raise ValueError(f"gram matrix must be square, got shape {g.shape}")
-    # Each n x n intermediate is released once used: together they set the
-    # peak memory of a solve.
-    if n:
-        asym = np.abs(g - g.T) / (1.0 + np.abs(g))
-        worst = int(np.argmax(asym))  # a NaN entry is left to the pivots
-        if asym.flat[worst] > _SYMMETRY_TOL:
-            raise GramAsymmetryError(*divmod(worst, n), float(asym.flat[worst]))
-        del asym
-    a = g + g.T
+    # One pass over row panels of G and the matching column panels checks
+    # the asymmetry and symmetrizes, so no temporary is larger than a panel.
+    # Each n x n intermediate after it is released once used: together they
+    # set the peak memory of a solve.
+    a = np.empty((n, n))
+    worst, where = -1.0, (0, 0)
+    for start in range(0, n, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        panel, mirror = g[rows], g[:, rows].T
+        np.add(panel, mirror, out=a[rows])
+        if not math.isnan(worst):  # a NaN entry is left to the pivots, as argmax over all of G finds it first
+            asym = np.abs(panel - mirror) / (1.0 + np.abs(panel))
+            at = int(np.argmax(asym))
+            if not asym.flat[at] <= worst:  # larger, or NaN; a tie keeps the first in row-major order
+                worst, where = float(asym.flat[at]), (start + at // n, at % n)
+    if worst > _SYMMETRY_TOL:
+        raise GramAsymmetryError(*where, worst)
     a *= 0.5
 
     diag = np.diag(a)

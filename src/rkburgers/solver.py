@@ -19,7 +19,10 @@ the dot product of the raw-coefficient prefix with that row.  Evaluation
 anywhere else builds tables at its own points, with ``evaluate`` taking
 whole arrays of points and gathering one block of points by one block of
 basis functions at a time, so its memory does not grow with points x
-functions.
+functions.  Each gather forms a factor once per distinct xi or eta value
+among its points (on a 51 x 51 surface, a block of 256 points holds
+about 6 distinct xi and 51 distinct eta values) and scales and sums the
+block's terms in place.
 """
 
 import math
@@ -116,17 +119,16 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
     B = np.zeros(n)
     cum = np.zeros(n)  # prefix of beta' B, coefficients over the raw basis
     for k, row0, row1 in _psi_rows(tables, n, lower=True):
-        yv = float(cum[:k] @ row0[:k])  # +0.0 at k = 0, an empty sum
-        dyv = float(cum[:k] @ row1[:k])
-        F[k] = f[k] - k4[k] * yv * dyv
-        _check_finite(F, k)
-        B[k] = float(beta[k, : k + 1] @ F[: k + 1])
-        cum[: k + 1] += B[k] * beta[k, : k + 1]
+        yv = float(np.dot(cum[:k], row0[:k]))  # +0.0 at k = 0, an empty sum
+        dyv = float(np.dot(cum[:k], row1[:k]))
+        F[k] = _finite(f[k] - k4[k] * yv * dyv, k)
+        b = beta[k, : k + 1]
+        B[k] = float(np.dot(b, F[: k + 1]))
+        cum[: k + 1] += B[k] * b
 
     for _ in range(opts.picard_iters):
         for k, row0, row1 in _psi_rows(tables, n, lower=False):
-            F[k] = f[k] - k4[k] * float(cum @ row0) * float(cum @ row1)
-            _check_finite(F, k)
+            F[k] = _finite(f[k] - k4[k] * float(np.dot(cum, row0)) * float(np.dot(cum, row1)), k)
         B = beta @ F
         cum = beta.T @ B
 
@@ -142,10 +144,11 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
     )
 
 
-def _check_finite(F, k):
-    """ArithmeticError naming collocation index k if F_k is not finite."""
-    if not math.isfinite(F[k]):
+def _finite(value: float, k: int) -> float:
+    """The right-hand side F_k, a Python float, or ArithmeticError naming collocation index k if it is not finite."""
+    if not math.isfinite(value):
         raise ArithmeticError(f"non-finite right-hand side at collocation index {k}")
+    return value
 
 
 def _psi_rows(tables: BasisTables, n: int, lower: bool):
@@ -191,14 +194,16 @@ def _expansion(s: ApproximateSolution, tables: BasisTables, points, dxi_order: i
 
     The sum runs over the nonzero raw coefficients, added in index order,
     on gathers of one block of basis functions that keep the temporaries
-    small.
+    small; each gathered block is scaled by its coefficients in place.
     """
     fns = np.flatnonzero(s.raw_coeffs != 0.0)
     coeffs = s.raw_coeffs[fns, None]
     total = np.zeros(np.size(points))
     for block in range(0, fns.size, _BLOCK):
         fn = slice(block, block + _BLOCK)
-        for row in coeffs[fn] * tables.psi(points, fns[fn, None], dxi_order):
+        terms = tables.psi(points, fns[fn, None], dxi_order)
+        terms *= coeffs[fn]
+        for row in terms:
             total += row
     return total
 

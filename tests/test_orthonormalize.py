@@ -113,6 +113,39 @@ class TestComputeBeta:
         assert "at entry (0, 2)" in str(err.value)
         assert isinstance(err.value, ValueError)
 
+    @staticmethod
+    def _check_over_all_of_g(g):
+        """The asymmetry check on all of G at once: argmax's (row, col) and value."""
+        asym = np.abs(g - g.T) / (1.0 + np.abs(g))
+        worst = int(np.argmax(asym))
+        return divmod(worst, g.shape[0]), asym.flat[worst]
+
+    def test_asymmetry_ties_across_panel_edges_name_the_first(self):
+        # G is checked in 64-row panels.  Rows 63 and 64 lie on either side of
+        # the first panel edge and rows 127 and 128 of the second; all four
+        # entries tie, and the first in row-major order is named.
+        g = np.eye(150)
+        for i in (63, 127):
+            g[i, i + 1], g[i + 1, i] = 1e-6, -1e-6
+        with pytest.raises(GramAsymmetryError) as err:
+            compute_beta(_gram(g))
+        where, value = self._check_over_all_of_g(g)
+        assert (err.value.row, err.value.col) == where == (63, 64)
+        assert err.value.asymmetry == value
+
+    @pytest.mark.parametrize("nan_row, asym_row", [(100, 3), (10, 100)], ids=["nan-after", "nan-before"])
+    def test_nan_entry_goes_on_to_the_pivots_past_any_asymmetry(self, nan_row, asym_row):
+        # argmax over all of G stops at a NaN, so an asymmetry beyond tolerance
+        # in another panel raises nothing; the NaN row fails its pivot
+        g = np.eye(150)
+        g[asym_row, asym_row + 2] = 1e-3
+        g[nan_row, 1] = g[1, nan_row] = np.nan
+        _, value = self._check_over_all_of_g(g)
+        assert math.isnan(value)
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            compute_beta(_gram(g))
+        assert err.value.pivot_index == nan_row
+
     def test_indefinite_matrix_reports_pivot(self):
         g = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(NotPositiveDefiniteError) as err:

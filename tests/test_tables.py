@@ -47,6 +47,10 @@ def _jittered(p, q):
 
 _JITTERED = _jittered(4, 4)
 
+# For each eta, every xi: each 64-row block of the Gram and the sweep holds
+# every xi value again and again, out of order, beside runs of one eta.
+_TIME_MAJOR = CollocationGrid.from_points([(i / 9, j / 9) for j in range(1, 10) for i in range(1, 10)])
+
 # The last two cases have more points than a gathered block (64) and not
 # a multiple of it, so they cross block edges in assembly, the sweep and
 # the evaluation of the solution.
@@ -56,6 +60,7 @@ CASES = {
     "ex1-alpha0.9-jittered": (build_example51, 0.9, CollocationGrid.from_points(_JITTERED)),
     "ex2-alpha0.8-9x9": (build_example52, 0.8, CollocationGrid.uniform(9, 9)),
     "ex1-alpha0.9-jittered-9x8": (build_example51, 0.9, CollocationGrid.from_points(_jittered(9, 8))),
+    "ex2-alpha0.8-9x9-time-major": (build_example52, 0.8, _TIME_MAJOR),
 }
 
 # includes xi = 0, xi = 1 and eta = 0, where the basis functions vanish
@@ -298,6 +303,27 @@ def test_sweep_rows_take_both_orders_from_one_gather():
         operator_module.psi_eval(basis[0], 0.5, 0.5, (0, 1))
 
 
+def test_time_major_sweep_rows_match_scalar_reference():
+    grid = _TIME_MAJOR
+    problem = build_example52(0.8)
+    basis = build_basis(grid, problem)
+    tables = assemble_gram(grid, problem, basis=basis).tables
+    for k, row0, row1 in _psi_rows(tables, grid.n, lower=False):
+        xi, eta = grid.points[k]
+        for order, row in ((0, row0), (1, row1)):
+            assert _same(row, [psi_eval(b, xi, eta, order) for b in basis]), (k, order)
+
+
+def test_blocks_whose_points_and_functions_share_an_axis_are_rejected():
+    # a gather factors through the block's distinct points along its one point axis
+    grid = CollocationGrid.uniform(3, 3)
+    tables = assemble_gram(grid, build_example51(0.9)).tables
+    with pytest.raises(ValueError, match="one axis"):
+        tables.psi(np.arange(3), np.arange(3))
+    with pytest.raises(ValueError, match="one axis"):
+        tables.psi(np.arange(6).reshape(2, 3)[..., None], np.arange(4))
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_solve_matches_scalar_reference(case):
     build, alpha, grid = CASES[case]
@@ -415,6 +441,24 @@ def test_evaluation_across_point_blocks_matches_scalar_reference(solution_factor
     for order in (0, 1):
         expected = [_reference_value(sol.raw_coeffs, sol.basis_functions, x, e, order) for x, e in points]
         assert _same(evaluate(sol, [x for x, _ in points], [e for _, e in points], order), expected)
+
+
+def test_evaluation_of_shuffled_repeated_points_matches_scalar_reference(solution_factory):
+    # Every point of a 12 x 12 lattice with its edges twice, and EDGE_POINTS:
+    # 295 points in shuffled order, so both point blocks (256 and 39) hold
+    # repeated, unsorted xi and eta values, xi in {0, 1} and eta = 0 among them.
+    sol = solution_factory("2", 0.8, 9, 9)
+    lattice = [(i / 11, j / 11) for i in range(12) for j in range(12)]
+    points = lattice + lattice + EDGE_POINTS
+    points = [points[k] for k in np.random.default_rng(5).permutation(len(points))]
+    xs, es = [x for x, _ in points], [e for _, e in points]
+    for order in (0, 1):
+        reference = {p: _reference_value(sol.raw_coeffs, sol.basis_functions, *p, order) for p in set(points)}
+        expected = [reference[p] for p in points]
+        assert _same(evaluate(sol, xs, es, order), expected)
+        for (x, e), v in zip(points, expected):
+            if e == 0.0 or (order == 0 and x in (0.0, 1.0)):
+                assert v == 0.0 and math.copysign(1.0, v) > 0.0
 
 
 def test_evaluate_keeps_the_shape_of_its_arguments(solution_factory):
