@@ -27,7 +27,6 @@ from .operator import CollocationGrid, GramAssemblyError
 from .orthonormalize import GramAsymmetryError, NotPositiveDefiniteError
 from .problems import build_custom, build_problem, COEFFICIENT_CATALOG
 from .solver import SolverOptions, convergence_study, error_report, evaluate, solve
-from .verification import run_default_checks
 
 __all__ = ["main", "RunConfig", "parse_mesh"]
 
@@ -300,6 +299,9 @@ def _cmd_solve(cfg: RunConfig) -> int:
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
+    # Only this subcommand uses the check battery, so no other start pays for its import.
+    from .verification import run_default_checks
+
     cfg.validate()
     results = run_default_checks(alpha=cfg.alpha, p=min(cfg.p, 4), q=min(cfg.q, 4), nodes=cfg.nodes)
     for res in results:

@@ -40,9 +40,8 @@ is the basis-slot table transposed, so a solve and its error report
 build two single-transform tables, not three.
 """
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -72,6 +71,7 @@ __all__ = [
 _BOUNDARY_TOL = 1e-12
 _ROW_BLOCK = 64  # Gram rows gathered at once
 _PAIR_BLOCK = 1024  # eta pairs per block of double-transform quadrature
+_ONE_AXIS = "a block's points must lie along one axis and its basis functions along the others"
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,7 @@ class CollocationGrid:
         return cls(tuple((float(x), float(e)) for x, e in points))
 
 
-@dataclass(frozen=True)
-class BasisFunction:
+class BasisFunction(NamedTuple):
     """Collocation basis function centred at (xi, eta), coefficients frozen there."""
 
     xi: float
@@ -154,8 +153,7 @@ class BasisFunction:
     alpha: float
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(NamedTuple):
     """Pairwise inner products of the collocation basis functions.
 
     ``tables`` are the ``BasisTables`` the entries were gathered from, at
@@ -163,7 +161,7 @@ class GramMatrix:
     """
 
     entries: np.ndarray
-    tables: Optional["BasisTables"] = field(default=None, repr=False, compare=False)
+    tables: Optional["BasisTables"] = None
 
 
 class GramAssemblyError(RuntimeError):
@@ -202,7 +200,8 @@ def psi_eval(b: BasisFunction, xi: float, eta: float, dxi_order: int = 0) -> flo
     """
     if np.ndim(dxi_order):
         raise ValueError(f"dxi_order must be 0 or 1, got {dxi_order}")
-    return float(BasisTables([b], [xi], [eta]).psi(0, 0, dxi_order))
+    tables = BasisTables([b], [xi], [eta])
+    return float(tables.psi(tables.at(0), 0, dxi_order))
 
 
 def _ctk_table(eta, t_i, a: float) -> np.ndarray:
@@ -306,14 +305,16 @@ class BasisTables:
     the space factors and r2, ``_ctk_table`` and ``_dc_table`` for the
     Caputo transforms.  Each table is raveled once, as it is built, with
     a row per distinct point coordinate.  ``psi`` and ``operator`` work on
-    a block: an index (or index array, or slice) of points along one axis
-    and one of basis functions along the others, broadcast together.  A
-    block's space factors depend only on its distinct point xi values and
-    its time factors only on its distinct eta values, so the gather reads
-    and forms each factor once per distinct coordinate in the block, with
-    one flat index per coordinate (the point's row offset plus the basis
-    function's column) and one ``take`` of each table, and expands it to
-    the block with one ``take`` along the point axis.  The factors are
+    a block: points along one axis, given by ``at`` from an index (or
+    index array, or slice), and an index of basis functions along the
+    others, broadcast together.  A block's space factors depend only on
+    its distinct point xi values and its time factors only on its
+    distinct eta values, which ``at`` finds once for every block of
+    functions at its points.  The gather reads and forms each factor once
+    per distinct coordinate in the block, with one flat index per
+    coordinate (the point's row offset plus the basis function's column)
+    and one ``take`` of each table, and expands it to the block with one
+    ``take`` along the point axis.  The factors are
     then combined in place.  These are the package's only formulas for psi
     and L psi; the operations and their order are those of the scalar
     reference the tests hold, so each value is bit-identical to it.
@@ -352,7 +353,15 @@ class BasisTables:
                 self._caputo_point = _ctk_table(be[None, :], pe[:, None], a).ravel()
             self._caputo_both = _dc_table(be[None, :], pe[:, None], a, nodes).ravel()
 
-    def _gather(self, points, fns, orders, times):
+    def at(self, points):
+        """The points of a block, for ``psi`` and ``operator``: an index (or index array, or slice) along one axis.
+
+        Their distinct xi and eta rows are found here, once, so one
+        ``at`` serves every block of basis functions at the same points.
+        """
+        return _distinct(self._point_x[points]), _distinct(self._point_eta[points])
+
+    def _gather(self, at, fns, orders, times):
         """The time tables ``times``, then psi_l's two space factors at each xi-derivative order, over a block.
 
         A space factor depends only on the block's distinct point xi
@@ -365,8 +374,9 @@ class BasisTables:
         k1, k2, k3 are at psi_l's centre, the order is the point's
         xi-derivative.
         """
-        x, spread_x = _distinct(self._point_x[points], self._basis_x[fns])
-        t, spread_t = _distinct(self._point_eta[points], self._basis_eta[fns])
+        rows_x, rows_t = at
+        x, spread_x = _index(rows_x, self._basis_x[fns])
+        t, spread_t = _index(rows_t, self._basis_eta[fns])
         k1, k2, k3 = self._coeffs[:, fns]
         factors = []
         for d in orders:
@@ -375,8 +385,8 @@ class BasisTables:
             factors.append((spread_x(frac), spread_x(smooth)))
         return [spread_t(table.take(t)) for table in times], factors
 
-    def psi(self, points, fns, dxi_order=0) -> np.ndarray:
-        """psi_l (or its xi-derivative, dxi_order 0 or 1) at the points.
+    def psi(self, at, fns, dxi_order=0) -> np.ndarray:
+        """psi_l (or its xi-derivative, dxi_order 0 or 1) at the points ``at`` gives.
 
         ``dxi_order`` may be a sequence of orders: the result then holds
         one array per order, stacked along a new first axis, from one
@@ -386,14 +396,14 @@ class BasisTables:
         for d in orders:
             if d not in (0, 1):
                 raise ValueError(f"dxi_order must be 0 or 1, got {d}")
-        (r2v, phi), factors = self._gather(points, fns, orders, (self._r2, self._caputo_basis))
+        (r2v, phi), factors = self._gather(at, fns, orders, (self._r2, self._caputo_basis))
         rows = [_combine(r2v, smooth, phi, frac) for frac, smooth in factors]
         return np.stack(rows) if np.ndim(dxi_order) else rows[0]
 
-    def operator(self, points, fns, c1, c2, c3) -> np.ndarray:
-        """(L psi_l) at the points with coefficients c1, c2, c3 sampled there, each broadcasting to the block; needs ``nodes``."""
+    def operator(self, at, fns, c1, c2, c3) -> np.ndarray:
+        """(L psi_l) at the points ``at`` gives, with coefficients c1, c2, c3 sampled there, each broadcasting to the block; needs ``nodes``."""
         times = self._r2, self._caputo_basis, self._caputo_point, self._caputo_both
-        (r2v, phi, caputo_point, caputo_both), factors = self._gather(points, fns, range(3), times)
+        (r2v, phi, caputo_point, caputo_both), factors = self._gather(at, fns, range(3), times)
         # Caputo transform, at the point, of each of psi_l's two time factors,
         # taken before the order-0 factors become psi_l below.
         frac, smooth = factors[0]
@@ -420,26 +430,36 @@ def _combine(r2v, smooth, phi, frac):
     return smooth
 
 
-def _distinct(rows, cols):
-    """A block's flat table index over its distinct point rows, and the expansion of a factor back to the block.
+def _distinct(rows):
+    """The distinct point rows of a block, the axis they lie along, and the expansion of a factor over them back to the points.
 
-    ``rows`` are the points' row offsets and ``cols`` the basis
-    functions' columns; broadcast together they span the block.  The
-    points lie along one axis of the block and the functions along the
-    others, so a factor of (distinct rows) + cols, with the distinct rows
-    on that axis, is expanded by one ``take`` of each point's place among
+    ``rows`` are the points' row offsets, along one axis; the axis is
+    counted from the right, so it holds in a block with more axes.  The
+    distinct rows keep that axis, so a factor of (distinct rows) +
+    columns is expanded by one ``take`` of each point's place among
     them.  A single point is its own distinct set.
     """
     if rows.size == 1:
-        return rows + cols, lambda factor: factor
-    block = np.broadcast(rows, cols).shape
-    shape = (1,) * (len(block) - rows.ndim) + rows.shape
-    if rows.size not in shape or rows.size * cols.size != math.prod(block):
-        raise ValueError("a block's points must lie along one axis and its basis functions along the others")
-    axis = shape.index(rows.size)
+        return rows, None, lambda factor: factor
+    if rows.size not in rows.shape:
+        raise ValueError(_ONE_AXIS)
+    i = rows.shape.index(rows.size)
+    axis = i - rows.ndim
     # raveled, so the inverse is flat under every numpy version
     distinct, inverse = np.unique(rows.ravel(), return_inverse=True)
-    return distinct.reshape(shape[:axis] + (-1,) + shape[axis + 1 :]) + cols, lambda factor: factor.take(inverse, axis)
+    return distinct.reshape(rows.shape[:i] + (-1,) + rows.shape[i + 1 :]), axis, lambda factor: factor.take(inverse, axis)
+
+
+def _index(rows, cols):
+    """A block's flat table index, its distinct point rows (``_distinct``) plus the basis functions' columns, and the expansion back to the block.
+
+    The functions lie along the block's other axes, so ``cols`` must not
+    extend along the points' axis.
+    """
+    distinct, axis, spread = rows
+    if axis is not None and cols.ndim >= -axis and cols.shape[axis] != 1:
+        raise ValueError(_ONE_AXIS)
+    return distinct + cols, spread
 
 
 def assemble_gram(
@@ -464,5 +484,5 @@ def assemble_gram(
     entries = np.empty((n, n))
     for start in range(0, n, _ROW_BLOCK):
         rows = np.arange(start, min(start + _ROW_BLOCK, n))[:, None]
-        entries[start : start + _ROW_BLOCK] = tables.operator(rows, slice(None), *tables._coeffs[:, rows])
+        entries[start : start + _ROW_BLOCK] = tables.operator(tables.at(rows), slice(None), *tables._coeffs[:, rows])
     return GramMatrix(entries=entries, tables=tables)

@@ -26,7 +26,7 @@ a solution with the same error-free products.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +61,7 @@ class GramAsymmetryError(ValueError):
         self.asymmetry = asymmetry
 
 
-@dataclass(frozen=True)
-class OrthonormalBasis:
+class OrthonormalBasis(NamedTuple):
     """Lower-triangular orthonormalization coefficients and their source Gram matrix."""
 
     beta: np.ndarray

@@ -8,8 +8,7 @@ of the forcing term before any solver run.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .fracmath import caputo_power, gamma, order_value
 from .operator import Problem
@@ -28,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeparableSolution:
+class SeparableSolution(NamedTuple):
     """Exact solution of the form space(xi) * eta**time_power, with space derivatives."""
 
     space: Callable[[float], float]
@@ -167,8 +165,7 @@ def build_custom(
     return Problem(alpha=order_value(alpha), f=f, exact=exact, name=name, **coeffs)
 
 
-@dataclass(frozen=True)
-class ForcingReport:
+class ForcingReport(NamedTuple):
     max_discrepancy: float
     tol: float
     passed: bool

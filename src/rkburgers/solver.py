@@ -27,8 +27,8 @@ block's terms in place.
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,8 +76,7 @@ class SolverOptions:
         _check_count("SolverOptions.picard_iters", self.picard_iters, 0)
 
 
-@dataclass(frozen=True)
-class ApproximateSolution:
+class ApproximateSolution(NamedTuple):
     """Result of a solve: coefficients B over the orthonormal basis.
 
     ``raw_coeffs`` caches beta' B, the expansion over the unorthonormalized
@@ -91,8 +90,8 @@ class ApproximateSolution:
     problem: Problem
     grid: CollocationGrid
     F_values: np.ndarray
-    raw_coeffs: np.ndarray = field(repr=False)
-    options: SolverOptions = field(default_factory=SolverOptions)
+    raw_coeffs: np.ndarray
+    options: SolverOptions = SolverOptions()
 
     @property
     def n(self) -> int:
@@ -160,7 +159,7 @@ def _psi_rows(tables: BasisTables, n: int, lower: bool):
     for start in range(0, n, _BLOCK):
         steps = np.arange(start, min(start + _BLOCK, n))
         cols = slice(0, int(steps[-1])) if lower else slice(None)
-        rows0, rows1 = tables.psi(steps[:, None], cols, (0, 1))
+        rows0, rows1 = tables.psi(tables.at(steps[:, None]), cols, (0, 1))
         yield from zip(steps.tolist(), rows0, rows1)
 
 
@@ -194,14 +193,16 @@ def _expansion(s: ApproximateSolution, tables: BasisTables, points, dxi_order: i
 
     The sum runs over the nonzero raw coefficients, added in index order,
     on gathers of one block of basis functions that keep the temporaries
-    small; each gathered block is scaled by its coefficients in place.
+    small, which share one ``at`` of the points; each gathered block is
+    scaled by its coefficients in place.
     """
     fns = np.flatnonzero(s.raw_coeffs != 0.0)
     coeffs = s.raw_coeffs[fns, None]
+    at = tables.at(points)
     total = np.zeros(np.size(points))
     for block in range(0, fns.size, _BLOCK):
         fn = slice(block, block + _BLOCK)
-        terms = tables.psi(points, fns[fn, None], dxi_order)
+        terms = tables.psi(at, fns[fn, None], dxi_order)
         terms *= coeffs[fn]
         for row in terms:
             total += row
@@ -217,7 +218,7 @@ def residual(s: ApproximateSolution, xi: float, eta: float) -> float:
     """
     p = s.problem
     tables = BasisTables(s.basis_functions, [xi], [eta], s.options.quadrature_nodes)
-    row = tables.operator(0, slice(None), p.k1(xi, eta), p.k2(xi, eta), p.k3(xi, eta))
+    row = tables.operator(tables.at(0), slice(None), p.k1(xi, eta), p.k2(xi, eta), p.k3(xi, eta))
     fns = np.flatnonzero(s.raw_coeffs != 0.0)
     ly = 0.0
     for term in s.raw_coeffs[fns] * row[fns]:
@@ -226,8 +227,7 @@ def residual(s: ApproximateSolution, xi: float, eta: float) -> float:
     return float(ly) - (p.f(xi, eta) - p.k4(xi, eta) * yv * dyv)
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     rows: List[Tuple[Tuple[float, float], float, float, float]]
     max_abs_error: float
     mean_abs_error: float
@@ -251,8 +251,7 @@ def error_report(s: ApproximateSolution, eval_points: Sequence[Tuple[float, floa
     )
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     n: int
     max_abs_error: float
     wall_seconds: float

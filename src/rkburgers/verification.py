@@ -6,8 +6,7 @@ can run the same functions against deliberately broken fixtures.
 """
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -33,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     measure: float

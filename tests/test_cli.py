@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,6 +349,21 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
+
+    def test_check_battery_imported_only_by_verify(self):
+        # A fresh process: this one has imported rkburgers.verification already.
+        code = (
+            "import sys\n"
+            "import rkburgers.cli\n"
+            "assert 'rkburgers.verification' not in sys.modules\n"
+            "sys.exit(rkburgers.cli.main(['verify']))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "PASS" in proc.stdout and "FAIL" not in proc.stdout
 
 
 class TestConvergenceCommand:

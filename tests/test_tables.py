@@ -259,7 +259,7 @@ class TestTimeTables:
         tables = BasisTables(basis, [x for x, _ in points], [e for _, e in points], nodes=64)
         fns = np.arange(len(basis))
         for i, (xi, eta) in enumerate(points):
-            row = tables.operator(i, fns, problem.k1(xi, eta), problem.k2(xi, eta), problem.k3(xi, eta))
+            row = tables.operator(tables.at(i), fns, problem.k1(xi, eta), problem.k2(xi, eta), problem.k3(xi, eta))
             assert _same(row, [apply_operator(b, problem, xi, eta) for b in basis])
 
 
@@ -274,10 +274,10 @@ def test_block_gathers_on_tables_of_unequal_widths():
     fns = np.array([11, 0, 7, 3, 5, 8, 1])
     for order in (0, 1):
         expected = [[psi_eval(basis[l], xi, eta, order) for l in fns] for xi, eta in points]
-        assert _same(tables.psi(rows, fns, order), expected)
+        assert _same(tables.psi(tables.at(rows), fns, order), expected)
     c1, c2, c3 = (np.array([[k(xi, eta)] for xi, eta in points]) for k in (problem.k1, problem.k2, problem.k3))
     expected = [[apply_operator(basis[l], problem, xi, eta) for l in fns] for xi, eta in points]
-    assert _same(tables.operator(rows, fns, c1, c2, c3), expected)
+    assert _same(tables.operator(tables.at(rows), fns, c1, c2, c3), expected)
 
 
 def test_sweep_rows_take_both_orders_from_one_gather():
@@ -291,13 +291,13 @@ def test_sweep_rows_take_both_orders_from_one_gather():
         for k, row0, row1 in _psi_rows(tables, n, lower):
             cols = slice(0, row0.size)
             assert row0.size == n or (lower and k <= row0.size < n)
-            assert _same(row0, tables.psi(k, cols, 0)) and _same(row1, tables.psi(k, cols, 1))
+            assert _same(row0, tables.psi(tables.at(k), cols, 0)) and _same(row1, tables.psi(tables.at(k), cols, 1))
     steps = np.arange(64, n)[:, None]
     for cols in (slice(0, n - 1), slice(None)):
-        single = [tables.psi(steps, cols, order) for order in (1, 0)]
-        assert _same(tables.psi(steps, cols, (1, 0)), np.stack(single))
+        single = [tables.psi(tables.at(steps), cols, order) for order in (1, 0)]
+        assert _same(tables.psi(tables.at(steps), cols, (1, 0)), np.stack(single))
     with pytest.raises(ValueError, match="dxi_order must be 0 or 1, got 2"):
-        tables.psi(steps, cols, (0, 2))
+        tables.psi(tables.at(steps), cols, (0, 2))
     # the one-value form keeps a single order
     with pytest.raises(ValueError, match=r"dxi_order must be 0 or 1, got \(0, 1\)"):
         operator_module.psi_eval(basis[0], 0.5, 0.5, (0, 1))
@@ -319,9 +319,9 @@ def test_blocks_whose_points_and_functions_share_an_axis_are_rejected():
     grid = CollocationGrid.uniform(3, 3)
     tables = assemble_gram(grid, build_example51(0.9)).tables
     with pytest.raises(ValueError, match="one axis"):
-        tables.psi(np.arange(3), np.arange(3))
+        tables.psi(tables.at(np.arange(3)), np.arange(3))
     with pytest.raises(ValueError, match="one axis"):
-        tables.psi(np.arange(6).reshape(2, 3)[..., None], np.arange(4))
+        tables.at(np.arange(6).reshape(2, 3)[..., None])
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
