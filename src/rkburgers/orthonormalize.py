@@ -17,8 +17,13 @@ is lower triangular and L L' symmetric, these 6 products run over the
 lower block triangle only, a 64-column block at a time, and each block's
 product is added to its transposed place as well; A's own entries,
 which equilibration leaves not exactly symmetric, are never mirrored.
-The step sets X <- X - Phi(X R X') X, where Phi keeps the strict lower
-triangle and half the diagonal, so X stays lower triangular.  At
+The slices are formed per block, on its rows and columns only, from
+rounding constants taken once per row.  The step sets
+X <- X - Phi(X R X') X, where Phi keeps the strict lower triangle and
+half the diagonal, so X stays lower triangular; Phi and the update are
+formed by 64-row panels, each of which needs only the leading block of
+R and X.  So besides G the only n x n arrays are A (which becomes R),
+L, X and Phi, at most three of them live at once.  At
 desk-scale condition numbers (1e8 and above for the larger grids) this
 keeps the orthonormality defect at the floor imposed by storing the
 factor in 64-bit floats.  ``norm_recursion_defect`` checks the basis of
@@ -37,7 +42,8 @@ __all__ = ["OrthonormalBasis", "NotPositiveDefiniteError", "GramAsymmetryError",
 _SYMMETRY_TOL = 1e-8
 _SLICES = 3
 _INVERSE_BLOCK = 32  # below this size the triangular inverse is a row loop
-_ROW_BLOCK = 64  # rows of G per symmetry-check panel; rows, or columns of L L', per block of an error-free product
+_ROW_BLOCK = 64  # rows of G per symmetry-check panel; rows, or columns of L L', per block of an error-free product; rows per refinement panel
+_STRICT_UPPER = ~np.tri(_ROW_BLOCK, dtype=bool)  # zeroes a panel's diagonal block above its diagonal
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -73,6 +79,20 @@ def _split_bits(m):
     return (53 - math.ceil(math.log2(max(m.shape[1], 1)))) // 2 - 1
 
 
+def _rounding_constant(rest, bits):
+    """Per row of rest, the sigma that rounds it to ``bits`` significant bits, as a column, and its exponent e."""
+    _, exponent = np.frexp(np.max(np.abs(rest), axis=1, initial=0.0))
+    return np.ldexp(1.0, exponent + 53 - bits)[:, None], exponent
+
+
+def _cut(rest, sigma):
+    """Cut the slice (rest + sigma) - sigma off rest, in place, and return it."""
+    piece = rest + sigma
+    piece -= sigma
+    rest -= piece
+    return piece
+
+
 def _round_off(rest, bits):
     """Cut the next rounded slice off rest, in place; return it and a power of two per row dividing it.
 
@@ -80,12 +100,8 @@ def _round_off(rest, bits):
     [sigma/2, 2 sigma), where the floats are spaced at least 2**(e - bits)
     apart; so is the slice, down to the smallest subnormal.
     """
-    _, exponent = np.frexp(np.max(np.abs(rest), axis=1, initial=0.0))
-    sigma = np.ldexp(1.0, exponent + 53 - bits)[:, None]
-    piece = rest + sigma
-    piece -= sigma
-    rest -= piece
-    return piece, np.ldexp(1.0, np.maximum(exponent - bits, -1074))[:, None]
+    sigma, exponent = _rounding_constant(rest, bits)
+    return _cut(rest, sigma), np.ldexp(1.0, np.maximum(exponent - bits, -1074))[:, None]
 
 
 def split_rows(m):
@@ -170,12 +186,30 @@ def add_exact_product(hi, lo, x, y):
                 _two_sum_into(h, l, xi @ yj.T)
 
 
+def _square_tile(low, start, stop, sigmas):
+    """low[start:, :stop] @ low[start:stop, :stop]' as a pair t_hi + t_lo, from slices of those rows and columns.
+
+    sigmas holds each rounded slice's rounding constants for all of low's
+    rows; the slices are freed on return, before the next tile's are made.
+    """
+    below = stop - start
+    x3 = np.array(low[start:, :stop])
+    x1 = _cut(x3, sigmas[0][start:])
+    x2 = _cut(x3, sigmas[1][start:])
+    t_hi = x1 @ x1[:below].T
+    t_lo = x3 @ (x1[:below] + x2[:below]).T
+    t_lo += low[start:, :stop] @ x3[:below].T
+    for a, b in ((x1, x2), (x2, x1), (x2, x2)):
+        _two_sum_into(t_hi, t_lo, a @ b[:below].T)
+    return t_hi, t_lo
+
+
 def add_exact_square(hi, low):
     """hi += low @ low' for lower-triangular low, each entry's exact sum rounded once.
 
-    low is split by rows into x1 + x2 + x3 (``split_rows``); the zeros
-    above its diagonal stay zero in every slice.  The 4
-    products of the rounded slices x1, x2 are exact and are summed with
+    low is split by rows into x1 + x2 + x3, exactly as ``split_rows``
+    splits it; the zeros above its diagonal stay zero in every slice.  The
+    4 products of the rounded slices x1, x2 are exact and are summed with
     TwoSum; the 5 with x3 round anyway, so they are grouped into 2 plain
     products, x3 (x1 + x2)' + low x3': 6 products instead of 9.  They run
     one block of columns at a time, over the rows from the block's start
@@ -186,18 +220,26 @@ def add_exact_square(hi, low):
     so each is rounded once and no n x n low part is kept.  Only the
     product is mirrored, never hi's entries, so an hi that is not
     exactly symmetric stays as it is.
+
+    The slices are formed per block, on those rows and columns only, from
+    the rounding constants of whole rows, which a first pass over 64-row
+    blocks of low's lower triangle takes; so no copy or slice of all of
+    low is made.
     """
     n = low.shape[0]
-    x1, x2, x3 = split_rows(low)
+    bits = _split_bits(low)
+    sigmas = np.empty((_SLICES - 1, n, 1))
     for start in range(0, n, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, n)
-        cols, inner = slice(start, stop), slice(0, stop)
-        t_hi = x1[start:, inner] @ x1[cols, inner].T
-        t_lo = x3[start:, inner] @ (x1[cols, inner] + x2[cols, inner]).T
-        t_lo += low[start:, inner] @ x3[cols, inner].T
-        for a, b in ((x1, x2), (x2, x1), (x2, x2)):
-            _two_sum_into(t_hi, t_lo, a[start:, inner] @ b[cols, inner].T)
+        rest = np.array(low[start:stop, :stop])  # row i of low is zero past column i
+        for sigma in sigmas:
+            sigma[start:stop] = _rounding_constant(rest, bits)[0]
+            _cut(rest, sigma[start:stop])
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n)
         below = stop - start  # the tile's rows past the diagonal block
+        t_hi, t_lo = _square_tile(low, start, stop, sigmas)
+        cols = slice(start, stop)
         for h, th, tl in ((hi[start:, cols], t_hi, t_lo), (hi[cols, stop:], t_hi[below:].T, t_lo[below:].T)):
             l = np.zeros(h.shape)
             _two_sum_into(h, l, th)
@@ -244,6 +286,12 @@ def _invert_lower(low, out):
 def compute_beta(gram: GramMatrix) -> OrthonormalBasis:
     """Orthonormalization coefficients beta = L**-1 where (G + G')/2 = L L'.
 
+    Memory: besides G, the peak holds A, L and X while L is inverted,
+    with the inversion's two n/2 x n/2 products, about 3.5 n x n arrays;
+    below n of about 400 it is instead A and L with one column block's
+    slices and products, which there make a larger share of n x n.  Phi
+    is made after L is freed, and R is freed once Phi is formed.
+
     Raises:
         ValueError: if G is not square.
         GramAsymmetryError: if G is asymmetric beyond tolerance.
@@ -288,13 +336,21 @@ def compute_beta(gram: GramMatrix) -> OrthonormalBasis:
     x = np.zeros((n, n))
     _invert_lower(low, x)
     del low
-    e = x @ a
+    # Phi(X R X'), by 64-row panels: as X is lower triangular, a panel's
+    # rows of X R X' up to its last column need only R's leading block.
+    phi = np.zeros((n, n))
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n)
+        panel = phi[start:stop, :stop]
+        panel[...] = (x[start:stop, :stop] @ a[:stop, :stop]) @ x[:stop, :stop].T
+        panel[:, start:][_STRICT_UPPER[: stop - start, : stop - start]] = 0.0
     del a
-    phi = e @ x.T
-    del e
-    phi = np.tril(phi)
     phi.flat[:: n + 1] *= 0.5
-    x -= phi @ x
+    # X <- X - Phi X, a panel's rows at a time from the last: a panel reads
+    # only the rows of X above and in it, which are still the old ones.
+    for start in reversed(range(0, n, _ROW_BLOCK)):
+        stop = min(start + _ROW_BLOCK, n)
+        x[start:stop, :stop] -= phi[start:stop, :stop] @ x[:stop, :stop]
     x /= d[None, :]
     x.flags.writeable = False
     return OrthonormalBasis(beta=x, source=gram)

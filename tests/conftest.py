@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,16 @@ TABLE_POINTS = [(x, e) for x in TABLE_MESH for e in TABLE_MESH]
 def _cached_solve(example: str, alpha: float, p: int, q: int, picard: int = 0):
     problem = build_problem(example, alpha)
     return solve(problem, CollocationGrid.uniform(p, q), SolverOptions(picard_iters=picard))
+
+
+def peak_bytes(fn, *args):
+    """Peak memory traced while fn(*args) runs; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

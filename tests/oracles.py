@@ -1,18 +1,21 @@
-"""Frozen references for the kernels, the fractional transforms, the basis and the norm-recursion defect.
+"""Frozen references for the kernels, the fractional transforms, the basis, beta and the norm-recursion defect.
 
 These are the one-value-at-a-time functions the solver computed with
 before its array tables existed, kept verbatim: the scalar kernels ``r2``
 and ``r3`` (one ``polyval2d`` per value, on the package's coefficient
 tables ``_D2`` and ``_D3``), the scalar Caputo time factors ``_ctk`` and
 ``_dc``, ``psi_eval``'s body, ``apply_operator`` and the scalar
-``weighted_moment``; and ``norm_recursion_defect`` as it
-was when it multiplied all of G against every block of prefixes.  The
-package's array code performs the same floating-point operations in the
-same order, and its defect too but for products with zeros and the
-order of its compensation terms, so the tests compare it with these bit
-for bit.  Do not change them to follow the package: a change here moves
-the reference, not the code under test.
-"""
+``weighted_moment``; ``norm_recursion_defect`` as it was when it
+multiplied all of G against every block of prefixes; and
+``compute_beta`` as it was when it split all of the Cholesky factor at
+once and refined with full n x n products.  The package's array code
+performs the same floating-point operations in the same order, its
+defect and beta too but for products with zeros and the order of the
+defect's compensation terms, so the tests compare it with these bit for
+bit (beta up to n = 100; on larger grids BLAS may add the terms of the
+package's shorter panel products in another order).  Do not change them
+to follow the package: a change here moves the reference, not the code
+under test."""
 
 import math
 
@@ -22,7 +25,15 @@ from numpy.polynomial.polynomial import polyval2d
 from rkburgers.fracmath import DEFAULT_QUADRATURE_NODES, gamma, jacobi_rule
 from rkburgers.kernels import _D2, _D3, _check_order
 from rkburgers.operator import BasisFunction, Problem
-from rkburgers.orthonormalize import RowSplit, add_exact_product
+from rkburgers.orthonormalize import (
+    _ROW_BLOCK,
+    RowSplit,
+    _cholesky,
+    _invert_lower,
+    _two_sum_into,
+    add_exact_product,
+    split_rows,
+)
 
 
 def _check_unit(name: str, value: float) -> float:
@@ -242,3 +253,52 @@ def norm_recursion_defect(s) -> float:
         acc = math.fsum((acc, sq[m], sq_err[m]))
         running[m] = acc
     return float(np.max(np.abs(quad - running) / (1.0 + running), initial=0.0))
+
+
+def _add_exact_square(hi, low):
+    """hi += low @ low' from one whole-matrix ``split_rows(low)``, a 64-column block at a time."""
+    n = low.shape[0]
+    x1, x2, x3 = split_rows(low)
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n)
+        cols, inner = slice(start, stop), slice(0, stop)
+        t_hi = x1[start:, inner] @ x1[cols, inner].T
+        t_lo = x3[start:, inner] @ (x1[cols, inner] + x2[cols, inner]).T
+        t_lo += low[start:, inner] @ x3[cols, inner].T
+        for a, b in ((x1, x2), (x2, x1), (x2, x2)):
+            _two_sum_into(t_hi, t_lo, a[start:, inner] @ b[cols, inner].T)
+        below = stop - start
+        for h, th, tl in ((hi[start:, cols], t_hi, t_lo), (hi[cols, stop:], t_hi[below:].T, t_lo[below:].T)):
+            l = np.zeros(h.shape)
+            _two_sum_into(h, l, th)
+            l += tl
+            h += l
+
+
+def compute_beta(g) -> np.ndarray:
+    """beta for a valid Gram matrix g, with the residual's slices and the refinement's products over all of n.
+
+    The symmetrized, equilibrated A, LAPACK's factor and the blocked
+    inverse are the package's; the residual splits all of L at once, and
+    the refinement forms X R, Phi and Phi X as full n x n products.  The
+    package's input checks are left out.
+    """
+    g = np.asarray(g, dtype=float)
+    n = g.shape[0]
+    a = g + g.T
+    a *= 0.5
+    d = np.sqrt(np.diag(a))
+    a /= d[:, None]
+    a /= d[None, :]
+    low = _cholesky(a)
+    np.negative(a, out=a)
+    _add_exact_square(a, low)
+    np.negative(a, out=a)
+    x = np.zeros((n, n))
+    _invert_lower(low, x)
+    e = x @ a
+    phi = np.tril(e @ x.T)
+    phi.flat[:: n + 1] *= 0.5
+    x -= phi @ x
+    x /= d[None, :]
+    return x

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import oracles
 import rkburgers.solver
-from rkburgers.operator import CollocationGrid, GramMatrix
+from rkburgers.operator import CollocationGrid, GramMatrix, assemble_gram, build_basis
 from rkburgers.orthonormalize import (
     GramAsymmetryError,
     NotPositiveDefiniteError,
@@ -19,7 +20,7 @@ from rkburgers.orthonormalize import (
     split_rows,
 )
 from rkburgers.problems import build_problem
-from tests.conftest import TABLE_POINTS
+from tests.conftest import TABLE_POINTS, peak_bytes
 
 
 def _gram(entries):
@@ -63,6 +64,23 @@ def _integers(m):
 
 def _defect(beta, g):
     return float(np.max(np.abs(beta @ g @ beta.T - np.eye(g.shape[0]))))
+
+
+def _same_bits(got, want):
+    """Equal entry for entry, the sign of every zero included."""
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _scattered_points(seed):
+    """The benchmark's ``scattered`` grid (bench/run.py): 10 x 10 uniform points, each coordinate moved by up to 0.3 spacings."""
+    rng = random.Random(seed)
+    points = []
+    for i in range(1, 11):
+        for j in range(1, 11):
+            x = (i + rng.uniform(-0.3, 0.3)) / 10
+            e = (j + rng.uniform(-0.3, 0.3)) / 10
+            points.append((2.0 - x if x > 1.0 else x, 2.0 - e if e > 1.0 else e))
+    return points
 
 
 def _schur_negative_at_7(seed):
@@ -266,6 +284,49 @@ class TestNormRecursionDefect:
         # leaving them out keeps the defect's last bits on these solves.
         sol = solution_factory(example, alpha, p, p)
         assert norm_recursion_defect(sol) == oracles.norm_recursion_defect(sol)
+
+
+class TestFrozenReference:
+    """beta against ``oracles.compute_beta``, which splits all of L at once and refines with full products.
+
+    The benchmark's output check holds a ``scattered`` solve's
+    orthonormality defect, which sits above 1e-8 there, to its reference
+    with no slack, so a change in beta's last bits on those 100 points
+    can fail it; these tests show such a change here first, on the
+    default BLAS thread count and on one thread.
+    """
+
+    @pytest.mark.parametrize("p", [5, 7, 10])
+    @pytest.mark.parametrize("example", ["1", "2"])
+    @pytest.mark.parametrize("alpha", [0.7, 0.8, 0.9])
+    def test_uniform_grids_bit_for_bit(self, solution_factory, example, alpha, p):
+        gram = solution_factory(example, alpha, p, p).basis.source
+        assert _same_bits(compute_beta(gram).beta, oracles.compute_beta(gram.entries))
+
+    @pytest.mark.parametrize("example,alpha", [("1", 0.9), ("2", 0.8)])
+    def test_scattered_grid_bit_for_bit(self, example, alpha):
+        grid = CollocationGrid.from_points(_scattered_points(1))
+        problem = build_problem(example, alpha)
+        gram = assemble_gram(grid, problem, basis=build_basis(grid, problem))
+        assert _same_bits(compute_beta(gram).beta, oracles.compute_beta(gram.entries))
+
+    @pytest.mark.parametrize("example,alpha,p", [("1", 0.9, 14), ("2", 0.8, 14), ("2", 0.8, 20)])
+    def test_larger_grids_within_summation_order(self, solution_factory, example, alpha, p):
+        # The panels' products have a shorter inner dimension than the full
+        # ones, so BLAS may add their terms in another order.
+        gram = solution_factory(example, alpha, p, p).basis.source
+        got, want = compute_beta(gram).beta, oracles.compute_beta(gram.entries)
+        assert np.max(np.abs(got - want)) <= 1e-18 * np.max(np.abs(want))
+
+    def test_peak_memory_stays_blocked(self, solution_factory):
+        # Beyond G, made before tracing starts: A (later R), L, X and Phi
+        # are n x n, and never all four at once; every other temporary is
+        # a block of 64 rows or columns or one of the triangular inverse's
+        # halves.  Whole-matrix slices and full refinement products traced
+        # 6.3 n x n here.
+        gram = solution_factory("2", 0.8, 20, 20).basis.source
+        n = gram.entries.shape[0]
+        assert peak_bytes(compute_beta, gram) < 5.0 * 8 * n**2
 
 
 class TestBlockEdges:

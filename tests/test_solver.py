@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from rkburgers.solver import (
     residual,
     solve,
 )
-from tests.conftest import TABLE_POINTS, overflowing_example51
+from tests.conftest import TABLE_POINTS, overflowing_example51, peak_bytes
 
 
 def _zero_data_problem():
@@ -148,7 +147,7 @@ class TestEvaluate:
         # gather would take 8.3 MB per temporary
         sol = solution_factory("2", 0.8, 20, 20)
         pts = np.linspace(0.0, 1.0, 51)
-        assert _peak_bytes(evaluate, sol, pts[:, None], pts[None, :]) < 2e6
+        assert peak_bytes(evaluate, sol, pts[:, None], pts[None, :]) < 2e6
 
 
 class TestResidual:
@@ -188,16 +187,6 @@ def _prefix_loop_norm_recursion_defect(s):
     return worst
 
 
-def _peak_bytes(fn, *args):
-    """Peak memory traced while fn(*args) runs; numpy reports its buffers to tracemalloc."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestNormRecursion:
     def test_prefix_identity_small_grid(self, solution_factory):
         sol = solution_factory("1", 0.9, 5, 5)
@@ -213,7 +202,7 @@ class TestNormRecursion:
 
     def test_memory_stays_below_four_matrices(self, solution_factory):
         sol = solution_factory("2", 0.8, 20, 20)
-        assert _peak_bytes(norm_recursion_defect, sol) < 4 * 8 * sol.n**2
+        assert peak_bytes(norm_recursion_defect, sol) < 4 * 8 * sol.n**2
 
     def test_partial_sum_norms_nondecreasing(self, solution_factory):
         sol = solution_factory("1", 0.9, 5, 5)

@@ -10,7 +10,6 @@ order, so the comparisons are ``np.array_equal``, not approximate.
 import collections
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +31,7 @@ from rkburgers.operator import (
 from rkburgers.orthonormalize import compute_beta
 from rkburgers.problems import build_example51, build_example52
 from rkburgers.solver import SolverOptions, _psi_rows, error_report, evaluate, residual, solve
+from tests.conftest import peak_bytes
 
 
 def _jittered(p, q):
@@ -407,13 +407,7 @@ def test_scattered_tables_stay_small():
     grid = CollocationGrid.from_points(_jittered(20, 20))
     basis = build_basis(grid, build_example52(0.8))
     xs, es = [x for x, _ in grid.points], [e for _, e in grid.points]
-    tracemalloc.start()
-    try:
-        BasisTables(basis, xs, es, 64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40e6
+    assert peak_bytes(BasisTables, basis, xs, es, 64) < 40e6
 
 
 @pytest.mark.parametrize("order", [0, 1])
