@@ -31,7 +31,7 @@ from .solver import SolverOptions, convergence_study, error_report, evaluate, so
 __all__ = ["main", "RunConfig", "parse_mesh"]
 
 # The largest n measured to solve in seconds: `solve` at n = 2500 took 4.0 s
-# and peaked at 256 MB on a 2-vCPU machine (README's scaling table).  Each
+# and peaked at 299 MB on a 2-vCPU machine (README's scaling table).  Each
 # n x n matrix takes 8 n**2 bytes, 0.8 GB at n = 10,000, and the
 # factorization is O(n**3).
 MAX_POINTS = 2_500

@@ -157,11 +157,17 @@ class GramMatrix(NamedTuple):
     """Pairwise inner products of the collocation basis functions.
 
     ``tables`` are the ``BasisTables`` the entries were gathered from, at
-    the collocation points, so the solver's sweep reuses them.
+    the collocation points, so the solver's Picard passes reuse them.
+    ``sweep_rows`` holds, for each 64-row block of the entries, psi_l and
+    d_xi psi_l at the block's points for every l below its last row, as
+    one 2 x rows x l array: the rows the solver's sweep reads, gathered
+    with the block's entries.  They take about one n x n array, which
+    ``solve`` drops once it has swept.
     """
 
     entries: np.ndarray
     tables: Optional["BasisTables"] = None
+    sweep_rows: Optional[tuple] = None
 
 
 class GramAssemblyError(RuntimeError):
@@ -402,6 +408,10 @@ class BasisTables:
 
     def operator(self, at, fns, c1, c2, c3) -> np.ndarray:
         """(L psi_l) at the points ``at`` gives, with coefficients c1, c2, c3 sampled there, each broadcasting to the block; needs ``nodes``."""
+        return self._operator(at, fns, c1, c2, c3)[0]
+
+    def _operator(self, at, fns, c1, c2, c3):
+        """``operator``'s value, then psi_l and d_xi psi_l at the points, which it scales by c2 and c3 into temporaries."""
         times = self._r2, self._caputo_basis, self._caputo_point, self._caputo_both
         (r2v, phi, caputo_point, caputo_both), factors = self._gather(at, fns, range(3), times)
         # Caputo transform, at the point, of each of psi_l's two time factors,
@@ -413,13 +423,11 @@ class BasisTables:
         psi0, psi1, psi2 = (_combine(r2v, smooth, phi, frac) for frac, smooth in factors)
         # c1 * psi2 + c2 * psi0 + c3 * psi1, then the two Caputo terms
         psi2 *= c1
-        psi0 *= c2
-        psi2 += psi0
-        psi1 *= c3
-        psi2 += psi1
+        psi2 += psi0 * c2
+        psi2 += psi1 * c3
         psi2 += caputo_point
         psi2 += caputo_both
-        return psi2
+        return psi2, psi0, psi1
 
 
 def _combine(r2v, smooth, phi, frac):
@@ -473,7 +481,9 @@ def assemble_gram(
     Entry (i, j) is (L psi_j) at collocation point i, with the coefficients
     frozen in psi_i, the basis function centred there; the rows are
     gathered from ``BasisTables`` a block at a time, and the tables are
-    handed back with the entries.
+    handed back with the entries.  Each block's gather also forms psi_j
+    and d_xi psi_j at its points, before L scales them; the columns below
+    the block's last row are kept as the block's ``sweep_rows``.
     """
     if basis is None:
         basis = build_basis(grid, problem)
@@ -482,7 +492,11 @@ def assemble_gram(
         raise ValueError(f"{len(basis)} basis functions for {n} collocation points")
     tables = BasisTables(basis, [x for x, _ in grid.points], [e for _, e in grid.points], nodes)
     entries = np.empty((n, n))
+    sweep_rows = []
     for start in range(0, n, _ROW_BLOCK):
         rows = np.arange(start, min(start + _ROW_BLOCK, n))[:, None]
-        entries[start : start + _ROW_BLOCK] = tables.operator(tables.at(rows), slice(None), *tables._coeffs[:, rows])
-    return GramMatrix(entries=entries, tables=tables)
+        lpsi, psi0, psi1 = tables._operator(tables.at(rows), slice(None), *tables._coeffs[:, rows])
+        entries[start : start + _ROW_BLOCK] = lpsi
+        last = int(rows[-1, 0])
+        sweep_rows.append(np.stack((psi0[:, :last], psi1[:, :last])))
+    return GramMatrix(entries=entries, tables=tables, sweep_rows=tuple(sweep_rows))

@@ -18,12 +18,12 @@ lower block triangle only, a 64-column block at a time, and each block's
 product is added to its transposed place as well; A's own entries,
 which equilibration leaves not exactly symmetric, are never mirrored.
 The slices are formed per block, on its rows and columns only, from
-rounding constants taken once per row.  The step sets
-X <- X - Phi(X R X') X, where Phi keeps the strict lower triangle and
-half the diagonal, so X stays lower triangular; Phi and the update are
-formed by 64-row panels, each of which needs only the leading block of
-R and X.  So besides G the only n x n arrays are A (which becomes R),
-L, X and Phi, at most three of them live at once.  At
+rounding constants taken once per row.  X is formed in L's storage.
+The step sets X <- X - Phi(X R X') X, where Phi keeps the strict lower
+triangle and half the diagonal, so X stays lower triangular; each 64-row
+panel of Phi is formed just before its update, from the last panel up,
+and needs only the leading block of R and X.  So besides G the only
+n x n arrays are A (which becomes R) and L (which becomes X).  At
 desk-scale condition numbers (1e8 and above for the larger grids) this
 keeps the orthonormality defect at the floor imposed by storing the
 factor in 64-bit floats.  ``norm_recursion_defect`` checks the basis of
@@ -270,7 +270,11 @@ def _cholesky(a):
 
 
 def _invert_lower(low, out):
-    """out <- low**-1 for lower-triangular low, by halves; out's upper triangle must be zero."""
+    """out <- low**-1 for lower-triangular low, by halves; out's upper triangle must be zero.
+
+    out may be low itself: every entry of low is read before its place in
+    out is written.
+    """
     n = low.shape[0]
     if n <= _INVERSE_BLOCK:
         for i in range(n):
@@ -286,11 +290,14 @@ def _invert_lower(low, out):
 def compute_beta(gram: GramMatrix) -> OrthonormalBasis:
     """Orthonormalization coefficients beta = L**-1 where (G + G')/2 = L L'.
 
-    Memory: besides G, the peak holds A, L and X while L is inverted,
-    with the inversion's two n/2 x n/2 products, about 3.5 n x n arrays;
-    below n of about 400 it is instead A and L with one column block's
-    slices and products, which there make a larger share of n x n.  Phi
-    is made after L is freed, and R is freed once Phi is formed.
+    Memory: besides G, the traced peak holds A and L with one column
+    block's slices and products, whose rows from the block's start by
+    columns to its end reach n/2 x n/2 each: about 3.3 n x n arrays at
+    n = 900, 3.1 at 1600 and 4.2 at 400, where the blocks make a larger
+    share of n x n.  L is inverted in its own storage, so the inversion
+    holds A and L with its two n/2 x n/2 products, 2.5; the refinement
+    holds R and X with one 64-row panel of Phi and its products.
+    LAPACK's Cholesky call also takes an untraced copy of A.
 
     Raises:
         ValueError: if G is not square.
@@ -333,24 +340,21 @@ def compute_beta(gram: GramMatrix) -> OrthonormalBasis:
     np.negative(a, out=a)
     add_exact_square(a, low)
     np.negative(a, out=a)
-    x = np.zeros((n, n))
-    _invert_lower(low, x)
-    del low
-    # Phi(X R X'), by 64-row panels: as X is lower triangular, a panel's
-    # rows of X R X' up to its last column need only R's leading block.
-    phi = np.zeros((n, n))
-    for start in range(0, n, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, n)
-        panel = phi[start:stop, :stop]
-        panel[...] = (x[start:stop, :stop] @ a[:stop, :stop]) @ x[:stop, :stop].T
-        panel[:, start:][_STRICT_UPPER[: stop - start, : stop - start]] = 0.0
-    del a
-    phi.flat[:: n + 1] *= 0.5
-    # X <- X - Phi X, a panel's rows at a time from the last: a panel reads
-    # only the rows of X above and in it, which are still the old ones.
+    _invert_lower(low, low)
+    x = low  # X ~ L**-1, in L's storage
+    # X <- X - Phi(X R X') X by 64-row panels, from the last.  As X is
+    # lower triangular, a panel's rows of X R X' up to its last column need
+    # only R's leading block, and its update reads only the rows of X above
+    # and in it, which are still the old ones.
     for start in reversed(range(0, n, _ROW_BLOCK)):
         stop = min(start + _ROW_BLOCK, n)
-        x[start:stop, :stop] -= phi[start:stop, :stop] @ x[:stop, :stop]
+        phi = (x[start:stop, :stop] @ a[:stop, :stop]) @ x[:stop, :stop].T
+        rows = stop - start
+        phi[:, start:][_STRICT_UPPER[:rows, :rows]] = 0.0
+        on = np.arange(rows)
+        phi[on, start + on] *= 0.5
+        x[start:stop, :stop] -= phi @ x[:stop, :stop]
+    del a
     x /= d[None, :]
     x.flags.writeable = False
     return OrthonormalBasis(beta=x, source=gram)

@@ -13,9 +13,13 @@ fixed-point polish re-evaluates every F_k at the full previous solution;
 it is off by default.
 
 Step k needs psi_l(x_k) and d_xi psi_l(x_k) for l < k: row k of the
-matrices Psi0 and Psi1, gathered for a block of steps at a time from the
-``BasisTables`` the Gram matrix was assembled from, so y_{k-1}(x_k) is
-the dot product of the raw-coefficient prefix with that row.  Evaluation
+matrices Psi0 and Psi1, so y_{k-1}(x_k) is the dot product of the
+raw-coefficient prefix with that row.  The Gram assembly forms these
+values when it applies L to psi_l at the collocation points and keeps
+them below each block's last row (``GramMatrix.sweep_rows``); the sweep
+reads them there and drops them, so they are gathered once per solve.  A
+Picard pass needs whole rows, which it gathers a block of steps at a
+time from the ``BasisTables`` the Gram matrix was assembled from.  Evaluation
 anywhere else builds tables at its own points, with ``evaluate`` taking
 whole arrays of points and gathering one block of points by one block of
 basis functions at a time, so its memory does not grow with points x
@@ -60,7 +64,7 @@ __all__ = [
     "norm_recursion_defect",
 ]
 
-_BLOCK = 64  # sweep steps or basis functions per gathered block
+_BLOCK = 64  # Picard steps or basis functions per gathered block
 _POINT_BLOCK = 256  # evaluation points per gathered block
 
 
@@ -107,6 +111,7 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
     opts = options or SolverOptions()
     basis = build_basis(grid, problem)
     gram = assemble_gram(grid, problem, nodes=opts.quadrature_nodes, basis=basis)
+    kept, gram = gram.sweep_rows, gram._replace(sweep_rows=None)  # the solution keeps G, not the rows
     onb = compute_beta(gram)
     beta = onb.beta
     n = grid.n
@@ -117,16 +122,18 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
     F = np.zeros(n)
     B = np.zeros(n)
     cum = np.zeros(n)  # prefix of beta' B, coefficients over the raw basis
-    for k, row0, row1 in _psi_rows(tables, n, lower=True):
+    rows = (pair for block in kept for pair in zip(*block))
+    for k, (row0, row1) in enumerate(rows):
         yv = float(np.dot(cum[:k], row0[:k]))  # +0.0 at k = 0, an empty sum
         dyv = float(np.dot(cum[:k], row1[:k]))
         F[k] = _finite(f[k] - k4[k] * yv * dyv, k)
         b = beta[k, : k + 1]
         B[k] = float(np.dot(b, F[: k + 1]))
         cum[: k + 1] += B[k] * b
+    del kept, rows
 
     for _ in range(opts.picard_iters):
-        for k, row0, row1 in _psi_rows(tables, n, lower=False):
+        for k, row0, row1 in _psi_rows(tables, n):
             F[k] = _finite(f[k] - k4[k] * float(np.dot(cum, row0)) * float(np.dot(cum, row1)), k)
         B = beta @ F
         cum = beta.T @ B
@@ -150,16 +157,11 @@ def _finite(value: float, k: int) -> float:
     return value
 
 
-def _psi_rows(tables: BasisTables, n: int, lower: bool):
-    """(k, Psi0[k], Psi1[k]) for k = 0 .. n - 1, gathered _BLOCK rows at a time.
-
-    With ``lower`` a block's rows hold only the columns below its last
-    row, enough for the sweep, which reads row k up to column k - 1.
-    """
+def _psi_rows(tables: BasisTables, n: int):
+    """(k, Psi0[k], Psi1[k]) for k = 0 .. n - 1, whole rows gathered _BLOCK rows at a time, for the Picard passes."""
     for start in range(0, n, _BLOCK):
         steps = np.arange(start, min(start + _BLOCK, n))
-        cols = slice(0, int(steps[-1])) if lower else slice(None)
-        rows0, rows1 = tables.psi(tables.at(steps[:, None]), cols, (0, 1))
+        rows0, rows1 = tables.psi(tables.at(steps[:, None]), slice(None), (0, 1))
         yield from zip(steps.tolist(), rows0, rows1)
 
 

@@ -13,6 +13,7 @@ from rkburgers.orthonormalize import (
     NotPositiveDefiniteError,
     OrthonormalBasis,
     RowSplit,
+    _invert_lower,
     add_exact_product,
     add_exact_square,
     compute_beta,
@@ -319,11 +320,11 @@ class TestFrozenReference:
         assert np.max(np.abs(got - want)) <= 1e-18 * np.max(np.abs(want))
 
     def test_peak_memory_stays_blocked(self, solution_factory):
-        # Beyond G, made before tracing starts: A (later R), L, X and Phi
-        # are n x n, and never all four at once; every other temporary is
-        # a block of 64 rows or columns or one of the triangular inverse's
-        # halves.  Whole-matrix slices and full refinement products traced
-        # 6.3 n x n here.
+        # Beyond G, made before tracing starts: A (later R) and L (later X)
+        # are n x n; every other temporary is one column block's slices and
+        # products, one of the triangular inverse's halves or a 64-row panel.
+        # Whole-matrix slices and full refinement products traced 6.3 n x n
+        # here.
         gram = solution_factory("2", 0.8, 20, 20).basis.source
         n = gram.entries.shape[0]
         assert peak_bytes(compute_beta, gram) < 5.0 * 8 * n**2
@@ -345,6 +346,21 @@ class TestBlockEdges:
             new.append(_defect(compute_beta(_gram(g)).beta, g))
             oracle.append(_defect(_fsum_beta(g), g))
         assert np.mean(new) <= 1.25 * np.mean(oracle)
+
+
+class TestInvertLower:
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65, 129])
+    def test_in_place_matches_out_of_place_bit_for_bit(self, n):
+        # compute_beta inverts L in its own storage.  The leaves are at most
+        # 32 rows and a halving splits 64 and 65 rows, so these sizes cover
+        # a leaf alone, a first split, and splits within splits.
+        rng = np.random.default_rng(n)
+        m = rng.normal(size=(n, n))
+        low = np.linalg.cholesky(m @ m.T / n + np.eye(n))
+        want = np.zeros_like(low)
+        _invert_lower(low, want)
+        _invert_lower(low, low)
+        assert _same_bits(low, want)
 
 
 class TestAddExactSquare:

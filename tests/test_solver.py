@@ -58,6 +58,14 @@ class TestSolveBasics:
         second = solve(build_example51(0.9), CollocationGrid.uniform(4, 4))
         assert np.array_equal(first.B, second.B)
 
+    def test_peak_memory_holds_the_sweep_rows_once(self):
+        # G, the rows the Gram assembly keeps for the sweep (about one n x n
+        # array, live through compute_beta), and compute_beta's own peak:
+        # 6.40 n x n here.  Gathering the rows again after compute_beta
+        # traced 5.25; keeping whole rows would pass 7.
+        n = 400
+        assert peak_bytes(solve, build_example52(0.8), CollocationGrid.uniform(20, 20)) < 6.75 * 8 * n**2
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             CollocationGrid.uniform(0, 0)

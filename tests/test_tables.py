@@ -51,9 +51,11 @@ _JITTERED = _jittered(4, 4)
 # every xi value again and again, out of order, beside runs of one eta.
 _TIME_MAJOR = CollocationGrid.from_points([(i / 9, j / 9) for j in range(1, 10) for i in range(1, 10)])
 
-# The last two cases have more points than a gathered block (64) and not
+# The 9x9 and 9x8 cases have more points than a gathered block (64) and not
 # a multiple of it, so they cross block edges in assembly, the sweep and
-# the evaluation of the solution.
+# the evaluation of the solution.  The last four hold one point less than a
+# block, one block, one point more, and two blocks and a point, so the rows
+# the Gram assembly keeps for the sweep end on each side of a block edge.
 CASES = {
     "ex1-alpha0.9-5x5": (build_example51, 0.9, CollocationGrid.uniform(5, 5)),
     "ex2-alpha0.8-6x6": (build_example52, 0.8, CollocationGrid.uniform(6, 6)),
@@ -61,6 +63,10 @@ CASES = {
     "ex2-alpha0.8-9x9": (build_example52, 0.8, CollocationGrid.uniform(9, 9)),
     "ex1-alpha0.9-jittered-9x8": (build_example51, 0.9, CollocationGrid.from_points(_jittered(9, 8))),
     "ex2-alpha0.8-9x9-time-major": (build_example52, 0.8, _TIME_MAJOR),
+    "ex1-alpha0.9-jittered-9x7": (build_example51, 0.9, CollocationGrid.from_points(_jittered(9, 7))),
+    "ex2-alpha0.8-jittered-8x8": (build_example52, 0.8, CollocationGrid.from_points(_jittered(8, 8))),
+    "ex1-alpha0.9-jittered-13x5": (build_example51, 0.9, CollocationGrid.from_points(_jittered(13, 5))),
+    "ex2-alpha0.8-jittered-43x3": (build_example52, 0.8, CollocationGrid.from_points(_jittered(43, 3))),
 }
 
 # includes xi = 0, xi = 1 and eta = 0, where the basis functions vanish
@@ -281,17 +287,20 @@ def test_block_gathers_on_tables_of_unequal_widths():
 
 
 def test_sweep_rows_take_both_orders_from_one_gather():
-    # 72 points: two blocks of sweep steps, the second one short
+    # 72 points: two blocks of Gram rows and Picard steps, the second one short
     grid = CollocationGrid.from_points(_jittered(9, 8))
     problem = build_example51(0.9)
     basis = build_basis(grid, problem)
-    tables = assemble_gram(grid, problem, basis=basis).tables
+    gram = assemble_gram(grid, problem, basis=basis)
+    tables = gram.tables
     n = grid.n
-    for lower in (True, False):
-        for k, row0, row1 in _psi_rows(tables, n, lower):
-            cols = slice(0, row0.size)
-            assert row0.size == n or (lower and k <= row0.size < n)
-            assert _same(row0, tables.psi(tables.at(k), cols, 0)) and _same(row1, tables.psi(tables.at(k), cols, 1))
+    # the Gram assembly keeps each block's rows below its last row, as a psi gather gives them
+    assert [block.shape for block in gram.sweep_rows] == [(2, 64, 63), (2, 8, 71)]
+    kept = [(k, row0, row1) for k, (row0, row1) in enumerate(pair for block in gram.sweep_rows for pair in zip(*block))]
+    for k, row0, row1 in kept + list(_psi_rows(tables, n)):
+        cols = slice(0, row0.size)
+        assert row0.size == n or k <= row0.size < n
+        assert _same(row0, tables.psi(tables.at(k), cols, 0)) and _same(row1, tables.psi(tables.at(k), cols, 1))
     steps = np.arange(64, n)[:, None]
     for cols in (slice(0, n - 1), slice(None)):
         single = [tables.psi(tables.at(steps), cols, order) for order in (1, 0)]
@@ -308,7 +317,7 @@ def test_time_major_sweep_rows_match_scalar_reference():
     problem = build_example52(0.8)
     basis = build_basis(grid, problem)
     tables = assemble_gram(grid, problem, basis=basis).tables
-    for k, row0, row1 in _psi_rows(tables, grid.n, lower=False):
+    for k, row0, row1 in _psi_rows(tables, grid.n):
         xi, eta = grid.points[k]
         for order, row in ((0, row0), (1, row1)):
             assert _same(row, [psi_eval(b, xi, eta, order) for b in basis]), (k, order)
@@ -377,6 +386,17 @@ def test_solve_and_residual_build_one_table_set_each(monkeypatch):
     assert len(builds) == 1
     residual(sol, 0.5, 0.5)
     assert len(builds) == 2
+
+
+def test_sweep_reads_the_rows_the_gram_assembly_kept(monkeypatch):
+    # only a Picard pass gathers psi rows of its own
+    calls = collections.Counter()
+    monkeypatch.setattr(BasisTables, "psi", _counting(calls, "psi", BasisTables.psi))
+    problem, grid = build_example51(0.9), CollocationGrid.uniform(9, 8)
+    sol = solve(problem, grid)
+    assert calls == {} and sol.basis.source.sweep_rows is None
+    solve(problem, grid, SolverOptions(picard_iters=1))
+    assert calls == {"psi": 2}
 
 
 def test_solve_and_error_report_build_each_factor_once_per_table_set(monkeypatch):
