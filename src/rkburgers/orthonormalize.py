@@ -18,7 +18,7 @@ lower block triangle only, a 64-column block at a time, and each block's
 product is added to its transposed place as well; A's own entries,
 which equilibration leaves not exactly symmetric, are never mirrored.
 The slices are formed per block, on its rows and columns only, from
-rounding constants taken once per row.  X is formed in L's storage.
+rounding constants taken once per whole row.  X is formed in L's storage.
 The step sets X <- X - Phi(X R X') X, where Phi keeps the strict lower
 triangle and half the diagonal, so X stays lower triangular; each 64-row
 panel of Phi is formed just before its update, from the last panel up,
@@ -42,7 +42,7 @@ __all__ = ["OrthonormalBasis", "NotPositiveDefiniteError", "GramAsymmetryError",
 _SYMMETRY_TOL = 1e-8
 _SLICES = 3
 _INVERSE_BLOCK = 32  # below this size the triangular inverse is a row loop
-_ROW_BLOCK = 64  # rows of G per symmetry-check panel; rows, or columns of L L', per block of an error-free product; rows per refinement panel
+_ROW_BLOCK = 64  # rows of G per symmetry-check panel; rows per pass of _row_sigmas; rows, or columns of L L', per block of an error-free product; rows per refinement panel
 _STRICT_UPPER = ~np.tri(_ROW_BLOCK, dtype=bool)  # zeroes a panel's diagonal block above its diagonal
 
 
@@ -79,12 +79,6 @@ def _split_bits(m):
     return (53 - math.ceil(math.log2(max(m.shape[1], 1)))) // 2 - 1
 
 
-def _rounding_constant(rest, bits):
-    """Per row of rest, the sigma that rounds it to ``bits`` significant bits, as a column, and its exponent e."""
-    _, exponent = np.frexp(np.max(np.abs(rest), axis=1, initial=0.0))
-    return np.ldexp(1.0, exponent + 53 - bits)[:, None], exponent
-
-
 def _cut(rest, sigma):
     """Cut the slice (rest + sigma) - sigma off rest, in place, and return it."""
     piece = rest + sigma
@@ -93,15 +87,33 @@ def _cut(rest, sigma):
     return piece
 
 
-def _round_off(rest, bits):
-    """Cut the next rounded slice off rest, in place; return it and a power of two per row dividing it.
+def _row_sigmas(m):
+    """Both rounding constants of every row of m, shape (2, rows, 1), from whole rows a 64-row block at a time.
 
-    With 2**(e-1) <= max|rest_i| < 2**e, rest_i + sigma lies in
-    [sigma/2, 2 sigma), where the floats are spaced at least 2**(e - bits)
-    apart; so is the slice, down to the smallest subnormal.
+    With 2**(e-1) <= max|rest_i| < 2**e, rest_i + sigma_i, for sigma_i =
+    2**(e + 53 - bits), lies in [sigma_i/2, 2 sigma_i), where the floats
+    are spaced at least 2**(e - bits) apart; so is the slice, down to the
+    smallest subnormal.  A slice entry depends only on the entry and its
+    row's constants, so ``_slices`` cuts any block as the whole m is cut.
     """
-    sigma, exponent = _rounding_constant(rest, bits)
-    return _cut(rest, sigma), np.ldexp(1.0, np.maximum(exponent - bits, -1074))[:, None]
+    bits = _split_bits(m)
+    sigmas = np.empty((_SLICES - 1, m.shape[0], 1))
+    for start in range(0, m.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        rest = np.array(m[rows], dtype=float)
+        for sigma in sigmas:
+            _, exponent = np.frexp(np.max(np.abs(rest), axis=1, initial=0.0))
+            sigma[rows, 0] = np.ldexp(1.0, exponent + 53 - bits)
+            _cut(rest, sigma[rows])
+    return sigmas
+
+
+def _slices(block, sigmas):
+    """[x1, x2, x3] of a block of some matrix's rows, cut with those rows' ``_row_sigmas``; x1 + x2 + x3 == block."""
+    x3 = np.array(block, dtype=float)
+    x1 = _cut(x3, sigmas[0])
+    x2 = _cut(x3, sigmas[1])
+    return [x1, x2, x3]
 
 
 def split_rows(m):
@@ -117,40 +129,7 @@ def split_rows(m):
     involve it, which do round, are off by about n 2**-(53 + 2 bits) of
     max|x_i| max|y_j|: some 2**-40 of a plain product's rounding error.
     """
-    rest = np.array(m, dtype=float)
-    bits = _split_bits(rest)
-    return [_round_off(rest, bits)[0] for _ in range(_SLICES - 1)] + [rest]
-
-
-class RowSplit:
-    """``split_rows(m)`` kept in half of m's memory and restored a block of rows at a time.
-
-    A rounded slice is an integer below 2**26 times a power of two per
-    row, so it is stored as int32 counts and that power; the last slice
-    is m less the rounded ones.  ``split[key]``, for rows or (rows, cols),
-    is exactly ``[s[key] for s in split_rows(m)]``.  A caller that
-    multiplies one m by several matrices splits it once this way.
-    """
-
-    def __init__(self, m):
-        self.m = np.asarray(m, dtype=float)
-        self.counts = np.empty((_SLICES - 1,) + self.m.shape, dtype=np.int32)
-        self.units = np.empty((_SLICES - 1, self.m.shape[0], 1))
-        bits = _split_bits(self.m)
-        for start in range(0, self.m.shape[0], _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            rest = np.array(self.m[rows])
-            for counts, units in zip(self.counts, self.units):
-                piece, units[rows] = _round_off(rest, bits)
-                counts[rows] = piece / units[rows]
-
-    def __getitem__(self, key):
-        rows = key[0] if isinstance(key, tuple) else key
-        slices = [counts[key] * units[rows] for counts, units in zip(self.counts, self.units)]
-        rest = np.array(self.m[key])
-        for piece in slices:
-            rest -= piece
-        return slices + [rest]
+    return _slices(m, _row_sigmas(m))
 
 
 def _two_sum_into(h, l, p):
@@ -169,19 +148,19 @@ def _two_sum_into(h, l, p):
     h[...] = s
 
 
-def add_exact_product(hi, lo, x, y):
+def add_exact_product(hi, lo, x, sigmas, y):
     """hi + lo += x @ y', the product carried far beyond working precision.
 
-    x is a ``RowSplit``, split once for several y; hi covers x's leading
-    rows and y, split by rows, its leading columns, the rest being zero.
-    Each of the 9 slice products is added with TwoSum, on blocks of rows
-    of x, which keeps the products small.
+    sigmas are ``_row_sigmas(x)``, taken once for several y; hi covers
+    x's leading rows and y, split by rows, its leading columns, the rest
+    being zero.  x is sliced a block of rows at a time, and each of the
+    9 slice products is added with TwoSum, which keeps the products small.
     """
     ys = split_rows(y)
     for start in range(0, hi.shape[0], _ROW_BLOCK):
         rows = slice(start, min(start + _ROW_BLOCK, hi.shape[0]))
         h, l = hi[rows], lo[rows]
-        for xi in x[rows, : y.shape[1]]:
+        for xi in _slices(x[rows, : y.shape[1]], sigmas[:, rows]):
             for yj in ys:
                 _two_sum_into(h, l, xi @ yj.T)
 
@@ -189,13 +168,11 @@ def add_exact_product(hi, lo, x, y):
 def _square_tile(low, start, stop, sigmas):
     """low[start:, :stop] @ low[start:stop, :stop]' as a pair t_hi + t_lo, from slices of those rows and columns.
 
-    sigmas holds each rounded slice's rounding constants for all of low's
-    rows; the slices are freed on return, before the next tile's are made.
+    sigmas are ``_row_sigmas(low)``; the slices are freed on return,
+    before the next tile's are made.
     """
     below = stop - start
-    x3 = np.array(low[start:, :stop])
-    x1 = _cut(x3, sigmas[0][start:])
-    x2 = _cut(x3, sigmas[1][start:])
+    x1, x2, x3 = _slices(low[start:, :stop], sigmas[:, start:])
     t_hi = x1 @ x1[:below].T
     t_lo = x3 @ (x1[:below] + x2[:below]).T
     t_lo += low[start:, :stop] @ x3[:below].T
@@ -222,19 +199,11 @@ def add_exact_square(hi, low):
     exactly symmetric stays as it is.
 
     The slices are formed per block, on those rows and columns only, from
-    the rounding constants of whole rows, which a first pass over 64-row
-    blocks of low's lower triangle takes; so no copy or slice of all of
-    low is made.
+    the rounding constants of whole rows (``_row_sigmas``); so no copy or
+    slice of all of low is made.
     """
     n = low.shape[0]
-    bits = _split_bits(low)
-    sigmas = np.empty((_SLICES - 1, n, 1))
-    for start in range(0, n, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, n)
-        rest = np.array(low[start:stop, :stop])  # row i of low is zero past column i
-        for sigma in sigmas:
-            sigma[start:stop] = _rounding_constant(rest, bits)[0]
-            _cut(rest, sigma[start:stop])
+    sigmas = _row_sigmas(low)
     for start in range(0, n, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, n)
         below = stop - start  # the tile's rows past the diagonal block
@@ -386,7 +355,8 @@ def norm_recursion_defect(s) -> float:
     of U are the prefixes, G U' is carried as hi + lo, and each u_m' G u_m
     is summed from TwoProd terms, one block of prefixes at a time.  As
     beta is lower triangular, a block's prefixes vanish past its last
-    index, so only G's leading block is read, from one ``RowSplit`` of G.
+    index, so only G's leading block is read, sliced a block of rows at a
+    time with rounding constants taken once from G's whole rows.
     The normalization by 1 + sum B_i^2 matches the scale-aware form used
     for the Gram symmetry tolerance; the unnormalized defect sits at the
     64-bit representation floor of the triangular factor once the squared
@@ -395,7 +365,8 @@ def norm_recursion_defect(s) -> float:
     n = s.n
     quad = np.empty(n)
     prefix = np.zeros(n)
-    g_split = RowSplit(s.basis.source.entries)  # splitting G's leading blocks anew would move bits
+    g = s.basis.source.entries
+    sigmas = _row_sigmas(g)  # of whole rows, as a split of all of G takes them
     # The prefixes run in blocks of n/8 (at least _ROW_BLOCK), so the work
     # arrays stay a fixed fraction of one n x n matrix.
     width = max(_ROW_BLOCK, n // 8)
@@ -406,7 +377,7 @@ def norm_recursion_defect(s) -> float:
         u = np.cumsum(np.concatenate([prefix[None, :stop], steps]), axis=0)[1:]
         prefix[:stop] = u[-1]
         hi, lo = np.zeros((2, stop, stop - start))
-        add_exact_product(hi, lo, g_split, u)
+        add_exact_product(hi, lo, g, sigmas, u)
         terms, err = _two_prod(u.T, hi)
         err += u.T * lo
         # row by row, as np.sum adds two or more columns; one column it would sum pairwise

@@ -5,8 +5,9 @@ before its array tables existed, kept verbatim: the scalar kernels ``r2``
 and ``r3`` (one ``polyval2d`` per value, on the package's coefficient
 tables ``_D2`` and ``_D3``), the scalar Caputo time factors ``_ctk`` and
 ``_dc``, ``psi_eval``'s body, ``apply_operator`` and the scalar
-``weighted_moment``; ``norm_recursion_defect`` as it was when it
-multiplied all of G against every block of prefixes; and
+``weighted_moment``; ``split_rows`` as it was when it split a whole
+matrix at once, slice after slice; ``norm_recursion_defect`` as it was
+when it multiplied all of G against every block of prefixes; and
 ``compute_beta`` as it was when it split all of the Cholesky factor at
 once and refined with full n x n products.  The package's array code
 performs the same floating-point operations in the same order, its
@@ -25,15 +26,7 @@ from numpy.polynomial.polynomial import polyval2d
 from rkburgers.fracmath import DEFAULT_QUADRATURE_NODES, gamma, jacobi_rule
 from rkburgers.kernels import _D2, _D3, _check_order
 from rkburgers.operator import BasisFunction, Problem
-from rkburgers.orthonormalize import (
-    _ROW_BLOCK,
-    RowSplit,
-    _cholesky,
-    _invert_lower,
-    _two_sum_into,
-    add_exact_product,
-    split_rows,
-)
+from rkburgers.orthonormalize import _ROW_BLOCK, _cholesky, _invert_lower, _two_sum_into
 
 
 def _check_unit(name: str, value: float) -> float:
@@ -212,20 +205,42 @@ def _two_prod(a, b):
     return p, err
 
 
+def _round_off(rest, bits):
+    """Cut the next rounded slice off rest, in place, and return it.
+
+    With 2**(e-1) <= max|rest_i| < 2**e, rest_i + sigma lies in
+    [sigma/2, 2 sigma), where the floats are spaced at least 2**(e - bits)
+    apart; so is the slice, down to the smallest subnormal.
+    """
+    _, exponent = np.frexp(np.max(np.abs(rest), axis=1, initial=0.0))
+    sigma = np.ldexp(1.0, exponent + 53 - bits)[:, None]
+    piece = rest + sigma
+    piece -= sigma
+    rest -= piece
+    return piece
+
+
+def split_rows(m):
+    """Row slices s_1 + s_2 + s_3 == m, exact, the first two rounded to at most ``bits`` significant bits per row."""
+    rest = np.array(m, dtype=float)
+    bits = (53 - math.ceil(math.log2(max(rest.shape[1], 1)))) // 2 - 1
+    return [_round_off(rest, bits) for _ in range(2)] + [rest]
+
+
 def norm_recursion_defect(s) -> float:
     """Max over prefixes m of | ||y_m||^2 - sum B_i^2 | / (1 + sum B_i^2), over all of G.
 
     Each block of prefixes, U, is multiplied against the whole of G, whose
-    rows past the block's last prefix meet only U's zeros, and the
-    compensated column sums are written out by hand.  It uses the
-    package's ``RowSplit`` and ``add_exact_product``, which
-    ``TestRowSplit`` and ``TestAddExactProduct`` check on their own.
+    rows past the block's last prefix meet only U's zeros: G and U are
+    split with ``split_rows`` above, and the 9 slice products are added
+    with TwoSum, a 64-row block of G at a time.  The compensated column
+    sums are written out by hand.
     """
     n = s.n
     g = s.basis.source.entries
     quad = np.empty(n)
     prefix = np.zeros(n)
-    g_split = RowSplit(g)
+    g_slices = split_rows(g)
     width = max(64, n // 8)
     for start in range(0, n, width):
         stop = min(start + width, n)
@@ -234,7 +249,12 @@ def norm_recursion_defect(s) -> float:
         prefix = u[-1]
         hi = np.zeros((n, stop - start))
         lo = np.zeros((n, stop - start))
-        add_exact_product(hi, lo, g_split, u)
+        u_slices = split_rows(u)
+        for rows in range(0, n, 64):
+            h, l = hi[rows : rows + 64], lo[rows : rows + 64]
+            for gi in g_slices:
+                for uj in u_slices:
+                    _two_sum_into(h, l, gi[rows : rows + 64] @ uj.T)
         terms, err = _two_prod(u.T, hi)
         err += u.T * lo
         block = np.zeros(stop - start)

@@ -208,9 +208,11 @@ class TestNormRecursion:
         expected = _prefix_loop_norm_recursion_defect(sol)
         assert norm_recursion_defect(sol) == pytest.approx(expected, rel=0, abs=4 * 2.0**-53)
 
-    def test_memory_stays_below_four_matrices(self, solution_factory):
+    def test_memory_stays_below_three_matrices(self, solution_factory):
+        # G is sliced a block of rows at a time and no copy of it is kept;
+        # keeping its two rounded slices as int32 counts traced 3.24 n x n here.
         sol = solution_factory("2", 0.8, 20, 20)
-        assert peak_bytes(norm_recursion_defect, sol) < 4 * 8 * sol.n**2
+        assert peak_bytes(norm_recursion_defect, sol) < 2.75 * 8 * sol.n**2
 
     def test_partial_sum_norms_nondecreasing(self, solution_factory):
         sol = solution_factory("1", 0.9, 5, 5)

@@ -11,6 +11,7 @@ from rkburgers.verification import (
     double_caputo_oracle,
     run_default_checks,
 )
+from tests.conftest import peak_bytes
 
 
 class TestDefaultBattery:
@@ -21,6 +22,12 @@ class TestDefaultBattery:
     def test_check_lines_are_printable(self):
         res = check_quadrature_vs_moments()
         assert res.line().startswith("PASS")
+
+    def test_gram_check_drops_the_sweep_rows(self):
+        # The sweep rows, about one n x n array that only solve reads, are
+        # dropped before compute_beta; kept through it, they traced 6.36 n x n.
+        n = 400
+        assert peak_bytes(check_gram, build_example52(0.8), CollocationGrid.uniform(20, 20)) < 5.75 * 8 * n**2
 
 
 class TestBrokenFixtures:
