@@ -156,8 +156,6 @@ class BasisFunction(NamedTuple):
 class GramMatrix(NamedTuple):
     """Pairwise inner products of the collocation basis functions.
 
-    ``tables`` are the ``BasisTables`` the entries were gathered from, at
-    the collocation points, so the solver's Picard passes reuse them.
     ``sweep_rows`` holds, for each 64-row block of the entries, psi_l and
     d_xi psi_l at the block's points for every l below its last row, as
     one 2 x rows x l array: the rows the solver's sweep reads, gathered
@@ -166,7 +164,6 @@ class GramMatrix(NamedTuple):
     """
 
     entries: np.ndarray
-    tables: Optional["BasisTables"] = None
     sweep_rows: Optional[tuple] = None
 
 
@@ -480,10 +477,10 @@ def assemble_gram(
 
     Entry (i, j) is (L psi_j) at collocation point i, with the coefficients
     frozen in psi_i, the basis function centred there; the rows are
-    gathered from ``BasisTables`` a block at a time, and the tables are
-    handed back with the entries.  Each block's gather also forms psi_j
-    and d_xi psi_j at its points, before L scales them; the columns below
-    the block's last row are kept as the block's ``sweep_rows``.
+    gathered from ``BasisTables`` a block at a time.  Each block's gather
+    also forms psi_j and d_xi psi_j at its points, before L scales them;
+    the columns below the block's last row are kept as the block's
+    ``sweep_rows``.
     """
     if basis is None:
         basis = build_basis(grid, problem)
@@ -499,4 +496,4 @@ def assemble_gram(
         entries[start : start + _ROW_BLOCK] = lpsi
         last = int(rows[-1, 0])
         sweep_rows.append(np.stack((psi0[:, :last], psi1[:, :last])))
-    return GramMatrix(entries=entries, tables=tables, sweep_rows=tuple(sweep_rows))
+    return GramMatrix(entries=entries, sweep_rows=tuple(sweep_rows))

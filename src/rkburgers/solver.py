@@ -17,16 +17,19 @@ matrices Psi0 and Psi1, so y_{k-1}(x_k) is the dot product of the
 raw-coefficient prefix with that row.  The Gram assembly forms these
 values when it applies L to psi_l at the collocation points and keeps
 them below each block's last row (``GramMatrix.sweep_rows``); the sweep
-reads them there and drops them, so they are gathered once per solve.  A
-Picard pass needs whole rows, which it gathers a block of steps at a
-time from the ``BasisTables`` the Gram matrix was assembled from.  Evaluation
-anywhere else builds tables at its own points, with ``evaluate`` taking
-whole arrays of points and gathering one block of points by one block of
-basis functions at a time, so its memory does not grow with points x
-functions.  Each gather forms a factor once per distinct xi or eta value
-among its points (on a 51 x 51 surface, a block of 256 points holds
-about 6 distinct xi and 51 distinct eta values) and scales and sums the
-block's terms in place.
+reads them there and drops them, so they are gathered once per solve.
+Evaluation anywhere else builds tables at its own points, with
+``evaluate`` taking whole arrays of points and gathering one block of
+points by one block of basis functions at a time, so its memory does not
+grow with points x functions.  Each gather forms a factor once per
+distinct xi or eta value among its points (on a 51 x 51 surface, a block
+of 256 points holds about 6 distinct xi and 51 distinct eta values) and
+scales and sums the block's terms in place.  A Picard pass needs y and
+d_xi y of the previous iterate at every collocation point, which is what
+``evaluate`` computes, so a solve with Picard passes builds one set of
+psi tables at the collocation points and each pass reads both orders
+from ``evaluate``'s loop (``_values``): each F_k is f - k4 * y * d_xi y
+with y and d_xi y bit-identical to ``evaluate``'s.
 """
 
 import math
@@ -64,7 +67,7 @@ __all__ = [
     "norm_recursion_defect",
 ]
 
-_BLOCK = 64  # Picard steps or basis functions per gathered block
+_BLOCK = 64  # basis functions per gathered block
 _POINT_BLOCK = 256  # evaluation points per gathered block
 
 
@@ -118,7 +121,6 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
     # Python floats: an overflow gives inf, which the checks below name, rather than a numpy warning.
     f, k4 = np.array([(problem.f(xi, eta), problem.k4(xi, eta)) for xi, eta in grid.points], dtype=float).T.tolist()
 
-    tables = gram.tables
     F = np.zeros(n)
     B = np.zeros(n)
     cum = np.zeros(n)  # prefix of beta' B, coefficients over the raw basis
@@ -132,11 +134,14 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
         cum[: k + 1] += B[k] * b
     del kept, rows
 
-    for _ in range(opts.picard_iters):
-        for k, row0, row1 in _psi_rows(tables, n):
-            F[k] = _finite(f[k] - k4[k] * float(np.dot(cum, row0)) * float(np.dot(cum, row1)), k)
-        B = beta @ F
-        cum = beta.T @ B
+    if opts.picard_iters:
+        tables = BasisTables(basis, [x for x, _ in grid.points], [e for _, e in grid.points])
+        for _ in range(opts.picard_iters):
+            y, dy = _values(cum, tables, n, (0, 1)).tolist()
+            for k in range(n):
+                F[k] = _finite(f[k] - k4[k] * y[k] * dy[k], k)
+            B = beta @ F
+            cum = beta.T @ B
 
     return ApproximateSolution(
         B=B,
@@ -157,14 +162,6 @@ def _finite(value: float, k: int) -> float:
     return value
 
 
-def _psi_rows(tables: BasisTables, n: int):
-    """(k, Psi0[k], Psi1[k]) for k = 0 .. n - 1, whole rows gathered _BLOCK rows at a time, for the Picard passes."""
-    for start in range(0, n, _BLOCK):
-        steps = np.arange(start, min(start + _BLOCK, n))
-        rows0, rows1 = tables.psi(tables.at(steps[:, None]), slice(None), (0, 1))
-        yield from zip(steps.tolist(), rows0, rows1)
-
-
 def evaluate(s: ApproximateSolution, xi, eta, dxi_order: int = 0):
     """y_n (or its first xi-derivative) anywhere on [0, 1]^2.
 
@@ -180,33 +177,43 @@ def evaluate(s: ApproximateSolution, xi, eta, dxi_order: int = 0):
     if outside.any():
         k = int(np.flatnonzero(outside)[0])
         raise ValueError(f"evaluation point ({xs.flat[k]}, {es.flat[k]}) outside [0, 1]^2")
-    tables = BasisTables(s.basis_functions, xs.ravel(), es.ravel())
-    values = np.zeros(xs.size)
-    for start in range(0, xs.size, _POINT_BLOCK):
-        points = np.arange(start, min(start + _POINT_BLOCK, xs.size))
-        values[start : start + _POINT_BLOCK] = _expansion(s, tables, points, dxi_order)
+    values = _values(s.raw_coeffs, BasisTables(s.basis_functions, xs.ravel(), es.ravel()), xs.size, dxi_order)
     if xs.ndim == 0:
         return float(values[0])
     return values.reshape(xs.shape)
 
 
-def _expansion(s: ApproximateSolution, tables: BasisTables, points, dxi_order: int) -> np.ndarray:
-    """sum_l c_l psi_l (or its xi-derivative) at the tables' points.
+def _values(coeffs: np.ndarray, tables: BasisTables, size: int, dxi_order) -> np.ndarray:
+    """sum_l coeffs[l] psi_l (or its xi-derivative) at the tables' ``size`` points, a block of points at a time.
 
-    The sum runs over the nonzero raw coefficients, added in index order,
+    ``dxi_order`` may be a sequence of orders, as in ``BasisTables.psi``:
+    the result then holds one row per order, from one gather per block.
+    """
+    values = np.zeros(np.shape(dxi_order) + (size,))
+    for start in range(0, size, _POINT_BLOCK):
+        points = np.arange(start, min(start + _POINT_BLOCK, size))
+        values[..., start : start + _POINT_BLOCK] = _expansion(coeffs, tables, points, dxi_order)
+    return values
+
+
+def _expansion(coeffs: np.ndarray, tables: BasisTables, points, dxi_order) -> np.ndarray:
+    """sum_l coeffs[l] psi_l (or its xi-derivative) at the tables' points.
+
+    The sum runs over the nonzero coefficients, added in index order,
     on gathers of one block of basis functions that keep the temporaries
     small, which share one ``at`` of the points; each gathered block is
-    scaled by its coefficients in place.
+    scaled by its coefficients in place.  A sequence of orders is summed
+    term by term for all orders at once.
     """
-    fns = np.flatnonzero(s.raw_coeffs != 0.0)
-    coeffs = s.raw_coeffs[fns, None]
+    fns = np.flatnonzero(coeffs != 0.0)
+    scale = coeffs[fns, None]
     at = tables.at(points)
-    total = np.zeros(np.size(points))
+    total = np.zeros(np.shape(dxi_order) + (np.size(points),))
     for block in range(0, fns.size, _BLOCK):
         fn = slice(block, block + _BLOCK)
         terms = tables.psi(at, fns[fn, None], dxi_order)
-        terms *= coeffs[fn]
-        for row in terms:
+        terms *= scale[fn]
+        for row in terms if terms.ndim == 2 else terms.swapaxes(0, 1):
             total += row
     return total
 
@@ -225,7 +232,7 @@ def residual(s: ApproximateSolution, xi: float, eta: float) -> float:
     ly = 0.0
     for term in s.raw_coeffs[fns] * row[fns]:
         ly += term
-    yv, dyv = (float(_expansion(s, tables, np.arange(1), order)[0]) for order in (0, 1))
+    yv, dyv = _values(s.raw_coeffs, tables, 1, (0, 1))[:, 0].tolist()
     return float(ly) - (p.f(xi, eta) - p.k4(xi, eta) * yv * dyv)
 
 

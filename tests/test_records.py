@@ -33,7 +33,7 @@ from rkburgers.verification import CheckResult, check_gamma_reflection
 # record: (field names in order, defaults)
 RECORDS = {
     BasisFunction: (("xi", "eta", "k1", "k2", "k3", "alpha"), {}),
-    GramMatrix: (("entries", "tables", "sweep_rows"), {"tables": None, "sweep_rows": None}),
+    GramMatrix: (("entries", "sweep_rows"), {"sweep_rows": None}),
     OrthonormalBasis: (("beta", "source"), {}),
     SeparableSolution: (("space", "space_d1", "space_d2", "time_power"), {}),
     ForcingReport: (("max_discrepancy", "tol", "passed"), {}),
@@ -91,8 +91,8 @@ def test_a_solve_hands_back_records(solution_factory):
         assert type(value) is record
         with pytest.raises(AttributeError):
             setattr(value, record._fields[0], None)
-    # the solution keeps the Gram's tables for its Picard passes, not the rows its sweep read
-    assert sol.n == 9 and sol.basis.source.tables is not None and sol.basis.source.sweep_rows is None
+    # the solution keeps G, not the rows its sweep read
+    assert sol.n == 9 and sol.basis.source.sweep_rows is None
     assert isinstance(sol.problem.exact, SeparableSolution)
     exact = sol.problem.exact
     assert exact(0.5, 0.5) == exact.space(0.5) * 0.5**exact.time_power

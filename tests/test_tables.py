@@ -10,6 +10,7 @@ order, so the comparisons are ``np.array_equal``, not approximate.
 import collections
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from rkburgers.operator import (
 )
 from rkburgers.orthonormalize import compute_beta
 from rkburgers.problems import build_example51, build_example52
-from rkburgers.solver import SolverOptions, _psi_rows, error_report, evaluate, residual, solve
+from rkburgers.solver import SolverOptions, error_report, evaluate, residual, solve
 from tests.conftest import peak_bytes
 
 
@@ -81,8 +82,17 @@ def _reference_value(raw, basis, xi, eta, order=0):
     return float(sum(c * psi_eval(b, xi, eta, order) for c, b in zip(raw, basis) if c != 0.0))
 
 
+def _tables_at(grid, basis):
+    """Psi tables at the grid's points."""
+    return BasisTables(basis, [x for x, _ in grid.points], [e for _, e in grid.points])
+
+
 def _reference_sweep(problem, grid, basis, beta, picard_iters=0):
-    """The sequential sweep and Picard passes evaluated through psi_eval."""
+    """The sequential sweep and Picard passes evaluated through psi_eval.
+
+    A Picard pass reads the previous iterate as ``evaluate`` does: the
+    in-order sum over its nonzero raw coefficients (``_reference_value``).
+    """
     n = grid.n
     F, B, cum = np.zeros(n), np.zeros(n), np.zeros(n)
     for k, (xi, eta) in enumerate(grid.points):
@@ -98,9 +108,9 @@ def _reference_sweep(problem, grid, basis, beta, picard_iters=0):
         cum[: k + 1] += B[k] * beta[k, : k + 1]
     for _ in range(picard_iters):
         for k, (xi, eta) in enumerate(grid.points):
-            vals = np.array([psi_eval(basis[l], xi, eta, 0) for l in range(n)])
-            ders = np.array([psi_eval(basis[l], xi, eta, 1) for l in range(n)])
-            F[k] = problem.f(xi, eta) - problem.k4(xi, eta) * float(cum @ vals) * float(cum @ ders)
+            yv = _reference_value(cum, basis, xi, eta, 0)
+            dyv = _reference_value(cum, basis, xi, eta, 1)
+            F[k] = problem.f(xi, eta) - problem.k4(xi, eta) * yv * dyv
         B = beta @ F
         cum = beta.T @ B
     return F, B, cum
@@ -286,20 +296,24 @@ def test_block_gathers_on_tables_of_unequal_widths():
     assert _same(tables.operator(tables.at(rows), fns, c1, c2, c3), expected)
 
 
+def _kept_rows(gram):
+    """(k, psi row, d_xi psi row) for each collocation point k, as the Gram assembly kept them for the sweep."""
+    return [(k, row0, row1) for k, (row0, row1) in enumerate(pair for block in gram.sweep_rows for pair in zip(*block))]
+
+
 def test_sweep_rows_take_both_orders_from_one_gather():
-    # 72 points: two blocks of Gram rows and Picard steps, the second one short
+    # 72 points: two blocks of Gram rows, the second one short
     grid = CollocationGrid.from_points(_jittered(9, 8))
     problem = build_example51(0.9)
     basis = build_basis(grid, problem)
     gram = assemble_gram(grid, problem, basis=basis)
-    tables = gram.tables
+    tables = _tables_at(grid, basis)
     n = grid.n
     # the Gram assembly keeps each block's rows below its last row, as a psi gather gives them
     assert [block.shape for block in gram.sweep_rows] == [(2, 64, 63), (2, 8, 71)]
-    kept = [(k, row0, row1) for k, (row0, row1) in enumerate(pair for block in gram.sweep_rows for pair in zip(*block))]
-    for k, row0, row1 in kept + list(_psi_rows(tables, n)):
+    for k, row0, row1 in _kept_rows(gram):
         cols = slice(0, row0.size)
-        assert row0.size == n or k <= row0.size < n
+        assert k <= row0.size < n
         assert _same(row0, tables.psi(tables.at(k), cols, 0)) and _same(row1, tables.psi(tables.at(k), cols, 1))
     steps = np.arange(64, n)[:, None]
     for cols in (slice(0, n - 1), slice(None)):
@@ -316,17 +330,16 @@ def test_time_major_sweep_rows_match_scalar_reference():
     grid = _TIME_MAJOR
     problem = build_example52(0.8)
     basis = build_basis(grid, problem)
-    tables = assemble_gram(grid, problem, basis=basis).tables
-    for k, row0, row1 in _psi_rows(tables, grid.n):
+    for k, row0, row1 in _kept_rows(assemble_gram(grid, problem, basis=basis)):
         xi, eta = grid.points[k]
         for order, row in ((0, row0), (1, row1)):
-            assert _same(row, [psi_eval(b, xi, eta, order) for b in basis]), (k, order)
+            assert _same(row, [psi_eval(b, xi, eta, order) for b in basis[: row.size]]), (k, order)
 
 
 def test_blocks_whose_points_and_functions_share_an_axis_are_rejected():
     # a gather factors through the block's distinct points along its one point axis
     grid = CollocationGrid.uniform(3, 3)
-    tables = assemble_gram(grid, build_example51(0.9)).tables
+    tables = _tables_at(grid, build_basis(grid, build_example51(0.9)))
     with pytest.raises(ValueError, match="one axis"):
         tables.psi(tables.at(np.arange(3)), np.arange(3))
     with pytest.raises(ValueError, match="one axis"):
@@ -362,6 +375,25 @@ def test_picard_pass_matches_scalar_reference():
     assert _same(sol.raw_coeffs, raw)
 
 
+@pytest.mark.parametrize(
+    "build, alpha, grid",
+    [
+        # 272 points: the pass crosses a block of 256 points and five blocks of 64 functions
+        pytest.param(build_example52, 0.8, CollocationGrid.uniform(17, 16), id="ex2-alpha0.8-17x16"),
+        pytest.param(*CASES["ex1-alpha0.9-jittered-9x8"], id="ex1-alpha0.9-jittered-9x8"),
+    ],
+)
+def test_picard_pass_reads_the_previous_iterate_through_evaluate(build, alpha, grid):
+    # F_k of the second pass is f - k4 * y * d_xi y, with y the one-pass solution as evaluate gives it
+    problem = build(alpha)
+    one = solve(problem, grid, SolverOptions(picard_iters=1))
+    two = solve(problem, grid, SolverOptions(picard_iters=2))
+    xs, es = [x for x, _ in grid.points], [e for _, e in grid.points]
+    y, dy = (evaluate(one, xs, es, order).tolist() for order in (0, 1))
+    expected = [problem.f(x, e) - problem.k4(x, e) * v * d for x, e, v, d in zip(xs, es, y, dy)]
+    assert _same(two.F_values, expected)
+
+
 def test_residual_at_collocation_points_matches_scalar_reference(solution_factory):
     sol = solution_factory("1", 0.9, 4, 4)
     problem, basis = sol.problem, sol.basis_functions
@@ -382,14 +414,18 @@ def test_solve_and_residual_build_one_table_set_each(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(BasisTables, "__init__", counting_init)
-    sol = solve(build_example51(0.9), CollocationGrid.uniform(3, 3), SolverOptions(picard_iters=1))
+    problem, grid = build_example51(0.9), CollocationGrid.uniform(3, 3)
+    sol = solve(problem, grid)
     assert len(builds) == 1
     residual(sol, 0.5, 0.5)
     assert len(builds) == 2
+    # Picard passes add one psi-only set at the collocation points per solve, not one per pass
+    solve(problem, grid, SolverOptions(picard_iters=2))
+    assert len(builds) == 4
 
 
 def test_sweep_reads_the_rows_the_gram_assembly_kept(monkeypatch):
-    # only a Picard pass gathers psi rows of its own
+    # only a Picard pass gathers psi values of its own
     calls = collections.Counter()
     monkeypatch.setattr(BasisTables, "psi", _counting(calls, "psi", BasisTables.psi))
     problem, grid = build_example51(0.9), CollocationGrid.uniform(9, 8)
@@ -428,6 +464,18 @@ def test_scattered_tables_stay_small():
     basis = build_basis(grid, build_example52(0.8))
     xs, es = [x for x, _ in grid.points], [e for _, e in grid.points]
     assert peak_bytes(BasisTables, basis, xs, es, 64) < 40e6
+
+
+def test_solution_does_not_keep_the_tables():
+    # on a scattered grid every table is n x n: the solution holds G and beta, not the Gram's tables
+    grid = CollocationGrid.from_points(_jittered(20, 20))
+    tracemalloc.start()
+    try:
+        sol = solve(build_example52(0.8), grid)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sol.n == 400 and retained < 3 * 8 * sol.n**2
 
 
 @pytest.mark.parametrize("order", [0, 1])
