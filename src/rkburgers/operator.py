@@ -403,12 +403,13 @@ class BasisTables:
         rows = [_combine(r2v, smooth, phi, frac) for frac, smooth in factors]
         return np.stack(rows) if np.ndim(dxi_order) else rows[0]
 
-    def operator(self, at, fns, c1, c2, c3) -> np.ndarray:
-        """(L psi_l) at the points ``at`` gives, with coefficients c1, c2, c3 sampled there, each broadcasting to the block; needs ``nodes``."""
-        return self._operator(at, fns, c1, c2, c3)[0]
+    def operator(self, at, fns, c1, c2, c3):
+        """(L psi_l), then psi_l and d_xi psi_l, at the points ``at`` gives; needs ``nodes``.
 
-    def _operator(self, at, fns, c1, c2, c3):
-        """``operator``'s value, then psi_l and d_xi psi_l at the points, which it scales by c2 and c3 into temporaries."""
+        c1, c2, c3 are the coefficients sampled at the points, each
+        broadcasting to the block.  psi_l and d_xi psi_l are ``psi``'s,
+        which L scales into temporaries.
+        """
         times = self._r2, self._caputo_basis, self._caputo_point, self._caputo_both
         (r2v, phi, caputo_point, caputo_both), factors = self._gather(at, fns, range(3), times)
         # Caputo transform, at the point, of each of psi_l's two time factors,
@@ -492,7 +493,7 @@ def assemble_gram(
     sweep_rows = []
     for start in range(0, n, _ROW_BLOCK):
         rows = np.arange(start, min(start + _ROW_BLOCK, n))[:, None]
-        lpsi, psi0, psi1 = tables._operator(tables.at(rows), slice(None), *tables._coeffs[:, rows])
+        lpsi, psi0, psi1 = tables.operator(tables.at(rows), slice(None), *tables._coeffs[:, rows])
         entries[start : start + _ROW_BLOCK] = lpsi
         last = int(rows[-1, 0])
         sweep_rows.append(np.stack((psi0[:, :last], psi1[:, :last])))

@@ -90,11 +90,21 @@ def _cut(rest, sigma):
 def _row_sigmas(m):
     """Both rounding constants of every row of m, shape (2, rows, 1), from whole rows a 64-row block at a time.
 
-    With 2**(e-1) <= max|rest_i| < 2**e, rest_i + sigma_i, for sigma_i =
-    2**(e + 53 - bits), lies in [sigma_i/2, 2 sigma_i), where the floats
-    are spaced at least 2**(e - bits) apart; so is the slice, down to the
-    smallest subnormal.  A slice entry depends only on the entry and its
-    row's constants, so ``_slices`` cuts any block as the whole m is cut.
+    ``_slices`` cuts m with them into row slices x1 + x2 + x3 == m, exact,
+    for error-free products.  With 2**(e-1) <= max|rest_i| < 2**e,
+    rest_i + sigma_i, for sigma_i = 2**(e + 53 - bits), lies in
+    [sigma_i/2, 2 sigma_i), where the floats are spaced at least
+    2**(e - bits) apart; so x1 and x2 are rounded to a power-of-two grid
+    set by their row's largest remaining entry, and carry at most ``bits``
+    significant bits relative to it, down to the smallest subnormal.  A
+    row product of two rounded slices is then a sum of at most n integers
+    below 2**(2 bits), which stays under 2**53 and is exact in any
+    summation order, with or without FMA.  x3 is below 2**-(2 bits) of
+    its row's largest entry, so the products that involve it, which do
+    round, are off by about n 2**-(53 + 2 bits) of max|x_i| max|y_j|: some
+    2**-40 of a plain product's rounding error.  A slice entry depends
+    only on the entry and its row's constants, so ``_slices`` cuts any
+    block as the whole m is cut.
     """
     bits = _split_bits(m)
     sigmas = np.empty((_SLICES - 1, m.shape[0], 1))
@@ -114,22 +124,6 @@ def _slices(block, sigmas):
     x1 = _cut(x3, sigmas[0])
     x2 = _cut(x3, sigmas[1])
     return [x1, x2, x3]
-
-
-def split_rows(m):
-    """Row slices s_1 + ... + s_k == m, exact, for error-free products.
-
-    Every slice but the last is rounded to a power-of-two grid set by its
-    row's largest remaining entry, so its entries carry at most ``bits``
-    significant bits relative to that entry; the last slice is what is
-    left.  A row product of two rounded slices is then a sum of at most
-    n integers below 2**(2 bits), which stays under 2**53 and is exact
-    in any summation order, with or without FMA.  The last slice is
-    below 2**-(2 bits) of its row's largest entry, so the products that
-    involve it, which do round, are off by about n 2**-(53 + 2 bits) of
-    max|x_i| max|y_j|: some 2**-40 of a plain product's rounding error.
-    """
-    return _slices(m, _row_sigmas(m))
 
 
 def _two_sum_into(h, l, p):
@@ -156,7 +150,7 @@ def add_exact_product(hi, lo, x, sigmas, y):
     being zero.  x is sliced a block of rows at a time, and each of the
     9 slice products is added with TwoSum, which keeps the products small.
     """
-    ys = split_rows(y)
+    ys = _slices(y, _row_sigmas(y))
     for start in range(0, hi.shape[0], _ROW_BLOCK):
         rows = slice(start, min(start + _ROW_BLOCK, hi.shape[0]))
         h, l = hi[rows], lo[rows]
@@ -184,14 +178,14 @@ def _square_tile(low, start, stop, sigmas):
 def add_exact_square(hi, low):
     """hi += low @ low' for lower-triangular low, each entry's exact sum rounded once.
 
-    low is split by rows into x1 + x2 + x3, exactly as ``split_rows``
-    splits it; the zeros above its diagonal stay zero in every slice.  The
-    4 products of the rounded slices x1, x2 are exact and are summed with
-    TwoSum; the 5 with x3 round anyway, so they are grouped into 2 plain
-    products, x3 (x1 + x2)' + low x3': 6 products instead of 9.  They run
-    one block of columns at a time, over the rows from the block's start
-    and, as low is lower triangular, the columns up to the block's end,
-    into one tile pair: the block's share of the lower block triangle.
+    low is split by rows into x1 + x2 + x3 (``_row_sigmas``); the zeros
+    above its diagonal stay zero in every slice.  The 4 products of the
+    rounded slices x1, x2 are exact and are summed with TwoSum; the 5
+    with x3 round anyway, so they are grouped into 2 plain products,
+    x3 (x1 + x2)' + low x3': 6 products instead of 9.  They run one block
+    of columns at a time, over the rows from the block's start and, as low
+    is lower triangular, the columns up to the block's end, into one tile
+    pair: the block's share of the lower block triangle.
     The pair is added there and, transposed, to the strict upper part
     right of the diagonal block.  No other block touches those entries,
     so each is rounded once and no n x n low part is kept.  Only the

@@ -184,56 +184,48 @@ def evaluate(s: ApproximateSolution, xi, eta, dxi_order: int = 0):
 
 
 def _values(coeffs: np.ndarray, tables: BasisTables, size: int, dxi_order) -> np.ndarray:
-    """sum_l coeffs[l] psi_l (or its xi-derivative) at the tables' ``size`` points, a block of points at a time.
+    """sum_l coeffs[l] psi_l (or its xi-derivative) at the tables' ``size`` points.
 
-    ``dxi_order`` may be a sequence of orders, as in ``BasisTables.psi``:
-    the result then holds one row per order, from one gather per block.
-    """
-    values = np.zeros(np.shape(dxi_order) + (size,))
-    for start in range(0, size, _POINT_BLOCK):
-        points = np.arange(start, min(start + _POINT_BLOCK, size))
-        values[..., start : start + _POINT_BLOCK] = _expansion(coeffs, tables, points, dxi_order)
-    return values
-
-
-def _expansion(coeffs: np.ndarray, tables: BasisTables, points, dxi_order) -> np.ndarray:
-    """sum_l coeffs[l] psi_l (or its xi-derivative) at the tables' points.
-
-    The sum runs over the nonzero coefficients, added in index order,
-    on gathers of one block of basis functions that keep the temporaries
-    small, which share one ``at`` of the points; each gathered block is
-    scaled by its coefficients in place.  A sequence of orders is summed
-    term by term for all orders at once.
+    The sum runs over the nonzero coefficients, added in index order.  It
+    is gathered a block of points by a block of basis functions at a
+    time, which keeps the temporaries small; each block of points takes
+    one ``at`` for all its blocks of functions, and each gathered block is
+    scaled by its coefficients in place.  ``dxi_order`` may be a sequence
+    of orders, as in ``BasisTables.psi``: the result then holds one row
+    per order, summed term by term from one gather per block.
     """
     fns = np.flatnonzero(coeffs != 0.0)
     scale = coeffs[fns, None]
-    at = tables.at(points)
-    total = np.zeros(np.shape(dxi_order) + (np.size(points),))
-    for block in range(0, fns.size, _BLOCK):
-        fn = slice(block, block + _BLOCK)
-        terms = tables.psi(at, fns[fn, None], dxi_order)
-        terms *= scale[fn]
-        for row in terms if terms.ndim == 2 else terms.swapaxes(0, 1):
-            total += row
-    return total
+    values = np.zeros(np.shape(dxi_order) + (size,))
+    for start in range(0, size, _POINT_BLOCK):
+        at = tables.at(np.arange(start, min(start + _POINT_BLOCK, size)))
+        total = values[..., start : start + _POINT_BLOCK]
+        for block in range(0, fns.size, _BLOCK):
+            fn = slice(block, block + _BLOCK)
+            terms = tables.psi(at, fns[fn, None], dxi_order)
+            terms *= scale[fn]
+            for row in terms if terms.ndim == 2 else terms.swapaxes(0, 1):
+                total += row
+    return values
 
 
 def residual(s: ApproximateSolution, xi: float, eta: float) -> float:
     """(L y_n)(xi, eta) minus the right-hand side evaluated with y_n itself.
 
     At collocation point k this reduces to the lag defect
-    k4 * (y_n d_xi y_n - y_{k-1} d_xi y_{k-1}).  The operator row, y_n
-    and d_xi y_n all come from one set of tables at the point.
+    k4 * (y_n d_xi y_n - y_{k-1} d_xi y_{k-1}).  L y_n, y_n and d_xi y_n
+    come from one ``operator`` gather at the point, each summed over the
+    nonzero coefficients in index order, as ``_values`` sums.
     """
     p = s.problem
     tables = BasisTables(s.basis_functions, [xi], [eta], s.options.quadrature_nodes)
-    row = tables.operator(tables.at(0), slice(None), p.k1(xi, eta), p.k2(xi, eta), p.k3(xi, eta))
+    rows = np.stack(tables.operator(tables.at(0), slice(None), p.k1(xi, eta), p.k2(xi, eta), p.k3(xi, eta)))
     fns = np.flatnonzero(s.raw_coeffs != 0.0)
-    ly = 0.0
-    for term in s.raw_coeffs[fns] * row[fns]:
-        ly += term
-    yv, dyv = _values(s.raw_coeffs, tables, 1, (0, 1))[:, 0].tolist()
-    return float(ly) - (p.f(xi, eta) - p.k4(xi, eta) * yv * dyv)
+    sums = np.zeros(3)
+    for terms in (rows[:, fns] * s.raw_coeffs[fns]).T:
+        sums += terms
+    ly, yv, dyv = sums.tolist()
+    return ly - (p.f(xi, eta) - p.k4(xi, eta) * yv * dyv)
 
 
 class ErrorReport(NamedTuple):

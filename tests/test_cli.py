@@ -358,12 +358,44 @@ class TestVerifyCommand:
             "assert 'rkburgers.verification' not in sys.modules\n"
             "sys.exit(rkburgers.cli.main(['verify']))\n"
         )
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+        proc = _fresh_python(code)
         assert proc.returncode == 0, proc.stderr
         assert "PASS" in proc.stdout and "FAIL" not in proc.stdout
+
+    def test_no_numpy_module_is_imported_on_first_use(self, tmp_path):
+        # numpy imports some submodules on first use; numpy.ma alone takes
+        # 12-22 ms in a fresh process, most of a 14 x 14 solve's wall time.
+        solve_argv = ["solve", "--example", "1", "--alpha", "0.9", "--p", "7", "--q", "7",
+                      "--out", str(tmp_path / "table.csv"), "--surface", str(tmp_path / "surface.csv")]
+        code = (
+            "import json, sys\n"
+            "import rkburgers.cli\n"
+            "from rkburgers import CollocationGrid, build_example52, error_report, solve\n"
+            "mesh = [round(0.1 * i, 12) for i in range(1, 7)]\n"
+            "added = {}\n"
+            "def record(name, run):\n"
+            "    before = set(sys.modules)\n"
+            "    added[name] = run(), sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'numpy')\n"
+            "record('library', lambda: error_report(solve(build_example52(0.8), CollocationGrid.uniform(14, 14)),\n"
+            "                                       [(x, e) for x in mesh for e in mesh]).max_abs_error < 1e-2)\n"
+            f"record('solve', lambda: rkburgers.cli.main({solve_argv!r}))\n"
+            "record('verify', lambda: rkburgers.cli.main(['verify']))\n"
+            "print(json.dumps(added))\n"
+        )
+        proc = _fresh_python(code)
+        assert proc.returncode == 0, proc.stderr
+        added = json.loads(proc.stdout.splitlines()[-1])
+        assert added["library"] == [True, []]
+        assert added["solve"] == [0, []]
+        assert added["verify"][0] == 0 and "numpy.ma" not in added["verify"][1]
+
+
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter that imports rkburgers from this checkout."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
 
 
 class TestConvergenceCommand:

@@ -275,7 +275,7 @@ class TestTimeTables:
         tables = BasisTables(basis, [x for x, _ in points], [e for _, e in points], nodes=64)
         fns = np.arange(len(basis))
         for i, (xi, eta) in enumerate(points):
-            row = tables.operator(tables.at(i), fns, problem.k1(xi, eta), problem.k2(xi, eta), problem.k3(xi, eta))
+            row = tables.operator(tables.at(i), fns, problem.k1(xi, eta), problem.k2(xi, eta), problem.k3(xi, eta))[0]
             assert _same(row, [apply_operator(b, problem, xi, eta) for b in basis])
 
 
@@ -293,7 +293,14 @@ def test_block_gathers_on_tables_of_unequal_widths():
         assert _same(tables.psi(tables.at(rows), fns, order), expected)
     c1, c2, c3 = (np.array([[k(xi, eta)] for xi, eta in points]) for k in (problem.k1, problem.k2, problem.k3))
     expected = [[apply_operator(basis[l], problem, xi, eta) for l in fns] for xi, eta in points]
-    assert _same(tables.operator(tables.at(rows), fns, c1, c2, c3), expected)
+    assert _same(tables.operator(tables.at(rows), fns, c1, c2, c3)[0], expected)
+    # operator's psi and d_xi psi are psi's, on a block of the 72 points that crosses the 64-row edge
+    points = _jittered(9, 8)
+    tables = BasisTables(basis, [x for x, _ in points], [e for _, e in points], nodes=64)
+    block = tables.at(np.arange(60, 70)[:, None])
+    c1, c2, c3 = (np.array([[k(xi, eta)] for xi, eta in points[60:70]]) for k in (problem.k1, problem.k2, problem.k3))
+    _, psi0, psi1 = tables.operator(block, fns, c1, c2, c3)
+    assert _same(np.stack((psi0, psi1)), tables.psi(block, fns, (0, 1)))
 
 
 def _kept_rows(gram):
