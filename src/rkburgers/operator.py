@@ -71,7 +71,6 @@ __all__ = [
 _BOUNDARY_TOL = 1e-12
 _ROW_BLOCK = 64  # Gram rows gathered at once
 _PAIR_BLOCK = 1024  # eta pairs per block of double-transform quadrature
-_ONE_AXIS = "a block's points must lie along one axis and its basis functions along the others"
 
 
 @dataclass(frozen=True)
@@ -308,19 +307,20 @@ class BasisTables:
     the space factors and r2, ``_ctk_table`` and ``_dc_table`` for the
     Caputo transforms.  Each table is raveled once, as it is built, with
     a row per distinct point coordinate.  ``psi`` and ``operator`` work on
-    a block: points along one axis, given by ``at`` from an index (or
-    index array, or slice), and an index of basis functions along the
-    others, broadcast together.  A block's space factors depend only on
-    its distinct point xi values and its time factors only on its
+    a block of points x functions: the points down the first axis, given
+    by ``at`` from an index array (or slice), and the basis functions
+    ``fns`` (an index, index array or slice) across the last; a single
+    point index drops the points axis.  A block's space factors depend
+    only on its distinct point xi values and its time factors only on its
     distinct eta values, which ``at`` finds once for every block of
     functions at its points.  The gather reads and forms each factor once
     per distinct coordinate in the block, with one flat index per
     coordinate (the point's row offset plus the basis function's column)
     and one ``take`` of each table, and expands it to the block with one
-    ``take`` along the point axis.  The factors are
-    then combined in place.  These are the package's only formulas for psi
-    and L psi; the operations and their order are those of the scalar
-    reference the tests hold, so each value is bit-identical to it.
+    ``take`` along axis 0.  The factors are then combined in place.  These
+    are the package's only formulas for psi and L psi; the operations and
+    their order are those of the scalar reference the tests hold, so each
+    value is bit-identical to it.
     ``_coeffs`` holds the basis functions' frozen k1, k2, k3 as one 3 x n
     array, from which the Gram's rows read their coefficients.
 
@@ -357,10 +357,13 @@ class BasisTables:
             self._caputo_both = _dc_table(be[None, :], pe[:, None], a, nodes).ravel()
 
     def at(self, points):
-        """The points of a block, for ``psi`` and ``operator``: an index (or index array, or slice) along one axis.
+        """The points of a block, for ``psi`` and ``operator``: an index array (or slice), or one index.
 
-        Their distinct xi and eta rows are found here, once, so one
-        ``at`` serves every block of basis functions at the same points.
+        The block holds the points in the index array's order, whatever
+        its shape, down its first axis; a single index gives a block with
+        no points axis.  Their distinct xi and eta rows are found here,
+        once, so one ``at`` serves every block of basis functions at the
+        same points.
         """
         return _distinct(self._point_x[points]), _distinct(self._point_eta[points])
 
@@ -370,16 +373,15 @@ class BasisTables:
         A space factor depends only on the block's distinct point xi
         values and a time factor only on its distinct eta values, so each
         is computed on (distinct coordinates x functions) and expanded to
-        the block with one ``take`` along its point axis (``_distinct``).
+        the block with one ``take`` along axis 0 (``_distinct``).
         Each table is read with one ``take`` of a flat index: the point's
         row offset plus the basis function's column.  The space factors
         are r3 and k1 d2r3 + k2 r3 + k3 dr3: the named derivatives and
         k1, k2, k3 are at psi_l's centre, the order is the point's
         xi-derivative.
         """
-        rows_x, rows_t = at
-        x, spread_x = _index(rows_x, self._basis_x[fns])
-        t, spread_t = _index(rows_t, self._basis_eta[fns])
+        (rows_x, spread_x), (rows_t, spread_t) = at
+        x, t = rows_x + self._basis_x[fns], rows_t + self._basis_eta[fns]
         k1, k2, k3 = self._coeffs[:, fns]
         factors = []
         for d in orders:
@@ -437,35 +439,19 @@ def _combine(r2v, smooth, phi, frac):
 
 
 def _distinct(rows):
-    """The distinct point rows of a block, the axis they lie along, and the expansion of a factor over them back to the points.
+    """The distinct point rows of a block, as a column, and the expansion of a factor over them back to the points.
 
-    ``rows`` are the points' row offsets, along one axis; the axis is
-    counted from the right, so it holds in a block with more axes.  The
-    distinct rows keep that axis, so a factor of (distinct rows) +
-    columns is expanded by one ``take`` of each point's place among
-    them.  A single point is its own distinct set.
+    ``rows`` are the points' row offsets, in any shape; they are taken in
+    raveled order, so a factor of (distinct rows) x functions is expanded
+    to points x functions by one ``take`` of each point's place among
+    them along axis 0.  A single point index is its own distinct set and
+    adds no axis.
     """
-    if rows.size == 1:
-        return rows, None, lambda factor: factor
-    if rows.size not in rows.shape:
-        raise ValueError(_ONE_AXIS)
-    i = rows.shape.index(rows.size)
-    axis = i - rows.ndim
+    if rows.ndim == 0:
+        return rows, lambda factor: factor
     # raveled, so the inverse is flat under every numpy version
     distinct, inverse = np.unique(rows.ravel(), return_inverse=True)
-    return distinct.reshape(rows.shape[:i] + (-1,) + rows.shape[i + 1 :]), axis, lambda factor: factor.take(inverse, axis)
-
-
-def _index(rows, cols):
-    """A block's flat table index, its distinct point rows (``_distinct``) plus the basis functions' columns, and the expansion back to the block.
-
-    The functions lie along the block's other axes, so ``cols`` must not
-    extend along the points' axis.
-    """
-    distinct, axis, spread = rows
-    if axis is not None and cols.ndim >= -axis and cols.shape[axis] != 1:
-        raise ValueError(_ONE_AXIS)
-    return distinct + cols, spread
+    return distinct[:, None], lambda factor: factor.take(inverse, 0)
 
 
 def assemble_gram(

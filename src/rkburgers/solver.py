@@ -188,24 +188,25 @@ def _values(coeffs: np.ndarray, tables: BasisTables, size: int, dxi_order) -> np
 
     The sum runs over the nonzero coefficients, added in index order.  It
     is gathered a block of points by a block of basis functions at a
-    time, which keeps the temporaries small; each block of points takes
-    one ``at`` for all its blocks of functions, and each gathered block is
-    scaled by its coefficients in place.  ``dxi_order`` may be a sequence
-    of orders, as in ``BasisTables.psi``: the result then holds one row
-    per order, summed term by term from one gather per block.
+    time, which keeps the temporaries small, in ``assemble_gram``'s
+    layout: points down a column, functions across.  Each block of points
+    takes one ``at`` for all its blocks of functions, and each gathered
+    block is scaled by its coefficients in place and summed over its last
+    axis.  ``dxi_order`` may be a sequence of orders, as in
+    ``BasisTables.psi``: the result then holds one row per order.
     """
     fns = np.flatnonzero(coeffs != 0.0)
-    scale = coeffs[fns, None]
+    scale = coeffs[fns]
     values = np.zeros(np.shape(dxi_order) + (size,))
     for start in range(0, size, _POINT_BLOCK):
-        at = tables.at(np.arange(start, min(start + _POINT_BLOCK, size)))
+        at = tables.at(np.arange(start, min(start + _POINT_BLOCK, size))[:, None])
         total = values[..., start : start + _POINT_BLOCK]
         for block in range(0, fns.size, _BLOCK):
             fn = slice(block, block + _BLOCK)
-            terms = tables.psi(at, fns[fn, None], dxi_order)
+            terms = tables.psi(at, fns[fn], dxi_order)
             terms *= scale[fn]
-            for row in terms if terms.ndim == 2 else terms.swapaxes(0, 1):
-                total += row
+            for term in np.moveaxis(terms, -1, 0):
+                total += term
     return values
 
 

@@ -343,14 +343,22 @@ def test_time_major_sweep_rows_match_scalar_reference():
             assert _same(row, [psi_eval(b, xi, eta, order) for b in basis[: row.size]]), (k, order)
 
 
-def test_blocks_whose_points_and_functions_share_an_axis_are_rejected():
-    # a gather factors through the block's distinct points along its one point axis
+def test_any_index_array_is_the_blocks_list_of_points():
+    # a 1-D index array and the same indices as a column give one points x functions block
     grid = CollocationGrid.uniform(3, 3)
-    tables = _tables_at(grid, build_basis(grid, build_example51(0.9)))
-    with pytest.raises(ValueError, match="one axis"):
-        tables.psi(tables.at(np.arange(3)), np.arange(3))
-    with pytest.raises(ValueError, match="one axis"):
-        tables.at(np.arange(6).reshape(2, 3)[..., None])
+    problem = build_example51(0.9)
+    basis = build_basis(grid, problem)
+    tables = BasisTables(basis, [x for x, _ in grid.points], [e for _, e in grid.points], nodes=64)
+    steps = np.array([4, 0, 8, 4, 2])
+    fns = np.arange(grid.n)
+    line, column = tables.at(steps), tables.at(steps[:, None])
+    for order in (0, 1, (0, 1)):
+        block = tables.psi(column, fns, order)
+        assert block.shape[-2:] == (steps.size, grid.n)
+        assert _same(tables.psi(line, fns, order), block)
+    c1, c2, c3 = (np.array([[k(*grid.points[i])] for i in steps]) for k in (problem.k1, problem.k2, problem.k3))
+    for got, want in zip(tables.operator(line, fns, c1, c2, c3), tables.operator(column, fns, c1, c2, c3)):
+        assert got.shape == (steps.size, grid.n) and _same(got, want)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

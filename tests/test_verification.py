@@ -1,5 +1,9 @@
 import math
 
+import numpy as np
+import pytest
+
+from rkburgers.fracmath import gamma
 from rkburgers.operator import CollocationGrid, Problem
 from rkburgers.problems import build_example51, build_example52
 from rkburgers.verification import (
@@ -10,6 +14,7 @@ from rkburgers.verification import (
     check_time_kernel_oracle,
     double_caputo_oracle,
     run_default_checks,
+    time_kernel_oracle,
 )
 from tests.conftest import peak_bytes
 
@@ -69,3 +74,34 @@ class TestDoubleCaputoOracle:
     def test_degenerate_slots(self):
         assert double_caputo_oracle(0.0, 0.5, 0.8) == 0.0
         assert double_caputo_oracle(0.5, 0.0, 0.8) == 0.0
+
+
+class TestTimeKernelOracle:
+    @staticmethod
+    def _four_powers(eta, t, alpha, cells):
+        """The oracle with each cell's two ends raised to both exponents separately."""
+        pts = np.linspace(0.0, t, cells + 1)
+        at = np.searchsorted(pts, eta)
+        if 0.0 < eta < t and pts[at] != eta:
+            pts = np.insert(pts, at, eta)
+        lo, hi = pts[:-1], pts[1:]
+        phi = lambda r: np.where(r < eta, -0.5 * r * r + eta * r + eta, eta + 0.5 * eta * eta)
+        p0 = ((t - lo) ** (1 - alpha) - (t - hi) ** (1 - alpha)) / (1 - alpha)
+        p1 = t * p0 - ((t - lo) ** (2 - alpha) - (t - hi) ** (2 - alpha)) / (2 - alpha)
+        f_lo, f_hi = phi(lo), phi(hi)
+        slope = (f_hi - f_lo) / (hi - lo)
+        return float(np.sum(f_lo * p0 + slope * (p1 - lo * p0)) / gamma(1.0 - alpha))
+
+    @pytest.mark.parametrize(
+        "eta, t, alpha",
+        [
+            (0.3337, 0.8, 0.7),  # eta inserted into the mesh
+            (0.4, 0.8, 0.5),  # eta already a mesh point at 1000 cells
+            (0.6, 0.6, 0.9),  # eta = t
+            (0.9, 0.35, 0.25),  # eta > t
+            (0.05, 1.0, 0.95),
+        ],
+    )
+    def test_oracle_keeps_the_bits_of_the_four_power_formula(self, eta, t, alpha):
+        for cells in (7, 1000):
+            assert time_kernel_oracle(eta, t, alpha, cells) == self._four_powers(eta, t, alpha, cells)
