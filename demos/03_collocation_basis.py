@@ -42,7 +42,7 @@ print("\nsingle Caputo transform table over eta = 1/3, 2/3, 1 (alpha = 0.9):")
 print(_ctk_table(etas[:, None], etas[None, :], problem.alpha))
 
 # Gram matrix: symmetric, positive definite, and orthonormalizable.
-gram = assemble_gram(grid, problem)._replace(sweep_rows=None)  # only the solver's sweep reads them
+gram = assemble_gram(grid, problem)
 g = gram.entries
 print("\nGram matrix asymmetry:", float(np.max(np.abs(g - g.T))))
 onb = compute_beta(gram)

@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 validation problem, 2 numerical failure.
 
+Flags are ``--key VALUE`` or ``--key=VALUE`` over the keys each subcommand
+reads (``_COMMAND_KEYS``), cast and then checked as config values are; a
+malformed command line exits 1 with a usage line (``_parse_argv``).
+
 The solve subcommand writes the absolute-error table (rows xi, columns
 eta) as CSV or JSON next to a metadata JSON recording every config field
 used, and optionally a 51 x 51 surface CSV of the approximate solution
@@ -9,7 +13,6 @@ for external plotting.  A config file with flat ``key = value`` lines can
 stand in for the flags; explicit flags win over config entries.
 """
 
-import argparse
 import errno
 import json
 import math
@@ -47,12 +50,6 @@ _COMMAND_KEYS = {
                     "mesh", "out", "sizes"),
 }
 _CASTS = {"alpha": float, "p": int, "q": int, "nodes": int, "picard": int}
-_CHOICES = {"example": ("1", "2"), "format": ("csv", "json")}
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2; validation is 1 here
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 @dataclass
@@ -335,33 +332,67 @@ def _cmd_convergence(cfg: RunConfig) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="rkburgers", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, keys in _COMMAND_KEYS.items():
-        # no prefix matching: on convergence, --p would otherwise mean --picard
-        sp = sub.add_parser(name, allow_abbrev=False)
-        for key in keys:
-            sp.add_argument(f"--{key}", type=_CASTS.get(key), choices=_CHOICES.get(key))
-    return parser
+def _usage(command: Optional[str]) -> str:
+    if command not in _COMMAND_KEYS:
+        return f"usage: rkburgers [--version] {{{','.join(_COMMAND_KEYS)}}} [--key VALUE ...]"
+    return f"usage: rkburgers {command} " + " ".join(f"[--{key} {key.upper()}]" for key in _COMMAND_KEYS[command])
+
+
+def _exit(code: int, *lines: str):
+    print(*lines, sep="\n", file=sys.stderr if code else sys.stdout)
+    raise SystemExit(code)
+
+
+def _parse_argv(argv: List[str]) -> Tuple[str, dict]:
+    """The subcommand and its flags as ``{key: value}``, each value cast by ``_CASTS``.
+
+    A value may start with one '-', so ``--picard -1`` reaches ``RunConfig.validate``.
+    ``--version`` and ``-h``/``--help`` print and raise SystemExit(0); a malformed
+    command line prints a usage line and an error line to stderr and raises SystemExit(1).
+    """
+    command = argv[0] if argv else None
+
+    def fail(problem: str):
+        _exit(1, _usage(command), f"rkburgers: error: {problem}")
+
+    if command == "--version":
+        _exit(0, __version__)
+    if command in ("-h", "--help"):
+        _exit(0, _usage(None))
+    if command not in _COMMAND_KEYS:
+        named = f"unknown subcommand {command!r}" if command else "missing subcommand"
+        fail(f"{named}; choose {', '.join(_COMMAND_KEYS)}")
+    flags = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _exit(0, _usage(command))
+        if not token.startswith("--"):
+            fail(f"unexpected argument {token!r}")
+        key, has_value, value = token[2:].partition("=")
+        if key not in _COMMAND_KEYS[command]:
+            fail(f"{command} does not read --{key}")
+        if not has_value:
+            value = next(tokens, "--")
+            if value.startswith("--"):
+                fail(f"--{key} needs a value")
+        cast = _CASTS.get(key, str)
+        try:
+            flags[key] = cast(value)
+        except ValueError:
+            fail(f"--{key}: invalid {cast.__name__} value {value!r}")
+    return command, flags
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    cfg = RunConfig()
-    explicit = set()
-    for key in _COMMAND_KEYS[args.command]:
-        value = getattr(args, key)
-        if value is not None:
-            setattr(cfg, key, value)
-            explicit.add(key)
+    command, flags = _parse_argv(sys.argv[1:] if argv is None else list(argv))
+    cfg = RunConfig(**flags)
     try:
         if cfg.config is not None:
-            _apply_config_file(cfg, explicit, args.command)
-        if args.command == "solve":
+            _apply_config_file(cfg, set(flags), command)
+        if command == "solve":
             return _cmd_solve(cfg)
-        if args.command == "verify":
+        if command == "verify":
             return _cmd_verify(cfg)
         return _cmd_convergence(cfg)
     except (NotPositiveDefiniteError, GramAsymmetryError, np.linalg.LinAlgError,  # ValueErrors, but numerical

@@ -68,7 +68,10 @@ class GramAsymmetryError(ValueError):
 
 
 class OrthonormalBasis(NamedTuple):
-    """Lower-triangular orthonormalization coefficients and their source Gram matrix."""
+    """Lower-triangular orthonormalization coefficients and their source Gram matrix.
+
+    ``source`` keeps the Gram entries, not its ``sweep_rows``.
+    """
 
     beta: np.ndarray
     source: GramMatrix
@@ -320,7 +323,7 @@ def compute_beta(gram: GramMatrix) -> OrthonormalBasis:
     del a
     x /= d[None, :]
     x.flags.writeable = False
-    return OrthonormalBasis(beta=x, source=gram)
+    return OrthonormalBasis(beta=x, source=gram._replace(sweep_rows=None))
 
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp split constant

@@ -114,7 +114,6 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
     opts = options or SolverOptions()
     basis = build_basis(grid, problem)
     gram = assemble_gram(grid, problem, nodes=opts.quadrature_nodes, basis=basis)
-    kept, gram = gram.sweep_rows, gram._replace(sweep_rows=None)  # the solution keeps G, not the rows
     onb = compute_beta(gram)
     beta = onb.beta
     n = grid.n
@@ -124,7 +123,7 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
     F = np.zeros(n)
     B = np.zeros(n)
     cum = np.zeros(n)  # prefix of beta' B, coefficients over the raw basis
-    rows = (pair for block in kept for pair in zip(*block))
+    rows = (pair for block in gram.sweep_rows for pair in zip(*block))
     for k, (row0, row1) in enumerate(rows):
         yv = float(np.dot(cum[:k], row0[:k]))  # +0.0 at k = 0, an empty sum
         dyv = float(np.dot(cum[:k], row1[:k]))
@@ -132,7 +131,7 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
         b = beta[k, : k + 1]
         B[k] = float(np.dot(b, F[: k + 1]))
         cum[: k + 1] += B[k] * b
-    del kept, rows
+    del gram, rows  # the sweep rows, about one n x n array; the solution keeps G through onb
 
     if opts.picard_iters:
         tables = BasisTables(basis, [x for x, _ in grid.points], [e for _, e in grid.points])

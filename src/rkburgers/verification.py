@@ -13,7 +13,7 @@ import numpy as np
 
 from . import fracmath, kernels
 from .fracmath import DEFAULT_QUADRATURE_NODES, gamma, jacobi_rule, weighted_moment
-from .operator import CollocationGrid, Problem, _ctk_table, _dc_table, assemble_gram
+from .operator import CollocationGrid, GramMatrix, Problem, _ctk_table, _dc_table, assemble_gram
 from .orthonormalize import GramAsymmetryError, NotPositiveDefiniteError, compute_beta
 from .problems import build_example51, build_example52, verify_forcing
 
@@ -220,11 +220,10 @@ def check_double_caputo(tol_oracle: float = 1e-8, tol_nodes: float = 1e-10) -> C
 def check_gram(problem: Problem, grid: CollocationGrid, nodes: int = DEFAULT_QUADRATURE_NODES,
                tol: float = 1e-8) -> CheckResult:
     """Symmetry, positive definiteness, and orthonormalization residual in one pass."""
-    gram = assemble_gram(grid, problem, nodes=nodes)._replace(sweep_rows=None)  # only solve's sweep reads them
-    g = gram.entries
+    g = assemble_gram(grid, problem, nodes=nodes).entries  # the sweep rows, about one n x n, go at once
     asym = float(np.max(np.abs(g - g.T) / (1.0 + np.abs(g))))
     try:
-        onb = compute_beta(gram)
+        onb = compute_beta(GramMatrix(g))
     except GramAsymmetryError:
         return CheckResult("gram symmetry / orthonormality", False, asym, tol)
     except NotPositiveDefiniteError:

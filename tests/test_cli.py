@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rkburgers.cli import main, parse_mesh
+from rkburgers import __version__
+from rkburgers.cli import _COMMAND_KEYS, main, parse_mesh
 from rkburgers.solver import evaluate, solve
 from tests.conftest import overflowing_example51
 
@@ -306,6 +308,8 @@ _CUSTOM = "problem = custom\nalpha = 0.9\nk1 = one\nk2 = zero\nk3 = zero\nk4 = z
         (["solve", "--example", "1", "--p", "0"], None, "p and q must be positive"),
         (["solve", "--example", "1", "--picard", "-1"], None, "picard iteration count must be non-negative"),
         (["solve", "--example", "1"], "format = xml", "unknown output format 'xml'"),
+        (["solve", "--example", "1", "--format", "xml"], None, "unknown output format 'xml'"),
+        (["solve", "--example", "3"], None, "unknown problem identifier '3'; known: 1, 2"),
         (["solve", "--example", "1", "--mesh", "1:2"], None, "mesh spec must be start:step:end, got '1:2'"),
         (["solve", "--example", "1", "--mesh", "0.5:0.1:0.1"], None, "degenerate mesh spec '0.5:0.1:0.1'"),
         (["solve", "--example", "1", "--mesh", "0:1:inf"], None, "mesh spec '0:1:inf' has a non-finite field"),
@@ -328,7 +332,7 @@ _CUSTOM = "problem = custom\nalpha = 0.9\nk1 = one\nk2 = zero\nk3 = zero\nk4 = z
         (["convergence", "--example", "1", "--sizes", "0x3"], None,
          "size '0x3' is neither a positive point count nor PxQ with positive P and Q"),
     ],
-    ids=["p-zero", "picard-negative", "format-xml", "mesh-two-fields", "mesh-degenerate", "mesh-infinite",
+    ids=["p-zero", "picard-negative", "format-xml", "format-xml-flag", "example-3-flag", "mesh-two-fields", "mesh-degenerate", "mesh-infinite",
          "mesh-outside-the-square", "mesh-too-many-values", "convergence-mesh-too-many-values",
          "config-line-without-equals", "config-p-not-int", "custom-f-unknown", "no-problem",
          "convergence-without-exact", "sizes-negative", "sizes-three-factors", "sizes-not-integer",
@@ -477,3 +481,88 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 1
+
+
+class TestCommandLineGrammar:
+    """``SUBCOMMAND (--key VALUE | --key=VALUE)*``, read from the CLI's own key table."""
+
+    def test_key_equals_value_gives_the_same_outputs(self, tmp_path):
+        outputs = []
+        for name, flags in (("spaced", ["--p", "3", "--q", "3"]), ("joined", ["--p=3", "--q=3"])):
+            out = tmp_path / name / "t.csv"
+            out.parent.mkdir()
+            assert main(["solve", "--example=1", "--alpha", "0.9", *flags, f"--out={out}"]) == 0
+            meta = json.loads(_read(out.parent / "t.meta.json"))
+            del meta["wall_seconds"], meta["out"]
+            outputs.append((_read(out), meta))
+        assert outputs[0] == outputs[1]
+
+    def test_last_repeated_flag_wins(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert main(["solve", "--example", "1", "--p", "5", "--q", "2", "--p", "2", "--out", str(out)]) == 0
+        assert json.loads(_read(tmp_path / "t.meta.json"))["p"] == 2
+
+    def test_flag_values_are_checked_like_config_values(self, tmp_path):
+        # build_problem knows example51 as it knows 1, from a flag as from a config line
+        out = tmp_path / "t.csv"
+        assert main(["solve", "--example", "example51", "--p", "2", "--q", "2", "--out", str(out)]) == 0
+        assert json.loads(_read(tmp_path / "t.meta.json"))["example"] == "example51"
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["solve", "--p"], "--p needs a value"),
+            (["solve", "--out", "--surface", "s.csv"], "--out needs a value"),
+            (["solve", "--p", "two"], "--p: invalid int value 'two'"),
+            (["solve", "--p", "3", "extra"], "unexpected argument 'extra'"),
+            (["solve", "--bogus", "1"], "solve does not read --bogus"),
+            (["verify", "--example=1"], "verify does not read --example"),
+            (["plot"], "unknown subcommand 'plot'; choose solve, verify, convergence"),
+            ([], "missing subcommand; choose solve, verify, convergence"),
+        ],
+        ids=["no-value", "flag-for-value", "not-an-int", "positional", "unknown-flag", "unread-flag",
+             "unknown-subcommand", "no-subcommand"],
+    )
+    def test_malformed_command_line_exits_1_with_a_usage_line(self, tmp_path, monkeypatch, capsys, argv, error):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        usage = f"usage: rkburgers {argv[0] if argv and argv[0] in _COMMAND_KEYS else '[--version]'} "
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith(usage) and lines[1:] == [f"rkburgers: error: {error}"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_version_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"{__version__}\n"
+
+    @pytest.mark.parametrize("argv", [["solve", "--p=3", "--help"], ["verify", "-h"], ["convergence", "--help"]],
+                             ids=lambda argv: argv[0])
+    def test_help_lists_the_keys_the_subcommand_reads(self, capsys, argv):
+        command = argv[0]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: rkburgers {command} ") and out.count("\n") == 1
+        assert tuple(re.findall(r"\[--(\w+) ", out)) == _COMMAND_KEYS[command]
+
+    def test_no_argparse_module_is_imported(self, tmp_path):
+        # Building argparse's parser, with the gettext and locale imports of
+        # its first message lookup, and parsing took about 3.4 ms of a CLI
+        # solve in a fresh process.
+        argv = ["solve", "--example", "1", "--p", "3", "--q", "3", "--out", str(tmp_path / "t.csv")]
+        code = (
+            "import json, sys\n"
+            "import rkburgers.cli\n"
+            f"code = rkburgers.cli.main({argv!r})\n"
+            "print(json.dumps([code, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]]))\n"
+        )
+        proc = _fresh_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
