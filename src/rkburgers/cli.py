@@ -25,7 +25,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .fracmath import DEFAULT_QUADRATURE_NODES
 from .operator import CollocationGrid, GramAssemblyError
 from .orthonormalize import GramAsymmetryError, NotPositiveDefiniteError
 from .problems import build_custom, build_problem, COEFFICIENT_CATALOG
@@ -43,13 +42,12 @@ MAX_POINTS = 2_500
 # apart from ``config`` itself, plus the custom-problem keys on the
 # subcommands that build a problem; any other key is a validation error.
 _COMMAND_KEYS = {
-    "solve": ("example", "config", "alpha", "p", "q", "nodes", "picard",
+    "solve": ("example", "config", "alpha", "p", "q", "picard",
               "mesh", "out", "format", "surface"),
-    "verify": ("config", "alpha", "p", "q", "nodes"),
-    "convergence": ("example", "config", "alpha", "nodes", "picard",
-                    "mesh", "out", "sizes"),
+    "verify": ("config", "alpha", "p", "q"),
+    "convergence": ("example", "config", "alpha", "picard", "mesh", "out", "sizes"),
 }
-_CASTS = {"alpha": float, "p": int, "q": int, "nodes": int, "picard": int}
+_CASTS = {"alpha": float, "p": int, "q": int, "picard": int}
 
 
 @dataclass
@@ -59,7 +57,6 @@ class RunConfig:
     alpha: float = 0.9
     p: int = 5
     q: int = 5
-    nodes: int = DEFAULT_QUADRATURE_NODES
     picard: int = 0
     mesh: str = "0.1:0.1:0.6"
     out: Optional[str] = None
@@ -73,8 +70,6 @@ class RunConfig:
             raise ValueError("p and q must be positive")
         if self.p * self.q > MAX_POINTS:
             raise ValueError(f"p * q = {self.p * self.q} exceeds the guard rail {MAX_POINTS}")
-        if self.nodes < 1:
-            raise ValueError("quadrature node count must be positive")
         if self.picard < 0:
             raise ValueError("picard iteration count must be non-negative")
         if self.format not in ("csv", "json"):
@@ -244,7 +239,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
     sol = solve(
         problem,
         CollocationGrid.uniform(cfg.p, cfg.q),
-        SolverOptions(quadrature_nodes=cfg.nodes, picard_iters=cfg.picard),
+        SolverOptions(picard_iters=cfg.picard),
     )
     wall = time.perf_counter() - t0
 
@@ -278,7 +273,6 @@ def _cmd_solve(cfg: RunConfig) -> int:
         "p": cfg.p,
         "q": cfg.q,
         "n": cfg.p * cfg.q,
-        "quadrature_nodes": cfg.nodes,
         "picard_iters": cfg.picard,
         "mesh": cfg.mesh,
         "out": cfg.out,
@@ -300,7 +294,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     from .verification import run_default_checks
 
     cfg.validate()
-    results = run_default_checks(alpha=cfg.alpha, p=min(cfg.p, 4), q=min(cfg.q, 4), nodes=cfg.nodes)
+    results = run_default_checks(alpha=cfg.alpha, p=min(cfg.p, 4), q=min(cfg.q, 4))
     for res in results:
         print(res.line())
     return 0 if all(r.passed for r in results) else 2
@@ -323,7 +317,7 @@ def _cmd_convergence(cfg: RunConfig) -> int:
         problem,
         sizes,
         [(x, e) for x in mesh for e in mesh],
-        SolverOptions(quadrature_nodes=cfg.nodes, picard_iters=cfg.picard),
+        SolverOptions(picard_iters=cfg.picard),
     )
     lines = ["n,max_abs_error,wall_seconds"]
     for row in rows:

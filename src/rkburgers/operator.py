@@ -40,6 +40,7 @@ is the basis-slot table transposed, so a solve and its error report
 build two single-transform tables, not three.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -182,12 +183,15 @@ def build_basis(grid: CollocationGrid, problem: Problem) -> list:
     """Basis functions for every collocation point, coefficients frozen at the centres.
 
     The only sampling of k1, k2 and k3 at collocation points; one that
-    raises at point i raises GramAssemblyError at (i, 0).
+    raises, or is not finite, at point i raises GramAssemblyError at (i, 0).
     """
     basis = []
     for i, (xi, eta) in enumerate(grid.points):
         try:
             k = problem.k1(xi, eta), problem.k2(xi, eta), problem.k3(xi, eta)
+            for name, value in zip(("k1", "k2", "k3"), k):
+                if not math.isfinite(value):
+                    raise ArithmeticError(f"non-finite {name} = {value} at collocation point ({xi}, {eta})")
         except Exception as exc:
             raise GramAssemblyError(i, 0, exc) from exc
         basis.append(BasisFunction(xi, eta, *k, alpha=problem.alpha))

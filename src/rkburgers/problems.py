@@ -162,7 +162,7 @@ def build_custom(
             raise ValueError("exact_power is required together with exact_space")
         sp, sp1, sp2 = SPACE_FACTOR_CATALOG[exact_space]
         exact = SeparableSolution(space=sp, space_d1=sp1, space_d2=sp2, time_power=float(exact_power))
-    return Problem(alpha=order_value(alpha), f=f, exact=exact, name=name, **coeffs)
+    return Problem(alpha=alpha, f=f, exact=exact, name=name, **coeffs)
 
 
 class ForcingReport(NamedTuple):

@@ -30,6 +30,10 @@ d_xi y of the previous iterate at every collocation point, which is what
 psi tables at the collocation points and each pass reads both orders
 from ``evaluate``'s loop (``_values``): each F_k is f - k4 * y * d_xi y
 with y and d_xi y bit-identical to ``evaluate``'s.
+
+Where L is applied, in the Gram assembly and in ``residual``, the double
+Caputo transform takes one rule: Gauss-Jacobi with
+``DEFAULT_QUADRATURE_NODES`` (64) nodes.  A solve has no node setting.
 """
 
 import math
@@ -73,13 +77,11 @@ _POINT_BLOCK = 256  # evaluation points per gathered block
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Quadrature nodes of the double transform (at least 1) and Picard passes (at least 0)."""
+    """Picard passes (at least 0); the double transform always takes the 64-node rule."""
 
-    quadrature_nodes: int = DEFAULT_QUADRATURE_NODES
     picard_iters: int = 0
 
     def __post_init__(self):
-        _check_count("SolverOptions.quadrature_nodes", self.quadrature_nodes)
         _check_count("SolverOptions.picard_iters", self.picard_iters, 0)
 
 
@@ -113,7 +115,7 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
     """
     opts = options or SolverOptions()
     basis = build_basis(grid, problem)
-    gram = assemble_gram(grid, problem, nodes=opts.quadrature_nodes, basis=basis)
+    gram = assemble_gram(grid, problem, basis=basis)
     onb = compute_beta(gram)
     beta = onb.beta
     n = grid.n
@@ -218,7 +220,7 @@ def residual(s: ApproximateSolution, xi: float, eta: float) -> float:
     nonzero coefficients in index order, as ``_values`` sums.
     """
     p = s.problem
-    tables = BasisTables(s.basis_functions, [xi], [eta], s.options.quadrature_nodes)
+    tables = BasisTables(s.basis_functions, [xi], [eta], DEFAULT_QUADRATURE_NODES)
     rows = np.stack(tables.operator(tables.at(0), slice(None), p.k1(xi, eta), p.k2(xi, eta), p.k3(xi, eta)))
     fns = np.flatnonzero(s.raw_coeffs != 0.0)
     sums = np.zeros(3)

@@ -12,7 +12,7 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from . import fracmath, kernels
-from .fracmath import DEFAULT_QUADRATURE_NODES, gamma, jacobi_rule, weighted_moment
+from .fracmath import gamma, jacobi_rule, weighted_moment
 from .operator import CollocationGrid, GramMatrix, Problem, _ctk_table, _dc_table, assemble_gram
 from .orthonormalize import GramAsymmetryError, NotPositiveDefiniteError, compute_beta
 from .problems import build_example51, build_example52, verify_forcing
@@ -217,10 +217,9 @@ def check_double_caputo(tol_oracle: float = 1e-8, tol_nodes: float = 1e-10) -> C
     return CheckResult(name, passed, max(worst_oracle, worst_nodes), tol_oracle)
 
 
-def check_gram(problem: Problem, grid: CollocationGrid, nodes: int = DEFAULT_QUADRATURE_NODES,
-               tol: float = 1e-8) -> CheckResult:
+def check_gram(problem: Problem, grid: CollocationGrid, tol: float = 1e-8) -> CheckResult:
     """Symmetry, positive definiteness, and orthonormalization residual in one pass."""
-    g = assemble_gram(grid, problem, nodes=nodes).entries  # the sweep rows, about one n x n, go at once
+    g = assemble_gram(grid, problem).entries  # the sweep rows, about one n x n, go at once
     asym = float(np.max(np.abs(g - g.T) / (1.0 + np.abs(g))))
     try:
         onb = compute_beta(GramMatrix(g))
@@ -243,8 +242,7 @@ def check_forcing(problems: Optional[list] = None, tol: float = 1e-10) -> CheckR
     return CheckResult("forcing consistency", worst <= tol, worst, tol)
 
 
-def run_default_checks(alpha: float = 0.9, p: int = 4, q: int = 4,
-                       nodes: int = DEFAULT_QUADRATURE_NODES) -> List[CheckResult]:
+def run_default_checks(alpha: float = 0.9, p: int = 4, q: int = 4) -> List[CheckResult]:
     """The standard verification battery at a desk-scale grid."""
     results = [
         check_gamma_reflection(),
@@ -253,7 +251,7 @@ def run_default_checks(alpha: float = 0.9, p: int = 4, q: int = 4,
         check_reproducing_properties(),
         check_time_kernel_oracle(),
         check_double_caputo(),
-        check_gram(build_example51(alpha), CollocationGrid.uniform(p, q), nodes=nodes),
+        check_gram(build_example51(alpha), CollocationGrid.uniform(p, q)),
         check_forcing(),
     ]
     return results

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rkburgers import __version__
+import rkburgers.solver
+from rkburgers import CollocationGrid, __version__
 from rkburgers.cli import _COMMAND_KEYS, main, parse_mesh
 from rkburgers.solver import evaluate, solve
 from tests.conftest import overflowing_example51
@@ -56,9 +57,10 @@ class TestSolveCommand:
         text = _read(out)
         assert _table_cell(text, "1.00000e-01", "1.00000e-01") <= 2.39e-3
         meta = json.loads(_read(tmp_path / "err.meta.json"))
-        for key in ("alpha", "p", "q", "n", "quadrature_nodes", "picard_iters",
+        for key in ("alpha", "p", "q", "n", "picard_iters",
                     "mesh", "format", "max_abs_error", "wall_seconds", "version"):
             assert key in meta
+        assert "quadrature_nodes" not in meta  # the rule is fixed at 64 nodes
         assert meta["n"] == 25
 
     def test_output_deterministic_across_runs(self, tmp_path):
@@ -145,13 +147,24 @@ class TestSolveCommand:
         meta = json.loads(_read(tmp_path / "err2.meta.json"))
         assert meta["max_abs_error"] <= 6.29e-2
 
-    def test_under_resolved_quadrature_is_numerical_failure(self, capsys):
-        # two quadrature nodes leave the Gram matrix asymmetric beyond tolerance
-        argv = ["solve", "--example", "2", "--alpha", "0.8", "--p", "6", "--q", "6", "--nodes", "2"]
-        assert main(argv) == 2
+    def test_asymmetric_gram_is_numerical_failure(self, monkeypatch, capsys):
+        # one entry between two collocation points skewed beyond the symmetry tolerance;
+        # the message names it by indices, checked here by the points they number
+        assemble = rkburgers.solver.assemble_gram
+        pair = {(1 / 3, 2 / 3), (2 / 3, 1 / 3)}
+
+        def skewed(grid, problem, basis=None):
+            gram = assemble(grid, problem, basis=basis)
+            i, j = (grid.points.index(point) for point in sorted(pair))
+            gram.entries[i, j] += 1e-3 * (1.0 + abs(gram.entries[i, j]))
+            return gram
+
+        monkeypatch.setattr("rkburgers.solver.assemble_gram", skewed)
+        assert main(["solve", "--example", "2", "--alpha", "0.8", "--p", "3", "--q", "3"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: gram matrix asymmetry")
-        assert "at entry (16, 17)" in err
+        entry = re.search(r"at entry \((\d+), (\d+)\)", err).groups()
+        assert {CollocationGrid.uniform(3, 3).points[int(k)] for k in entry} == pair
 
     @pytest.mark.parametrize("target", ["out", "surface", "meta"])
     def test_unwritable_output_is_validation_error(self, tmp_path, capsys, target):
@@ -211,16 +224,22 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["solve", "--example", "1", "--nodes", "0"],
-            ["verify", "--nodes", "0"],
-            ["convergence", "--example", "1", "--sizes", "4", "--nodes", "0"],
-        ],
+        [["solve", "--example", "1"], ["verify"], ["convergence", "--example", "1", "--sizes", "4"]],
         ids=lambda argv: argv[0],
     )
-    def test_zero_quadrature_nodes_is_validation_error(self, capsys, argv):
-        assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("validation error: ")
+    def test_no_subcommand_reads_nodes(self, tmp_path, capsys, argv):
+        # the double transform always takes the 64-node rule: a nodes flag is a
+        # malformed command line, and a nodes line an unknown config key
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--nodes", "64"])
+        assert exc.value.code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith(f"usage: rkburgers {argv[0]} ")
+        assert lines[1:] == [f"rkburgers: error: {argv[0]} does not read --nodes"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nodes = 64\n", encoding="utf-8")
+        assert main(argv + ["--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "validation error: unknown config key 'nodes'\n"
 
     def test_metadata_stays_beside_output_in_dotted_directory(self, tmp_path):
         out_dir = tmp_path / "run.v2"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -276,6 +277,25 @@ class TestAssembleGram:
                 call()
             assert (err.value.row, err.value.col) == (3, 0)
             assert isinstance(err.value.__cause__, FloatingPointError)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["k1", "k2", "k3"])
+    def test_nonfinite_coefficient_carries_indices(self, name, value):
+        # a non-finite k1, k2 or k3 is named where it is sampled, not as a
+        # non-positive pivot after it has spread through the Gram matrix
+        grid = CollocationGrid.uniform(4, 4)
+        index = grid.points.index((0.5, 0.5))
+        coeffs = dict.fromkeys(("k1", "k2", "k3", "k4", "f"), lambda xi, eta: 1.0)
+        coeffs[name] = lambda xi, eta: value if (xi, eta) == (0.5, 0.5) else 1.0
+        bad = Problem(alpha=0.8, **coeffs)
+        pattern = rf"gram entry \({index}, 0\) failed: non-finite {name} = {value} at collocation point \(0.5, 0.5\)$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: solve(bad, grid), lambda: assemble_gram(grid, bad), lambda: build_basis(grid, bad)):
+                with pytest.raises(GramAssemblyError, match=pattern) as err:
+                    call()
+                assert (err.value.row, err.value.col) == (index, 0)
+                assert isinstance(err.value.__cause__, ArithmeticError)
 
     def test_gram_of_a_given_basis_reads_its_coefficients(self):
         grid = CollocationGrid.uniform(3, 3)

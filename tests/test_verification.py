@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rkburgers import verification
 from rkburgers.fracmath import gamma
 from rkburgers.operator import CollocationGrid, Problem
 from rkburgers.problems import build_example51, build_example52
@@ -64,10 +65,20 @@ class TestBrokenFixtures:
         assert result.measure > result.tol
         assert result.line().startswith("FAIL")
 
-    def test_under_resolved_quadrature_fails_the_gram_check(self):
-        result = check_gram(build_example52(0.8), CollocationGrid.uniform(6, 6), nodes=2)
+    def test_asymmetric_gram_fails_the_gram_check(self, monkeypatch):
+        # one entry skewed beyond the symmetry tolerance, as too few quadrature nodes leave it
+        assemble = verification.assemble_gram
+
+        def skewed(grid, problem):
+            gram = assemble(grid, problem)
+            gram.entries[0, 1] += 1e-6 * (1.0 + abs(gram.entries[0, 1]))
+            return gram
+
+        monkeypatch.setattr(verification, "assemble_gram", skewed)
+        result = check_gram(build_example52(0.8), CollocationGrid.uniform(6, 6))
         assert not result.passed
         assert result.measure > 1e-8
+        assert result.name == "gram symmetry / orthonormality"
 
 
 class TestDoubleCaputoOracle:
