@@ -50,7 +50,6 @@ from .problems import (
 from .solver import (
     ApproximateSolution,
     ErrorReport,
-    SolverOptions,
     convergence_study,
     error_report,
     evaluate,
@@ -88,7 +87,6 @@ __all__ = [
     "verify_forcing",
     "ApproximateSolution",
     "ErrorReport",
-    "SolverOptions",
     "convergence_study",
     "error_report",
     "evaluate",

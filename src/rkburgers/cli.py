@@ -28,7 +28,7 @@ from . import __version__
 from .operator import CollocationGrid, GramAssemblyError
 from .orthonormalize import GramAsymmetryError, NotPositiveDefiniteError
 from .problems import build_custom, build_problem, COEFFICIENT_CATALOG
-from .solver import SolverOptions, convergence_study, error_report, evaluate, solve
+from .solver import convergence_study, error_report, evaluate, solve
 
 __all__ = ["main", "RunConfig", "parse_mesh"]
 
@@ -236,11 +236,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
     mesh = parse_mesh(cfg.mesh)
     _check_writable(cfg.out, cfg.out and _meta_path(cfg.out), cfg.surface)
     t0 = time.perf_counter()
-    sol = solve(
-        problem,
-        CollocationGrid.uniform(cfg.p, cfg.q),
-        SolverOptions(picard_iters=cfg.picard),
-    )
+    sol = solve(problem, CollocationGrid.uniform(cfg.p, cfg.q), picard_iters=cfg.picard)
     wall = time.perf_counter() - t0
 
     report = None
@@ -313,12 +309,7 @@ def _cmd_convergence(cfg: RunConfig) -> int:
         raise ValueError("convergence study requires a problem with an exact solution")
     mesh = parse_mesh(cfg.mesh)
     _check_writable(cfg.out)
-    rows = convergence_study(
-        problem,
-        sizes,
-        [(x, e) for x in mesh for e in mesh],
-        SolverOptions(picard_iters=cfg.picard),
-    )
+    rows = convergence_study(problem, sizes, [(x, e) for x in mesh for e in mesh], picard_iters=cfg.picard)
     lines = ["n,max_abs_error,wall_seconds"]
     for row in rows:
         lines.append(f"{row.n},{_format_cell(row.max_abs_error)},{row.wall_seconds:.3f}")

@@ -20,7 +20,9 @@ at collocation point i.  The time factor then carries Caputo transforms in
 both slots: the single transform has a closed form, three moments from
 one weighted_moment call plus an elementary tail; the double transform
 reduces to one weakly singular integral evaluated by Gauss-Jacobi
-quadrature with the range split at the inner evaluation time.
+quadrature with the range split at the inner evaluation time.  Every
+Gram and every L psi take the one ``DEFAULT_QUADRATURE_NODES``-point
+(64-node) rule.
 
 Every such value is a sum of products of an r3 space factor, a function of
 the two xi values, and a time factor, a function of the two eta values.
@@ -328,12 +330,12 @@ class BasisTables:
     ``_coeffs`` holds the basis functions' frozen k1, k2, k3 as one 3 x n
     array, from which the Gram's rows read their coefficients.
 
-    ``nodes`` is the quadrature node count of the double transform; without
-    it only the factors of psi are tabulated.  A node count that is not an
-    integer >= 1 raises ValueError.
+    ``with_operator`` also tabulates the Caputo factors of L psi, the
+    double transform with the ``DEFAULT_QUADRATURE_NODES``-point rule;
+    without it only the factors of psi are tabulated.
     """
 
-    def __init__(self, basis: list, point_xi, point_eta, nodes: Optional[int] = None):
+    def __init__(self, basis: list, point_xi, point_eta, with_operator: bool = False):
         alphas = {b.alpha for b in basis}
         if len(alphas) > 1:
             raise ValueError("basis functions must share one fractional order")
@@ -347,18 +349,18 @@ class BasisTables:
         self._coeffs = np.array([[getattr(b, k) for b in basis] for k in ("k1", "k2", "k3")], dtype=float)
 
         # rows: distinct point coordinates, columns: distinct basis coordinates; raveled
-        orders = [(dx, dxi) for dx in range(3) for dxi in range(2 if nodes is None else 3)]
+        orders = [(dx, dxi) for dx in range(3) for dxi in range(3 if with_operator else 2)]
         self._space = dict(zip(orders, r3(bx[None, :], px[:, None], *zip(*orders)).reshape(len(orders), -1)))
         # r2 and its Caputo transform in the basis slot, in the point slot, in both
         self._r2 = r2(be[None, :], pe[:, None]).ravel()
         caputo_basis = _ctk_table(pe[:, None], be[None, :], a)
         self._caputo_basis = caputo_basis.ravel()
-        if nodes is not None:
+        if with_operator:
             if np.array_equal(pe, be):  # the Gram's points: the same table, slots swapped
                 self._caputo_point = caputo_basis.T.ravel()
             else:
                 self._caputo_point = _ctk_table(be[None, :], pe[:, None], a).ravel()
-            self._caputo_both = _dc_table(be[None, :], pe[:, None], a, nodes).ravel()
+            self._caputo_both = _dc_table(be[None, :], pe[:, None], a, DEFAULT_QUADRATURE_NODES).ravel()
 
     def at(self, points):
         """The points of a block, for ``psi`` and ``operator``: an index array (or slice), or one index.
@@ -410,7 +412,7 @@ class BasisTables:
         return np.stack(rows) if np.ndim(dxi_order) else rows[0]
 
     def operator(self, at, fns, c1, c2, c3):
-        """(L psi_l), then psi_l and d_xi psi_l, at the points ``at`` gives; needs ``nodes``.
+        """(L psi_l), then psi_l and d_xi psi_l, at the points ``at`` gives; needs ``with_operator``.
 
         c1, c2, c3 are the coefficients sampled at the points, each
         broadcasting to the block.  psi_l and d_xi psi_l are ``psi``'s,
@@ -458,12 +460,7 @@ def _distinct(rows):
     return distinct[:, None], lambda factor: factor.take(inverse, 0)
 
 
-def assemble_gram(
-    grid: CollocationGrid,
-    problem: Problem,
-    nodes: int = DEFAULT_QUADRATURE_NODES,
-    basis: Optional[list] = None,
-) -> GramMatrix:
+def assemble_gram(grid: CollocationGrid, problem: Problem, basis: Optional[list] = None) -> GramMatrix:
     """All n x n Gram entries of ``basis`` (by default built from ``problem``) at the grid's points.
 
     Entry (i, j) is (L psi_j) at collocation point i, with the coefficients
@@ -471,14 +468,15 @@ def assemble_gram(
     gathered from ``BasisTables`` a block at a time.  Each block's gather
     also forms psi_j and d_xi psi_j at its points, before L scales them;
     the columns below the block's last row are kept as the block's
-    ``sweep_rows``.
+    ``sweep_rows``.  The double transform takes the
+    ``DEFAULT_QUADRATURE_NODES``-point rule.
     """
     if basis is None:
         basis = build_basis(grid, problem)
     n = grid.n
     if len(basis) != n:
         raise ValueError(f"{len(basis)} basis functions for {n} collocation points")
-    tables = BasisTables(basis, [x for x, _ in grid.points], [e for _, e in grid.points], nodes)
+    tables = BasisTables(basis, [x for x, _ in grid.points], [e for _, e in grid.points], with_operator=True)
     entries = np.empty((n, n))
     sweep_rows = []
     for start in range(0, n, _ROW_BLOCK):

@@ -9,8 +9,9 @@ its xi-derivative at point k, forms the lagged right-hand side
 
 and sets B_i = sum_{k<=i} beta_ik F_k.  The sweep starts from y_0 = 0,
 consistent with the homogeneous initial and boundary data.  An optional
-fixed-point polish re-evaluates every F_k at the full previous solution;
-it is off by default.
+fixed-point polish, ``picard_iters`` passes, re-evaluates every F_k at
+the full previous solution; it is off by default.  A solve takes a
+problem, a grid and that pass count, nothing else.
 
 Step k needs psi_l(x_k) and d_xi psi_l(x_k) for l < k: row k of the
 matrices Psi0 and Psi1, so y_{k-1}(x_k) is the dot product of the
@@ -31,19 +32,19 @@ psi tables at the collocation points and each pass reads both orders
 from ``evaluate``'s loop (``_values``): each F_k is f - k4 * y * d_xi y
 with y and d_xi y bit-identical to ``evaluate``'s.
 
-Where L is applied, in the Gram assembly and in ``residual``, the double
-Caputo transform takes one rule: Gauss-Jacobi with
-``DEFAULT_QUADRATURE_NODES`` (64) nodes.  A solve has no node setting.
+Where L is applied, in the Gram assembly and in ``residual`` (both
+through ``BasisTables`` with ``with_operator``), the double Caputo
+transform takes one rule: Gauss-Jacobi with ``DEFAULT_QUADRATURE_NODES``
+(64) nodes.  A solve has no node setting.
 """
 
 import math
 import time
-from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .fracmath import DEFAULT_QUADRATURE_NODES, _check_count
+from .fracmath import _check_count
 from .operator import (
     BasisTables,
     CollocationGrid,
@@ -59,7 +60,6 @@ from .operator import psi_eval  # noqa: F401
 from .orthonormalize import OrthonormalBasis, compute_beta, norm_recursion_defect
 
 __all__ = [
-    "SolverOptions",
     "ApproximateSolution",
     "ErrorReport",
     "ConvergenceRow",
@@ -75,22 +75,13 @@ _BLOCK = 64  # basis functions per gathered block
 _POINT_BLOCK = 256  # evaluation points per gathered block
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Picard passes (at least 0); the double transform always takes the 64-node rule."""
-
-    picard_iters: int = 0
-
-    def __post_init__(self):
-        _check_count("SolverOptions.picard_iters", self.picard_iters, 0)
-
-
 class ApproximateSolution(NamedTuple):
     """Result of a solve: coefficients B over the orthonormal basis.
 
     ``raw_coeffs`` caches beta' B, the expansion over the unorthonormalized
     basis functions, so evaluation sums raw_coeffs[l] psi_l over the
-    nonzero coefficients and never touches beta.
+    nonzero coefficients and never touches beta.  ``picard_iters`` is the
+    number of fixed-point passes the solve ran after its sweep.
     """
 
     B: np.ndarray
@@ -100,20 +91,22 @@ class ApproximateSolution(NamedTuple):
     grid: CollocationGrid
     F_values: np.ndarray
     raw_coeffs: np.ndarray
-    options: SolverOptions = SolverOptions()
+    picard_iters: int = 0
 
     @property
     def n(self) -> int:
         return len(self.B)
 
 
-def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptions] = None) -> ApproximateSolution:
-    """Run the sequential collocation sweep on the given grid.
+def solve(problem: Problem, grid: CollocationGrid, picard_iters: int = 0) -> ApproximateSolution:
+    """Run the sequential collocation sweep on the given grid, then ``picard_iters`` fixed-point passes.
 
     Samples each problem callable once per point: k1, k2, k3 in
-    ``build_basis``, f and k4 for the sweep and every Picard pass.
+    ``build_basis``, f and k4 for the sweep and every Picard pass.  A pass
+    count that is not an integer >= 0 (a bool, a float, a negative) raises
+    ValueError before any work; numpy integers pass.
     """
-    opts = options or SolverOptions()
+    _check_count("picard_iters", picard_iters, 0)
     basis = build_basis(grid, problem)
     gram = assemble_gram(grid, problem, basis=basis)
     onb = compute_beta(gram)
@@ -135,9 +128,9 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
         cum[: k + 1] += B[k] * b
     del gram, rows  # the sweep rows, about one n x n array; the solution keeps G through onb
 
-    if opts.picard_iters:
+    if picard_iters:
         tables = BasisTables(basis, [x for x, _ in grid.points], [e for _, e in grid.points])
-        for _ in range(opts.picard_iters):
+        for _ in range(picard_iters):
             y, dy = _values(cum, tables, n, (0, 1)).tolist()
             for k in range(n):
                 F[k] = _finite(f[k] - k4[k] * y[k] * dy[k], k)
@@ -152,7 +145,7 @@ def solve(problem: Problem, grid: CollocationGrid, options: Optional[SolverOptio
         grid=grid,
         F_values=F,
         raw_coeffs=cum,
-        options=opts,
+        picard_iters=picard_iters,
     )
 
 
@@ -220,7 +213,7 @@ def residual(s: ApproximateSolution, xi: float, eta: float) -> float:
     nonzero coefficients in index order, as ``_values`` sums.
     """
     p = s.problem
-    tables = BasisTables(s.basis_functions, [xi], [eta], DEFAULT_QUADRATURE_NODES)
+    tables = BasisTables(s.basis_functions, [xi], [eta], with_operator=True)
     rows = np.stack(tables.operator(tables.at(0), slice(None), p.k1(xi, eta), p.k2(xi, eta), p.k3(xi, eta)))
     fns = np.flatnonzero(s.raw_coeffs != 0.0)
     sums = np.zeros(3)
@@ -264,13 +257,18 @@ def convergence_study(
     problem: Problem,
     sizes: Sequence[Tuple[int, int]],
     eval_mesh: Sequence[Tuple[float, float]],
-    options: Optional[SolverOptions] = None,
+    picard_iters: int = 0,
 ) -> List[ConvergenceRow]:
-    """Solve once per (p, q) size and report the max mesh error for each."""
+    """Solve once per (p, q) size, with ``picard_iters`` passes, and report the max mesh error for each.
+
+    The pass count is checked as ``solve`` checks it, before the first
+    size, so a bad count raises ValueError even when ``sizes`` is empty.
+    """
+    _check_count("picard_iters", picard_iters, 0)
     rows = []
     for p, q in sizes:
         t0 = time.perf_counter()
-        sol = solve(problem, CollocationGrid.uniform(p, q), options)
+        sol = solve(problem, CollocationGrid.uniform(p, q), picard_iters)
         report = error_report(sol, eval_mesh)
         rows.append(ConvergenceRow(n=p * q, max_abs_error=report.max_abs_error, wall_seconds=time.perf_counter() - t0))
     return rows

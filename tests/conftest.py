@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from rkburgers import CollocationGrid, SolverOptions, build_problem, solve
+from rkburgers import CollocationGrid, build_problem, solve
 from rkburgers.operator import Problem
 from rkburgers.problems import build_example51
 
@@ -14,7 +14,7 @@ TABLE_POINTS = [(x, e) for x in TABLE_MESH for e in TABLE_MESH]
 @functools.lru_cache(maxsize=None)
 def _cached_solve(example: str, alpha: float, p: int, q: int, picard: int = 0):
     problem = build_problem(example, alpha)
-    return solve(problem, CollocationGrid.uniform(p, q), SolverOptions(picard_iters=picard))
+    return solve(problem, CollocationGrid.uniform(p, q), picard_iters=picard)
 
 
 def peak_bytes(fn, *args):

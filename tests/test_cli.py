@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import rkburgers.solver
-from rkburgers import CollocationGrid, __version__
-from rkburgers.cli import _COMMAND_KEYS, main, parse_mesh
-from rkburgers.solver import evaluate, solve
+from rkburgers import CollocationGrid, __version__, build_problem
+from rkburgers.cli import _COMMAND_KEYS, _format_cell, main, parse_mesh
+from rkburgers.solver import error_report, evaluate, solve
 from tests.conftest import overflowing_example51
 
 
@@ -445,6 +445,19 @@ class TestConvergenceCommand:
         ) == 0
         assert _read(out).strip().splitlines()[1].startswith("6,")
 
+    def test_picard_passes_reach_the_study(self, tmp_path):
+        mesh = parse_mesh("0.1:0.1:0.6")
+        points = [(x, e) for x in mesh for e in mesh]
+        argv = ["convergence", "--example", "2", "--alpha", "0.8", "--sizes", "4x4"]
+        cells = {}
+        for passes in (0, 1):
+            out = tmp_path / f"conv{passes}.csv"
+            assert main(argv + ["--picard", str(passes), "--out", str(out)]) == 0
+            cells[passes] = _read(out).strip().splitlines()[1].split(",")[1]
+        sol = solve(build_problem("2", 0.8), CollocationGrid.uniform(4, 4), picard_iters=1)
+        assert cells[1] == _format_cell(error_report(sol, points).max_abs_error)
+        assert cells[1] != cells[0]  # so a dropped count would show
+
     def test_sizes_required(self):
         assert main(["convergence", "--example", "1", "--alpha", "0.9"]) == 1
 
@@ -465,7 +478,7 @@ class TestConvergenceCommand:
         ) == 1
 
     def test_unwritable_output_fails_before_the_study(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("rkburgers.cli.convergence_study", lambda *args: pytest.fail("studied before the check"))
+        monkeypatch.setattr("rkburgers.cli.convergence_study", lambda *args, **kwargs: pytest.fail("studied before the check"))
         bad = tmp_path / "missing" / "c.csv"
         assert main(["convergence", "--example", "1", "--sizes", "4", "--out", str(bad)]) == 1
         assert capsys.readouterr().err.startswith(f"validation error: cannot write {bad}: ")

@@ -19,7 +19,6 @@ from rkburgers import (
     OrthonormalBasis,
     Problem,
     SeparableSolution,
-    SolverOptions,
     build_example51,
     convergence_study,
     error_report,
@@ -38,8 +37,8 @@ RECORDS = {
     SeparableSolution: (("space", "space_d1", "space_d2", "time_power"), {}),
     ForcingReport: (("max_discrepancy", "tol", "passed"), {}),
     ApproximateSolution: (
-        ("B", "basis", "basis_functions", "problem", "grid", "F_values", "raw_coeffs", "options"),
-        {"options": SolverOptions()},
+        ("B", "basis", "basis_functions", "problem", "grid", "F_values", "raw_coeffs", "picard_iters"),
+        {"picard_iters": 0},
     ),
     ErrorReport: (("rows", "max_abs_error", "mean_abs_error"), {}),
     ConvergenceRow: (("n", "max_abs_error", "wall_seconds"), {}),
@@ -63,13 +62,6 @@ def test_attributes_cannot_be_set(record):
         with pytest.raises(AttributeError):
             setattr(made, name, -1)
     assert tuple(made) == tuple(range(len(record._fields)))
-
-
-def test_shared_default_options_are_frozen():
-    options = ApproximateSolution._field_defaults["options"]
-    with pytest.raises(AttributeError):
-        options.picard_iters = 3
-    assert options == SolverOptions()
 
 
 def test_a_solve_hands_back_records(solution_factory):
@@ -129,7 +121,7 @@ def test_problem_replace_copies_and_validates():
 
 
 def test_validated_inputs_stay_dataclasses():
-    for cls in (Problem, CollocationGrid, SolverOptions, RunConfig):
+    for cls in (Problem, CollocationGrid, RunConfig):
         assert dataclasses.is_dataclass(cls)
     cfg = RunConfig()
     cfg.p = 3  # the CLI sets its fields

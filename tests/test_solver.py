@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from rkburgers.operator import CollocationGrid, Problem
 from rkburgers.problems import build_example51, build_example52
 from rkburgers.solver import (
-    SolverOptions,
     convergence_study,
     error_report,
     evaluate,
@@ -85,7 +83,7 @@ class TestSolveBasics:
         grid = CollocationGrid.uniform(2, 2)
         assert np.all(np.isfinite(solve(overflowing_example51(), grid).raw_coeffs))
         with pytest.raises(ArithmeticError, match="index 0"):
-            solve(overflowing_example51(), grid, SolverOptions(picard_iters=1))
+            solve(overflowing_example51(), grid, picard_iters=1)
 
     def test_each_problem_callable_sampled_once_per_point(self):
         base = build_example51(0.9)
@@ -99,7 +97,7 @@ class TestSolveBasics:
             return fn
 
         problem = Problem(alpha=base.alpha, **{name: counted(name) for name in calls})
-        solve(problem, CollocationGrid.uniform(3, 3), SolverOptions(picard_iters=2))
+        solve(problem, CollocationGrid.uniform(3, 3), picard_iters=2)
         assert calls == {name: 9 for name in calls}
 
 
@@ -287,20 +285,25 @@ class TestClassicalOrderLimit:
         assert report.max_abs_error < 5e-3
 
 
-class TestSolverOptions:
-    @pytest.mark.parametrize(
-        "field,value",
-        [("picard_iters", -2), ("picard_iters", 1.5), ("picard_iters", True)],
-    )
-    def test_invalid_field_rejected_when_built(self, field, value):
-        with pytest.raises(ValueError, match=f"SolverOptions.{field} must be an integer"):
-            SolverOptions(**{field: value})
+class TestPicardCount:
+    @pytest.mark.parametrize("value", [True, -1, 2.5])
+    def test_bad_count_rejected(self, value):
+        problem, grid = build_example51(0.9), CollocationGrid.uniform(2, 2)
+        with pytest.raises(ValueError, match="picard_iters must be an integer >= 0"):
+            solve(problem, grid, picard_iters=value)
+        # checked before the first size, so an empty study rejects it too
+        for sizes in ([(2, 2)], []):
+            with pytest.raises(ValueError, match="picard_iters must be an integer >= 0"):
+                convergence_study(problem, sizes, TABLE_POINTS, picard_iters=value)
 
-    def test_defaults_and_numpy_integers_accepted(self):
-        assert SolverOptions() == SolverOptions(picard_iters=0)
-        assert SolverOptions(picard_iters=np.int32(2)).picard_iters == 2
-        # the double transform's rule is fixed at DEFAULT_QUADRATURE_NODES; no option sets it
-        assert [f.name for f in dataclasses.fields(SolverOptions)] == ["picard_iters"]
+    def test_numpy_integers_accepted_and_recorded(self):
+        problem, grid = build_example51(0.9), CollocationGrid.uniform(2, 2)
+        assert solve(problem, grid).picard_iters == 0
+        sol = solve(problem, grid, picard_iters=np.int32(2))
+        assert sol.picard_iters == 2
+        assert np.array_equal(sol.B, solve(problem, grid, picard_iters=2).B)
+        [row] = convergence_study(problem, [(2, 2)], TABLE_POINTS, picard_iters=np.int32(2))
+        assert row.max_abs_error == error_report(sol, TABLE_POINTS).max_abs_error
 
 
 class TestPicardOption:
@@ -308,7 +311,7 @@ class TestPicardOption:
         problem = build_example51(0.9)
         grid = CollocationGrid.uniform(4, 4)
         plain = solve(problem, grid)
-        polished = solve(problem, grid, SolverOptions(picard_iters=2))
+        polished = solve(problem, grid, picard_iters=2)
         r_plain = error_report(plain, TABLE_POINTS).max_abs_error
         r_polished = error_report(polished, TABLE_POINTS).max_abs_error
         assert r_polished <= 5.0 * r_plain

@@ -31,7 +31,7 @@ from rkburgers.operator import (
 )
 from rkburgers.orthonormalize import compute_beta
 from rkburgers.problems import build_example51, build_example52
-from rkburgers.solver import SolverOptions, error_report, evaluate, residual, solve
+from rkburgers.solver import error_report, evaluate, residual, solve
 from tests.conftest import peak_bytes
 
 
@@ -272,7 +272,7 @@ class TestTimeTables:
         grid = CollocationGrid.from_points(_jittered(3, 5))
         basis = build_basis(grid, problem)
         points = [(0.5, e) for e in (0.0, 0.2, 0.45, 1.0)]
-        tables = BasisTables(basis, [x for x, _ in points], [e for _, e in points], nodes=64)
+        tables = BasisTables(basis, [x for x, _ in points], [e for _, e in points], with_operator=True)
         fns = np.arange(len(basis))
         for i, (xi, eta) in enumerate(points):
             row = tables.operator(tables.at(i), fns, problem.k1(xi, eta), problem.k2(xi, eta), problem.k3(xi, eta))[0]
@@ -285,7 +285,7 @@ def test_block_gathers_on_tables_of_unequal_widths():
     problem = build_example52(0.8)
     basis = build_basis(CollocationGrid.from_points(_jittered(4, 3)), problem)
     points = [(x, e) for x in (0.0, 0.2, 0.55, 0.8, 1.0) for e in (0.0, 0.1, 0.3, 0.45, 0.6, 0.9, 1.0)]
-    tables = BasisTables(basis, [x for x, _ in points], [e for _, e in points], nodes=64)
+    tables = BasisTables(basis, [x for x, _ in points], [e for _, e in points], with_operator=True)
     rows = np.arange(len(points))[:, None]
     fns = np.array([11, 0, 7, 3, 5, 8, 1])
     for order in (0, 1):
@@ -296,7 +296,7 @@ def test_block_gathers_on_tables_of_unequal_widths():
     assert _same(tables.operator(tables.at(rows), fns, c1, c2, c3)[0], expected)
     # operator's psi and d_xi psi are psi's, on a block of the 72 points that crosses the 64-row edge
     points = _jittered(9, 8)
-    tables = BasisTables(basis, [x for x, _ in points], [e for _, e in points], nodes=64)
+    tables = BasisTables(basis, [x for x, _ in points], [e for _, e in points], with_operator=True)
     block = tables.at(np.arange(60, 70)[:, None])
     c1, c2, c3 = (np.array([[k(xi, eta)] for xi, eta in points[60:70]]) for k in (problem.k1, problem.k2, problem.k3))
     _, psi0, psi1 = tables.operator(block, fns, c1, c2, c3)
@@ -348,7 +348,7 @@ def test_any_index_array_is_the_blocks_list_of_points():
     grid = CollocationGrid.uniform(3, 3)
     problem = build_example51(0.9)
     basis = build_basis(grid, problem)
-    tables = BasisTables(basis, [x for x, _ in grid.points], [e for _, e in grid.points], nodes=64)
+    tables = BasisTables(basis, [x for x, _ in grid.points], [e for _, e in grid.points], with_operator=True)
     steps = np.array([4, 0, 8, 4, 2])
     fns = np.arange(grid.n)
     line, column = tables.at(steps), tables.at(steps[:, None])
@@ -382,7 +382,7 @@ def test_solve_matches_scalar_reference(case):
 def test_picard_pass_matches_scalar_reference():
     problem = build_example51(0.9)
     grid = CollocationGrid.uniform(4, 4)
-    sol = solve(problem, grid, SolverOptions(picard_iters=1))
+    sol = solve(problem, grid, picard_iters=1)
     basis = build_basis(grid, problem)
     F, B, raw = _reference_sweep(problem, grid, basis, sol.basis.beta, picard_iters=1)
     assert _same(sol.F_values, F)
@@ -401,8 +401,8 @@ def test_picard_pass_matches_scalar_reference():
 def test_picard_pass_reads_the_previous_iterate_through_evaluate(build, alpha, grid):
     # F_k of the second pass is f - k4 * y * d_xi y, with y the one-pass solution as evaluate gives it
     problem = build(alpha)
-    one = solve(problem, grid, SolverOptions(picard_iters=1))
-    two = solve(problem, grid, SolverOptions(picard_iters=2))
+    one = solve(problem, grid, picard_iters=1)
+    two = solve(problem, grid, picard_iters=2)
     xs, es = [x for x, _ in grid.points], [e for _, e in grid.points]
     y, dy = (evaluate(one, xs, es, order).tolist() for order in (0, 1))
     expected = [problem.f(x, e) - problem.k4(x, e) * v * d for x, e, v, d in zip(xs, es, y, dy)]
@@ -435,7 +435,7 @@ def test_solve_and_residual_build_one_table_set_each(monkeypatch):
     residual(sol, 0.5, 0.5)
     assert len(builds) == 2
     # Picard passes add one psi-only set at the collocation points per solve, not one per pass
-    solve(problem, grid, SolverOptions(picard_iters=2))
+    solve(problem, grid, picard_iters=2)
     assert len(builds) == 4
 
 
@@ -446,7 +446,7 @@ def test_sweep_reads_the_rows_the_gram_assembly_kept(monkeypatch):
     problem, grid = build_example51(0.9), CollocationGrid.uniform(9, 8)
     sol = solve(problem, grid)
     assert calls == {} and sol.basis.source.sweep_rows is None
-    solve(problem, grid, SolverOptions(picard_iters=1))
+    solve(problem, grid, picard_iters=1)
     assert calls == {"psi": 2}
 
 
