@@ -28,7 +28,7 @@ from .fracmath import (
     jacobi_rule,
     weighted_moment,
 )
-from .kernels import r1, r2, r3
+from .kernels import r2, r3
 from .operator import (
     BasisFunction,
     CollocationGrid,
@@ -65,7 +65,6 @@ __all__ = [
     "gamma",
     "jacobi_rule",
     "weighted_moment",
-    "r1",
     "r2",
     "r3",
     "BasisFunction",

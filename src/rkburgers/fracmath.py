@@ -46,6 +46,11 @@ def _check_count(name: str, value, least: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _worst(values) -> float:
+    """The largest of ``values``, 0.0 for none, and NaN if any is NaN, where ``max`` would keep an earlier value."""
+    return float(np.max(list(values), initial=0.0))
+
+
 # Lanczos coefficients, g = 7, n = 9.  Relative error below 1e-14 on the
 # positive real axis; negative arguments go through the reflection formula.
 _LANCZOS_G = 7.0
@@ -89,12 +94,12 @@ def caputo_power(exponent: float, alpha, t: float) -> float:
     the derivative of a constant (k = 0) is identically zero.
 
     Raises:
-        ValueError: if t < 0, or if 0 < exponent < alpha (the result would
-            be unbounded at t = 0).
+        ValueError: if t < 0 or NaN, or if 0 < exponent < alpha (the result
+            would be unbounded at t = 0).
     """
     a = order_value(alpha)
     k = float(exponent)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"caputo_power requires t >= 0, got {t}")
     if k == 0.0:
         return 0.0
@@ -161,13 +166,16 @@ def weighted_moment(m, alpha: float, a, b, c):
     [1.3333333333333335, 2.0]
 
     Raises:
-        ValueError: on an order that is not a non-negative integer, a
-            non-integrable range (b > c) or disordered limits, NaN
-            included, naming the first offending element.
+        ValueError: on an empty sequence of orders, an order that is not
+            a non-negative integer, a non-integrable range (b > c) or
+            disordered limits, NaN included, naming the first offending
+            element.
     """
     if np.ndim(m) > 1:
         raise ValueError("moment order must be an order or a sequence of orders")
     orders = np.ravel(m).tolist()
+    if not orders:
+        raise ValueError("moment order sequence must not be empty")
     for k in orders:
         if k < 0 or k != int(k):
             raise ValueError(f"moment order must be a non-negative integer, got {k}")

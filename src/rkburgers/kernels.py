@@ -1,8 +1,7 @@
 """Closed-form reproducing kernels on [0, 1] and their partial derivatives.
 
-Three univariate kernels are provided:
+Two univariate kernels are provided:
 
-* ``r1``: first-order space, value 1 + min(x, xi).
 * ``r2``: second-order space of functions vanishing at 0, a two-branch
   cubic in (t, eta).
 * ``r3``: third-order space of functions vanishing at 0 and 1, a two-branch
@@ -34,7 +33,7 @@ import math
 
 import numpy as np
 
-__all__ = ["r1", "r2", "r3"]
+__all__ = ["r2", "r3"]
 
 
 def _check_order(name: str, value, top: int) -> None:
@@ -165,11 +164,6 @@ def _check_units(name: str, values) -> np.ndarray:
     if outside.any():
         raise ValueError(f"{name} = {v[outside].flat[0]} outside the domain [0, 1]")
     return v
-
-
-def r1(x: float, xi: float) -> float:
-    """First-order kernel, 1 + min(x, xi)."""
-    return 1.0 + float(min(_check_units("x", x), _check_units("xi", xi)))
 
 
 def r2(t, eta, dt_order: int = 0, deta_order: int = 0):

@@ -43,6 +43,7 @@ build two single-transform tables, not three.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -206,8 +207,6 @@ def psi_eval(b: BasisFunction, xi: float, eta: float, dxi_order: int = 0) -> flo
     Vanishes identically on xi = 0, xi = 1 and eta = 0.  One value of
     ``BasisTables.psi``, over tables for this one point and function.
     """
-    if np.ndim(dxi_order):
-        raise ValueError(f"dxi_order must be 0 or 1, got {dxi_order}")
     tables = BasisTables([b], [xi], [eta])
     return float(tables.psi(tables.at(0), 0, dxi_order))
 
@@ -396,20 +395,15 @@ class BasisTables:
             factors.append((spread_x(frac), spread_x(smooth)))
         return [spread_t(table.take(t)) for table in times], factors
 
-    def psi(self, at, fns, dxi_order=0) -> np.ndarray:
+    def psi(self, at, fns, dxi_order: int = 0) -> np.ndarray:
         """psi_l (or its xi-derivative, dxi_order 0 or 1) at the points ``at`` gives.
 
-        ``dxi_order`` may be a sequence of orders: the result then holds
-        one array per order, stacked along a new first axis, from one
-        gather of the block.
+        One order per call: a caller that needs both orders gathers twice,
+        which costs no more than one gather of both would.
         """
-        orders = np.ravel(dxi_order).tolist()
-        for d in orders:
-            if d not in (0, 1):
-                raise ValueError(f"dxi_order must be 0 or 1, got {d}")
-        (r2v, phi), factors = self._gather(at, fns, orders, (self._r2, self._caputo_basis))
-        rows = [_combine(r2v, smooth, phi, frac) for frac, smooth in factors]
-        return np.stack(rows) if np.ndim(dxi_order) else rows[0]
+        _check_dxi_order(dxi_order)
+        (r2v, phi), [(frac, smooth)] = self._gather(at, fns, (dxi_order,), (self._r2, self._caputo_basis))
+        return _combine(r2v, smooth, phi, frac)
 
     def operator(self, at, fns, c1, c2, c3):
         """(L psi_l), then psi_l and d_xi psi_l, at the points ``at`` gives; needs ``with_operator``.
@@ -434,6 +428,12 @@ class BasisTables:
         psi2 += caputo_point
         psi2 += caputo_both
         return psi2, psi0, psi1
+
+
+def _check_dxi_order(value) -> None:
+    """Reject an xi-derivative order that is not the integer 0 or 1: numpy integers pass; bools, floats and sequences do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value not in (0, 1):
+        raise ValueError(f"dxi_order must be 0 or 1, got {value!r}")
 
 
 def _combine(r2v, smooth, phi, frac):

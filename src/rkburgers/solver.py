@@ -28,7 +28,7 @@ of 256 points holds about 6 distinct xi and 51 distinct eta values) and
 scales and sums the block's terms in place.  A Picard pass needs y and
 d_xi y of the previous iterate at every collocation point, which is what
 ``evaluate`` computes, so a solve with Picard passes builds one set of
-psi tables at the collocation points and each pass reads both orders
+psi tables at the collocation points and each pass reads each order
 from ``evaluate``'s loop (``_values``): each F_k is f - k4 * y * d_xi y
 with y and d_xi y bit-identical to ``evaluate``'s.
 
@@ -44,11 +44,12 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .fracmath import _check_count
+from .fracmath import _check_count, _worst
 from .operator import (
     BasisTables,
     CollocationGrid,
     Problem,
+    _check_dxi_order,
     assemble_gram,
     build_basis,
 )
@@ -131,7 +132,7 @@ def solve(problem: Problem, grid: CollocationGrid, picard_iters: int = 0) -> App
     if picard_iters:
         tables = BasisTables(basis, [x for x, _ in grid.points], [e for _, e in grid.points])
         for _ in range(picard_iters):
-            y, dy = _values(cum, tables, n, (0, 1)).tolist()
+            y, dy = (_values(cum, tables, n, order).tolist() for order in (0, 1))
             for k in range(n):
                 F[k] = _finite(f[k] - k4[k] * y[k] * dy[k], k)
             B = beta @ F
@@ -164,8 +165,6 @@ def evaluate(s: ApproximateSolution, xi, eta, dxi_order: int = 0):
     call at that point.  The first point outside the square raises
     ValueError naming it.
     """
-    if dxi_order not in (0, 1):
-        raise ValueError(f"dxi_order must be 0 or 1, got {dxi_order}")
     xs, es = np.broadcast_arrays(np.asarray(xi, dtype=float), np.asarray(eta, dtype=float))
     outside = ~((0.0 <= xs) & (xs <= 1.0) & (0.0 <= es) & (es <= 1.0))
     if outside.any():
@@ -177,7 +176,7 @@ def evaluate(s: ApproximateSolution, xi, eta, dxi_order: int = 0):
     return values.reshape(xs.shape)
 
 
-def _values(coeffs: np.ndarray, tables: BasisTables, size: int, dxi_order) -> np.ndarray:
+def _values(coeffs: np.ndarray, tables: BasisTables, size: int, dxi_order: int) -> np.ndarray:
     """sum_l coeffs[l] psi_l (or its xi-derivative) at the tables' ``size`` points.
 
     The sum runs over the nonzero coefficients, added in index order.  It
@@ -186,20 +185,20 @@ def _values(coeffs: np.ndarray, tables: BasisTables, size: int, dxi_order) -> np
     layout: points down a column, functions across.  Each block of points
     takes one ``at`` for all its blocks of functions, and each gathered
     block is scaled by its coefficients in place and summed over its last
-    axis.  ``dxi_order`` may be a sequence of orders, as in
-    ``BasisTables.psi``: the result then holds one row per order.
+    axis.
     """
+    _check_dxi_order(dxi_order)  # psi checks it too, but is not called when every coefficient is zero
     fns = np.flatnonzero(coeffs != 0.0)
     scale = coeffs[fns]
-    values = np.zeros(np.shape(dxi_order) + (size,))
+    values = np.zeros(size)
     for start in range(0, size, _POINT_BLOCK):
         at = tables.at(np.arange(start, min(start + _POINT_BLOCK, size))[:, None])
-        total = values[..., start : start + _POINT_BLOCK]
+        total = values[start : start + _POINT_BLOCK]
         for block in range(0, fns.size, _BLOCK):
             fn = slice(block, block + _BLOCK)
             terms = tables.psi(at, fns[fn], dxi_order)
             terms *= scale[fn]
-            for term in np.moveaxis(terms, -1, 0):
+            for term in terms.T:
                 total += term
     return values
 
@@ -242,7 +241,7 @@ def error_report(s: ApproximateSolution, eval_points: Sequence[Tuple[float, floa
     errs = [r[3] for r in rows]
     return ErrorReport(
         rows=rows,
-        max_abs_error=max(errs) if errs else 0.0,
+        max_abs_error=_worst(errs),
         mean_abs_error=sum(errs) / len(errs) if errs else 0.0,
     )
 

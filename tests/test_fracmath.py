@@ -65,6 +65,10 @@ class TestCaputoPower:
         with pytest.raises(ValueError):
             caputo_power(0.3, 0.5, 0.5)
 
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError, match="t >= 0, got nan"):
+            caputo_power(2, 0.5, math.nan)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("t", [0.25, 0.5, 1.0])
     @pytest.mark.parametrize("a", [0.3, 0.5, 0.9])
@@ -105,6 +109,11 @@ class TestWeightedMoment:
     def test_disordered_limits_rejected(self):
         with pytest.raises(ValueError):
             weighted_moment(0, 0.5, 0.5, 0.2, 1.0)
+
+    @pytest.mark.parametrize("orders", [[], (), np.array([], dtype=int)])
+    def test_empty_order_sequence_rejected(self, orders):
+        with pytest.raises(ValueError, match="moment order sequence must not be empty"):
+            weighted_moment(orders, 0.5, 0.0, 0.5, 1.0)
 
     @pytest.mark.parametrize("limits", [(0.0, 0.5, math.nan), (0.0, math.nan, 0.5), (math.nan, 0.2, 0.5)])
     def test_nan_limit_rejected(self, limits):

@@ -1,21 +1,8 @@
 import numpy as np
 import pytest
 
-from rkburgers.kernels import r1, r2, r3
+from rkburgers.kernels import r2, r3
 from rkburgers.verification import check_reproducing_properties
-
-
-class TestR1:
-    def test_interior_value(self):
-        assert r1(0.3, 0.5) == pytest.approx(1.3, abs=1e-15)
-
-    def test_corner_values(self):
-        assert r1(0.0, 0.0) == 1.0
-        assert r1(1.0, 1.0) == 2.0
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            r1(1.2, 0.5)
 
 
 class TestR2:

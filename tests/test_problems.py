@@ -122,6 +122,16 @@ class TestVerifyForcing:
         assert report.passed
         assert report.max_discrepancy <= 1e-10
 
+    def test_nan_discrepancy_after_the_first_point_fails(self):
+        base = build_example51(0.9)
+        nan_at_midpoint = Problem(
+            alpha=base.alpha, k1=base.k1, k2=base.k2, k3=base.k3, k4=base.k4,
+            f=lambda xi, eta: math.nan if (xi, eta) == (0.5, 0.5) else base.f(xi, eta), exact=base.exact,
+        )
+        report = verify_forcing(nan_at_midpoint, mesh=[(0.25, 0.25), (0.5, 0.5), (0.75, 0.75)])
+        assert not report.passed
+        assert math.isnan(report.max_discrepancy)
+
     def test_detects_injected_perturbation(self):
         base = build_example51(0.9)
         perturbed = Problem(

@@ -234,6 +234,20 @@ class TestErrorReport:
         assert report.max_abs_error == 0.0
         assert report.mean_abs_error == 0.0
 
+    def test_nan_error_after_the_first_point_is_the_maximum(self, solution_factory):
+        # max(errs) kept the errors before a NaN, unless the NaN came first
+        sol = solution_factory("1", 0.9, 3, 3)
+        exact = sol.problem.exact
+        nan_at_midpoint = Problem(
+            alpha=sol.problem.alpha, k1=sol.problem.k1, k2=sol.problem.k2, k3=sol.problem.k3,
+            k4=sol.problem.k4, f=sol.problem.f,
+            exact=lambda xi, eta: math.nan if (xi, eta) == (0.5, 0.5) else exact(xi, eta),
+        )
+        report = error_report(sol._replace(problem=nan_at_midpoint), [(0.25, 0.25), (0.5, 0.5), (0.75, 0.75)])
+        assert math.isnan(report.rows[1][3]) and not math.isnan(report.rows[0][3])
+        assert math.isnan(report.max_abs_error)
+        assert math.isnan(report.mean_abs_error)
+
     def test_benchmark_accuracy_table_mesh(self, solution_factory):
         sol = solution_factory("1", 0.9, 5, 5)
         report = error_report(sol, TABLE_POINTS)

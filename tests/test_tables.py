@@ -31,7 +31,7 @@ from rkburgers.operator import (
 )
 from rkburgers.orthonormalize import compute_beta
 from rkburgers.problems import build_example51, build_example52
-from rkburgers.solver import error_report, evaluate, residual, solve
+from rkburgers.solver import _values, error_report, evaluate, residual, solve
 from tests.conftest import peak_bytes
 
 
@@ -300,7 +300,7 @@ def test_block_gathers_on_tables_of_unequal_widths():
     block = tables.at(np.arange(60, 70)[:, None])
     c1, c2, c3 = (np.array([[k(xi, eta)] for xi, eta in points[60:70]]) for k in (problem.k1, problem.k2, problem.k3))
     _, psi0, psi1 = tables.operator(block, fns, c1, c2, c3)
-    assert _same(np.stack((psi0, psi1)), tables.psi(block, fns, (0, 1)))
+    assert _same(psi0, tables.psi(block, fns, 0)) and _same(psi1, tables.psi(block, fns, 1))
 
 
 def _kept_rows(gram):
@@ -322,13 +322,12 @@ def test_sweep_rows_take_both_orders_from_one_gather():
         cols = slice(0, row0.size)
         assert k <= row0.size < n
         assert _same(row0, tables.psi(tables.at(k), cols, 0)) and _same(row1, tables.psi(tables.at(k), cols, 1))
-    steps = np.arange(64, n)[:, None]
-    for cols in (slice(0, n - 1), slice(None)):
-        single = [tables.psi(tables.at(steps), cols, order) for order in (1, 0)]
-        assert _same(tables.psi(tables.at(steps), cols, (1, 0)), np.stack(single))
+    # a gather takes one order
+    steps = tables.at(np.arange(64, n)[:, None])
     with pytest.raises(ValueError, match="dxi_order must be 0 or 1, got 2"):
-        tables.psi(tables.at(steps), cols, (0, 2))
-    # the one-value form keeps a single order
+        tables.psi(steps, slice(None), 2)
+    with pytest.raises(ValueError, match=r"dxi_order must be 0 or 1, got \(0, 1\)"):
+        tables.psi(steps, slice(None), (0, 1))
     with pytest.raises(ValueError, match=r"dxi_order must be 0 or 1, got \(0, 1\)"):
         operator_module.psi_eval(basis[0], 0.5, 0.5, (0, 1))
 
@@ -352,9 +351,9 @@ def test_any_index_array_is_the_blocks_list_of_points():
     steps = np.array([4, 0, 8, 4, 2])
     fns = np.arange(grid.n)
     line, column = tables.at(steps), tables.at(steps[:, None])
-    for order in (0, 1, (0, 1)):
+    for order in (0, 1):
         block = tables.psi(column, fns, order)
-        assert block.shape[-2:] == (steps.size, grid.n)
+        assert block.shape == (steps.size, grid.n)
         assert _same(tables.psi(line, fns, order), block)
     c1, c2, c3 = (np.array([[k(*grid.points[i])] for i in steps]) for k in (problem.k1, problem.k2, problem.k3))
     for got, want in zip(tables.operator(line, fns, c1, c2, c3), tables.operator(column, fns, c1, c2, c3)):
@@ -447,7 +446,8 @@ def test_sweep_reads_the_rows_the_gram_assembly_kept(monkeypatch):
     sol = solve(problem, grid)
     assert calls == {} and sol.basis.source.sweep_rows is None
     solve(problem, grid, picard_iters=1)
-    assert calls == {"psi": 2}
+    # one gather per order for each of the 72 points' two 64-function blocks
+    assert calls == {"psi": 4}
 
 
 def test_solve_and_error_report_build_each_factor_once_per_table_set(monkeypatch):
@@ -560,6 +560,30 @@ class TestErrorContracts:
             evaluate(sol, 0.5, 0.5, 2)
         with pytest.raises(ValueError, match="dxi_order"):
             evaluate(sol, [0.5, 0.6], [0.5, 0.5], 2)
+
+    @pytest.mark.parametrize("order", [True, False, np.True_, np.False_, 1.0, (0, 1)])
+    def test_order_that_is_not_the_integer_0_or_1_rejected(self, solution_factory, order):
+        sol = solution_factory("1", 0.9, 5, 5)
+        with pytest.raises(ValueError, match="dxi_order must be 0 or 1"):
+            evaluate(sol, 0.3, 0.4, order)
+        tables = BasisTables(sol.basis_functions, [0.3], [0.4])
+        with pytest.raises(ValueError, match="dxi_order must be 0 or 1"):
+            tables.psi(tables.at(0), slice(None), order)
+
+    def test_numpy_integer_orders_accepted(self, solution_factory):
+        sol = solution_factory("1", 0.9, 5, 5)
+        tables = BasisTables(sol.basis_functions, [0.3], [0.4])
+        for order in (0, 1):
+            assert evaluate(sol, 0.3, 0.4, np.int64(order)) == evaluate(sol, 0.3, 0.4, order)
+            assert _same(tables.psi(tables.at(0), slice(None), np.intp(order)), tables.psi(tables.at(0), slice(None), order))
+
+    def test_values_take_one_order(self, solution_factory):
+        sol = solution_factory("1", 0.9, 5, 5)
+        xs, es = [x for x, _ in sol.grid.points], [e for _, e in sol.grid.points]
+        tables = BasisTables(sol.basis_functions, xs, es)
+        for coeffs in (sol.raw_coeffs, np.zeros(sol.n)):  # no psi gather when every coefficient is zero
+            with pytest.raises(ValueError, match=r"dxi_order must be 0 or 1, got \(0, 1\)"):
+                _values(coeffs, tables, sol.n, (0, 1))
 
     def test_empty_point_list(self, solution_factory):
         sol = solution_factory("1", 0.9, 5, 5)

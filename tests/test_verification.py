@@ -1,9 +1,10 @@
 import math
+import types
 
 import numpy as np
 import pytest
 
-from rkburgers import verification
+from rkburgers import fracmath, kernels, verification
 from rkburgers.fracmath import gamma
 from rkburgers.operator import CollocationGrid, Problem
 from rkburgers.problems import build_example51, build_example52
@@ -79,6 +80,57 @@ class TestBrokenFixtures:
         assert not result.passed
         assert result.measure > 1e-8
         assert result.name == "gram symmetry / orthonormality"
+
+
+def _nan(*args, **kwargs):
+    return math.nan
+
+
+_DC_TABLE = verification._dc_table
+
+# (check, module, name, stub): the stub puts a NaN into one part of the check's measure
+NAN_STUBS = {
+    "gamma reflection": (verification.check_gamma_reflection, verification, "gamma", _nan),
+    "quadrature vs moments": (check_quadrature_vs_moments, verification, "weighted_moment", _nan),
+    "caputo power": (verification.check_caputo_power_identity, fracmath, "caputo_power", _nan),
+    "reproducing properties": (
+        verification.check_reproducing_properties,
+        kernels,
+        "r3",
+        lambda x, xi, *orders: np.full(np.broadcast(x, xi).shape, math.nan),
+    ),
+    "single transform": (check_time_kernel_oracle, verification, "_ctk_table", lambda *a: np.array(math.nan)),
+    "double transform": (
+        check_double_caputo, verification, "_dc_table", lambda t_i, t_j, a, n: np.full(np.shape(t_i), math.nan)
+    ),
+    # the oracle half passes, so only the node half's NaN can fail the check
+    "double transform, 128 nodes": (
+        check_double_caputo,
+        verification,
+        "_dc_table",
+        lambda t_i, t_j, a, n: _DC_TABLE(t_i, t_j, a, n) if n == 64 else np.full(np.shape(t_i), math.nan),
+    ),
+    "gram": (
+        lambda: check_gram(build_example51(0.9), CollocationGrid.uniform(3, 3)),
+        verification,
+        "compute_beta",
+        lambda gram: types.SimpleNamespace(beta=np.full(gram.entries.shape, math.nan)),
+    ),
+    "forcing": (
+        check_forcing, verification, "verify_forcing", lambda pr, tol: types.SimpleNamespace(max_discrepancy=math.nan)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_STUBS))
+def test_nan_measure_fails_its_check(monkeypatch, case):
+    # max(worst, nan) keeps worst, so a check folded with max passed with measure 0.0
+    check, module, name, stub = NAN_STUBS[case]
+    monkeypatch.setattr(module, name, stub)
+    result = check()
+    assert not result.passed
+    assert math.isnan(result.measure)
+    assert result.line().startswith("FAIL") and "nan" in result.line()
 
 
 class TestDoubleCaputoOracle:
