@@ -25,6 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import __version__
+from .fracmath import _check_count
 from .operator import CollocationGrid, GramAssemblyError
 from .orthonormalize import GramAsymmetryError, NotPositiveDefiniteError
 from .problems import build_custom, build_problem, COEFFICIENT_CATALOG
@@ -66,12 +67,11 @@ class RunConfig:
     custom: dict = field(default_factory=dict)
 
     def validate(self):
-        if self.p < 1 or self.q < 1:
-            raise ValueError("p and q must be positive")
+        _check_count("p", self.p)
+        _check_count("q", self.q)
         if self.p * self.q > MAX_POINTS:
             raise ValueError(f"p * q = {self.p * self.q} exceeds the guard rail {MAX_POINTS}")
-        if self.picard < 0:
-            raise ValueError("picard iteration count must be non-negative")
+        _check_count("picard", self.picard, 0)
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.format!r}")
 

@@ -40,10 +40,24 @@ def order_value(alpha) -> float:
     return a
 
 
-def _check_count(name: str, value, least: int = 1) -> None:
-    """Reject a count that is not an integer >= least: numpy integers pass, bools and floats do not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+def _check_count(name: str, value, least: int = 1, most=None) -> None:
+    """Reject a value that is not an integer in least..most (no upper bound if most is None).
+
+    The package's one integer rule: numpy integers pass; bools, numpy bools and floats, integral ones included, do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least or most is not None and value > most:
+        bound = f">= {least}" if most is None else f"in {least}..{most}"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def _check_orders(name: str, value, top=None) -> list:
+    """One order or a 1-D sequence of orders, as ints; each is checked as given (``(0, True)`` fails), in 0..top."""
+    orders = np.asarray(value, dtype=object)
+    if orders.ndim > 1:
+        raise ValueError(f"{name} must be an order or a sequence of orders")
+    for v in orders.flat:
+        _check_count(name, v, 0, top)
+    return [int(v) for v in orders.flat]
 
 
 def _worst(values) -> float:
@@ -94,11 +108,14 @@ def caputo_power(exponent: float, alpha, t: float) -> float:
     the derivative of a constant (k = 0) is identically zero.
 
     Raises:
-        ValueError: if t < 0 or NaN, or if 0 < exponent < alpha (the result
-            would be unbounded at t = 0).
+        ValueError: if t < 0 or NaN, if the exponent is NaN or infinite,
+            or if 0 < exponent < alpha (the result would be unbounded at
+            t = 0).
     """
     a = order_value(alpha)
     k = float(exponent)
+    if not math.isfinite(k):
+        raise ValueError(f"caputo_power requires a finite exponent, got {k}")
     if not t >= 0.0:
         raise ValueError(f"caputo_power requires t >= 0, got {t}")
     if k == 0.0:
@@ -167,23 +184,17 @@ def weighted_moment(m, alpha: float, a, b, c):
 
     Raises:
         ValueError: on an empty sequence of orders, an order that is not
-            a non-negative integer, a non-integrable range (b > c) or
-            disordered limits, NaN included, naming the first offending
-            element.
+            an integer >= 0 (a bool or a float, integral or not, is not
+            an integer), a non-integrable range (b > c) or disordered
+            limits, NaN included, naming the first offending element.
     """
-    if np.ndim(m) > 1:
-        raise ValueError("moment order must be an order or a sequence of orders")
-    orders = np.ravel(m).tolist()
+    orders = _check_orders("moment order", m)
     if not orders:
         raise ValueError("moment order sequence must not be empty")
-    for k in orders:
-        if k < 0 or k != int(k):
-            raise ValueError(f"moment order must be a non-negative integer, got {k}")
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"weight exponent must lie in (0, 1), got {alpha}")
     a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
     _check_limits(*np.broadcast_arrays(a, b, c))
-    orders = [int(k) for k in orders]
     top = max(orders)
     # c, lo and hi keep their own shapes, so the power table sees no broadcast copies
     lo, hi = c - b, c - a
@@ -222,14 +233,15 @@ def jacobi_rule(exponent: float, n: int):
         and sum to the weighted measure of (0, 1), 1/(exponent + 1).
 
     Raises:
-        ValueError: if n is not an integer >= 1 (a bool is not), or exponent <= -1.
+        ValueError: if n is not an integer >= 1 (a bool or a float is not),
+            or exponent is not finite and above -1, NaN included.
         numpy.linalg.LinAlgError: if the eigensolver does not converge.
         ArithmeticError: if the weights miss the weighted measure.
     """
     _check_count("node count", n)
     aj = float(exponent)
-    if aj <= -1.0:
-        raise ValueError(f"weight exponent must exceed -1, got {aj}")
+    if not (-1.0 < aj < math.inf):
+        raise ValueError(f"weight exponent must be finite and exceed -1, got {aj}")
     i = np.arange(n, dtype=float)
     denom = (2 * i + aj) * (2 * i + aj + 2)
     diag = np.empty(n)

@@ -33,16 +33,9 @@ import math
 
 import numpy as np
 
+from .fracmath import _check_orders, _check_orders as _check_order  # the second name, for tests/oracles.py
+
 __all__ = ["r2", "r3"]
-
-
-def _check_order(name: str, value, top: int) -> None:
-    """Check an order, or each of a sequence of orders, to be an integer in 0..top."""
-    if np.ndim(value) > 1:
-        raise ValueError(f"{name} must be an order or a sequence of orders")
-    for v in np.ravel(value).tolist():
-        if v not in range(top + 1):
-            raise ValueError(f"{name} must be an integer in 0..{top}, got {v}")
 
 
 def _diff_table(coeffs: np.ndarray, du: int, dv: int) -> np.ndarray:
@@ -179,9 +172,14 @@ def r2(t, eta, dt_order: int = 0, deta_order: int = 0):
     0.168
     >>> r2([0.0, 0.5], 0.3)
     array([0.   , 0.168])
+
+    Raises:
+        ValueError: on a point outside [0, 1], NaN included, or an order
+            that is not an integer in 0..2; a bool or a float, integral
+            or not, is not an integer.
     """
-    _check_order("dt_order", dt_order, 2)
-    _check_order("deta_order", deta_order, 2)
+    _check_orders("dt_order", dt_order, 2)
+    _check_orders("deta_order", deta_order, 2)
     return _on_arrays(_S2, (0.0,), _check_units("t", t), _check_units("eta", eta), dt_order, deta_order)
 
 
@@ -196,7 +194,10 @@ def r3(x, xi, dx_order: int = 0, dxi_order: int = 0):
     0.06315104166666667
     >>> r3(0.5, [0.0, 0.5, 1.0])
     array([0.        , 0.06315104, 0.        ])
+
+    Raises:
+        ValueError: as for ``r2``, with orders in 0..3.
     """
-    _check_order("dx_order", dx_order, 3)
-    _check_order("dxi_order", dxi_order, 3)
+    _check_orders("dx_order", dx_order, 3)
+    _check_orders("dxi_order", dxi_order, 3)
     return _on_arrays(_S3, (0.0, 1.0), _check_units("x", x), _check_units("xi", xi), dx_order, dxi_order)

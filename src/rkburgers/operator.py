@@ -43,7 +43,6 @@ build two single-transform tables, not three.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -401,7 +400,7 @@ class BasisTables:
         One order per call: a caller that needs both orders gathers twice,
         which costs no more than one gather of both would.
         """
-        _check_dxi_order(dxi_order)
+        _check_count("dxi_order", dxi_order, 0, 1)
         (r2v, phi), [(frac, smooth)] = self._gather(at, fns, (dxi_order,), (self._r2, self._caputo_basis))
         return _combine(r2v, smooth, phi, frac)
 
@@ -428,12 +427,6 @@ class BasisTables:
         psi2 += caputo_point
         psi2 += caputo_both
         return psi2, psi0, psi1
-
-
-def _check_dxi_order(value) -> None:
-    """Reject an xi-derivative order that is not the integer 0 or 1: numpy integers pass; bools, floats and sequences do not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value not in (0, 1):
-        raise ValueError(f"dxi_order must be 0 or 1, got {value!r}")
 
 
 def _combine(r2v, smooth, phi, frac):

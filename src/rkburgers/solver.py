@@ -49,7 +49,6 @@ from .operator import (
     BasisTables,
     CollocationGrid,
     Problem,
-    _check_dxi_order,
     assemble_gram,
     build_basis,
 )
@@ -187,7 +186,7 @@ def _values(coeffs: np.ndarray, tables: BasisTables, size: int, dxi_order: int) 
     block is scaled by its coefficients in place and summed over its last
     axis.
     """
-    _check_dxi_order(dxi_order)  # psi checks it too, but is not called when every coefficient is zero
+    _check_count("dxi_order", dxi_order, 0, 1)  # psi checks it too, but is not called when every coefficient is zero
     fns = np.flatnonzero(coeffs != 0.0)
     scale = coeffs[fns]
     values = np.zeros(size)

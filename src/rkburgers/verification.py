@@ -14,7 +14,7 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from . import fracmath, kernels
-from .fracmath import _worst, gamma, jacobi_rule, weighted_moment
+from .fracmath import _check_count, _worst, gamma, jacobi_rule, weighted_moment
 from .operator import CollocationGrid, GramMatrix, Problem, _ctk_table, _dc_table, assemble_gram
 from .orthonormalize import GramAsymmetryError, NotPositiveDefiniteError, compute_beta
 from .problems import build_example51, build_example52, verify_forcing
@@ -133,6 +133,7 @@ def time_kernel_oracle(eta: float, t: float, alpha: float, cells: int = 100_000)
     Piecewise-linear interpolation of the smooth factor on a fine mesh split
     at r = eta, against exact moments of the singular weight on every cell.
     """
+    _check_count("cells", cells)
     if t <= 0.0:
         return 0.0
     pts = np.linspace(0.0, t, cells + 1)
@@ -163,6 +164,7 @@ def double_caputo_oracle(t_i: float, t_j: float, alpha: float, cells: int = 4000
     and the remaining one-dimensional integral is done by composite
     Gauss-Legendre on a mesh graded toward u = min(t_i, t_j).
     """
+    _check_count("cells", cells)
     if t_i <= 0.0 or t_j <= 0.0:
         return 0.0
     a = alpha
@@ -182,6 +184,7 @@ def double_caputo_oracle(t_i: float, t_j: float, alpha: float, cells: int = 4000
 
 def check_time_kernel_oracle(tol: float = 1e-8, samples: int = 12, seed: int = 7) -> CheckResult:
     """The solver's single-transform table, one 0-d call per random (eta, t, alpha), against the oracle."""
+    _check_count("samples", samples)
     rng = random.Random(seed)  # not numpy.random, which verify would import for 36 numbers
     errors = []
     for _ in range(samples):

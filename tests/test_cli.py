@@ -324,8 +324,8 @@ _CUSTOM = "problem = custom\nalpha = 0.9\nk1 = one\nk2 = zero\nk3 = zero\nk4 = z
 @pytest.mark.parametrize(
     "argv, config, first_line",
     [
-        (["solve", "--example", "1", "--p", "0"], None, "p and q must be positive"),
-        (["solve", "--example", "1", "--picard", "-1"], None, "picard iteration count must be non-negative"),
+        (["solve", "--example", "1", "--p", "0"], None, "p must be an integer >= 1, got 0"),
+        (["solve", "--example", "1", "--picard", "-1"], None, "picard must be an integer >= 0, got -1"),
         (["solve", "--example", "1"], "format = xml", "unknown output format 'xml'"),
         (["solve", "--example", "1", "--format", "xml"], None, "unknown output format 'xml'"),
         (["solve", "--example", "3"], None, "unknown problem identifier '3'; known: 1, 2"),

@@ -69,6 +69,11 @@ class TestCaputoPower:
         with pytest.raises(ValueError, match="t >= 0, got nan"):
             caputo_power(2, 0.5, math.nan)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_non_finite_exponent_rejected(self, k):
+        with pytest.raises(ValueError, match=f"finite exponent, got {k}"):
+            caputo_power(k, 0.5, 0.5)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("t", [0.25, 0.5, 1.0])
     @pytest.mark.parametrize("a", [0.3, 0.5, 0.9])
@@ -179,6 +184,12 @@ class TestGaussJacobi:
         # a singularity (1 - u)**(-a) with a >= 1 is not integrable
         with pytest.raises(ValueError):
             jacobi_rule(-a, 8)
+
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf])
+    def test_non_finite_exponent_rejected(self, exponent):
+        # before the eigensolver, which would fail to converge on NaN or warn on inf
+        with pytest.raises(ValueError, match=f"weight exponent must be finite and exceed -1, got {exponent}"):
+            jacobi_rule(exponent, 8)
 
     def test_node_count_validated(self):
         with pytest.raises(ValueError):

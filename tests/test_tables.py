@@ -246,7 +246,7 @@ class TestTimeTables:
 
     @pytest.mark.parametrize("bad", [-1, 1.5])
     def test_bad_order_in_a_sequence_is_named(self, bad):
-        with pytest.raises(ValueError, match=f"moment order must be a non-negative integer, got {bad}"):
+        with pytest.raises(ValueError, match=f"moment order must be an integer >= 0, got {bad}"):
             weighted_moment((2, bad, 0), 0.5, 0.0, 0.5, 1.0)
 
     def test_single_transform_table_takes_one_moment_call(self, monkeypatch):
@@ -324,11 +324,11 @@ def test_sweep_rows_take_both_orders_from_one_gather():
         assert _same(row0, tables.psi(tables.at(k), cols, 0)) and _same(row1, tables.psi(tables.at(k), cols, 1))
     # a gather takes one order
     steps = tables.at(np.arange(64, n)[:, None])
-    with pytest.raises(ValueError, match="dxi_order must be 0 or 1, got 2"):
+    with pytest.raises(ValueError, match=r"dxi_order must be an integer in 0\.\.1, got 2"):
         tables.psi(steps, slice(None), 2)
-    with pytest.raises(ValueError, match=r"dxi_order must be 0 or 1, got \(0, 1\)"):
+    with pytest.raises(ValueError, match=r"dxi_order must be an integer in 0\.\.1, got \(0, 1\)"):
         tables.psi(steps, slice(None), (0, 1))
-    with pytest.raises(ValueError, match=r"dxi_order must be 0 or 1, got \(0, 1\)"):
+    with pytest.raises(ValueError, match=r"dxi_order must be an integer in 0\.\.1, got \(0, 1\)"):
         operator_module.psi_eval(basis[0], 0.5, 0.5, (0, 1))
 
 
@@ -564,10 +564,10 @@ class TestErrorContracts:
     @pytest.mark.parametrize("order", [True, False, np.True_, np.False_, 1.0, (0, 1)])
     def test_order_that_is_not_the_integer_0_or_1_rejected(self, solution_factory, order):
         sol = solution_factory("1", 0.9, 5, 5)
-        with pytest.raises(ValueError, match="dxi_order must be 0 or 1"):
+        with pytest.raises(ValueError, match=r"dxi_order must be an integer in 0\.\.1"):
             evaluate(sol, 0.3, 0.4, order)
         tables = BasisTables(sol.basis_functions, [0.3], [0.4])
-        with pytest.raises(ValueError, match="dxi_order must be 0 or 1"):
+        with pytest.raises(ValueError, match=r"dxi_order must be an integer in 0\.\.1"):
             tables.psi(tables.at(0), slice(None), order)
 
     def test_numpy_integer_orders_accepted(self, solution_factory):
@@ -582,7 +582,7 @@ class TestErrorContracts:
         xs, es = [x for x, _ in sol.grid.points], [e for _, e in sol.grid.points]
         tables = BasisTables(sol.basis_functions, xs, es)
         for coeffs in (sol.raw_coeffs, np.zeros(sol.n)):  # no psi gather when every coefficient is zero
-            with pytest.raises(ValueError, match=r"dxi_order must be 0 or 1, got \(0, 1\)"):
+            with pytest.raises(ValueError, match=r"dxi_order must be an integer in 0\.\.1, got \(0, 1\)"):
                 _values(coeffs, tables, sol.n, (0, 1))
 
     def test_empty_point_list(self, solution_factory):
