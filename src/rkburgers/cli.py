@@ -3,14 +3,15 @@
 Exit codes: 0 success, 1 validation problem, 2 numerical failure.
 
 Flags are ``--key VALUE`` or ``--key=VALUE`` over the keys each subcommand
-reads (``_COMMAND_KEYS``), cast and then checked as config values are; a
-malformed command line exits 1 with a usage line (``_parse_argv``).
+reads (``_COMMAND_KEYS``), each cast by ``_CASTS``; a malformed command
+line exits 1 with a usage line (``_parse_argv``).  A config file's
+``key = value`` lines are flags placed before the command line's own, and
+the last value of a key wins.
 
 The solve subcommand writes the absolute-error table (rows xi, columns
-eta) as CSV or JSON next to a metadata JSON recording every config field
-used, and optionally a 51 x 51 surface CSV of the approximate solution
-for external plotting.  A config file with flat ``key = value`` lines can
-stand in for the flags; explicit flags win over config entries.
+eta) as CSV or JSON next to a metadata JSON recording the run's settings,
+and optionally a 51 x 51 surface CSV of the approximate solution for
+external plotting.
 """
 
 import errno
@@ -19,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -28,7 +29,7 @@ from . import __version__
 from .fracmath import _check_count
 from .operator import CollocationGrid, GramAssemblyError
 from .orthonormalize import GramAsymmetryError, NotPositiveDefiniteError
-from .problems import build_custom, build_problem, COEFFICIENT_CATALOG
+from .problems import build_custom, build_problem, COEFFICIENT_CATALOG, verify_forcing
 from .solver import convergence_study, error_report, evaluate, solve
 
 __all__ = ["main", "RunConfig", "parse_mesh"]
@@ -39,16 +40,16 @@ __all__ = ["main", "RunConfig", "parse_mesh"]
 # factorization is O(n**3).
 MAX_POINTS = 2_500
 
-# The flags each subcommand reads.  A config file may set the same keys,
-# apart from ``config`` itself, plus the custom-problem keys on the
-# subcommands that build a problem; any other key is a validation error.
+# The flags each subcommand reads, and so the keys of its config file's lines.
+# The custom-problem keys build a problem from catalog names in place of --example.
+_CUSTOM_KEYS = ("problem", "k1", "k2", "k3", "k4", "f", "exact_space", "exact_power")
 _COMMAND_KEYS = {
     "solve": ("example", "config", "alpha", "p", "q", "picard",
-              "mesh", "out", "format", "surface"),
+              "mesh", "out", "format", "surface") + _CUSTOM_KEYS,
     "verify": ("config", "alpha", "p", "q"),
-    "convergence": ("example", "config", "alpha", "picard", "mesh", "out", "sizes"),
+    "convergence": ("example", "config", "alpha", "picard", "mesh", "out", "sizes") + _CUSTOM_KEYS,
 }
-_CASTS = {"alpha": float, "p": int, "q": int, "picard": int}
+_CASTS = {"alpha": float, "p": int, "q": int, "picard": int, "exact_power": float}
 
 
 @dataclass
@@ -64,7 +65,14 @@ class RunConfig:
     format: str = "csv"
     surface: Optional[str] = None
     sizes: Optional[str] = None
-    custom: dict = field(default_factory=dict)
+    problem: Optional[str] = None
+    k1: Optional[str] = None
+    k2: Optional[str] = None
+    k3: Optional[str] = None
+    k4: Optional[str] = None
+    f: Optional[str] = None
+    exact_space: Optional[str] = None
+    exact_power: Optional[float] = None
 
     def validate(self):
         _check_count("p", self.p)
@@ -117,8 +125,9 @@ def _parse_sizes(spec: str) -> List[Tuple[int, int]]:
     return sizes
 
 
-def _read_config_file(path: str) -> dict:
-    entries = {}
+def _config_flags(path: str) -> List[str]:
+    """A config file's ``key = value`` lines as the ``--key=value`` flags they stand for."""
+    flags = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for raw in fh:
@@ -128,56 +137,39 @@ def _read_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ValueError(f"config line without '=': {raw.strip()!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
-                entries[key] = value
+                if key == "config":  # the command line's --config would override it unread
+                    raise ValueError("a config file cannot name another config file")
+                flags.append(f"--{key}={value}")
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    return entries
-
-_CUSTOM_KEYS = ("problem", "k1", "k2", "k3", "k4", "f", "exact_space", "exact_power")
-
-
-def _apply_config_file(cfg: RunConfig, explicit: set, command: str):
-    entries = _read_config_file(cfg.config)
-    known = set(_CUSTOM_KEYS).union(*_COMMAND_KEYS.values()) - {"config"}
-    readable = set(_COMMAND_KEYS[command]) - {"config"}
-    if "example" in readable:
-        readable.update(_CUSTOM_KEYS)
-    for key, value in entries.items():
-        if key not in known:
-            raise ValueError(f"unknown config key {key!r}")
-        if key not in readable:
-            raise ValueError(f"config key {key!r} is not read by {command}")
-        if key in _CUSTOM_KEYS:
-            cfg.custom[key] = value
-        elif key not in explicit:
-            try:
-                setattr(cfg, key, _CASTS.get(key, str)(value))
-            except ValueError as exc:
-                raise ValueError(f"config key {key}={value!r}: {exc}") from exc
+    return flags
 
 
 def _build_problem(cfg: RunConfig):
-    if cfg.custom.get("problem") == "custom":
-        missing = [k for k in ("k1", "k2", "k3", "k4", "f") if k not in cfg.custom]
-        if missing:
-            raise ValueError(f"custom problem config missing keys: {', '.join(missing)}")
-        f_name = cfg.custom["f"]
-        if f_name not in COEFFICIENT_CATALOG:
-            raise ValueError(f"f = {f_name!r} is not in the coefficient catalog")
-        power = cfg.custom.get("exact_power")
-        return build_custom(
-            cfg.alpha,
-            k1=cfg.custom["k1"],
-            k2=cfg.custom["k2"],
-            k3=cfg.custom["k3"],
-            k4=cfg.custom["k4"],
-            f=COEFFICIENT_CATALOG[f_name],
-            exact_space=cfg.custom.get("exact_space"),
-            exact_power=float(power) if power is not None else None,
-        )
-    if cfg.example is None:
+    custom = [key for key in _CUSTOM_KEYS if getattr(cfg, key) is not None]
+    if cfg.example is not None:
+        if custom:
+            raise ValueError(f"example {cfg.example} is a benchmark problem, which takes no {', '.join(custom)}")
+        return build_problem(cfg.example, cfg.alpha)
+    if not custom:
         raise ValueError("select a problem with --example or a config file")
-    return build_problem(cfg.example, cfg.alpha)
+    if cfg.problem != "custom":
+        raise ValueError(f"{', '.join(custom)} need problem = custom" if cfg.problem is None
+                         else f"unknown problem {cfg.problem!r}; the one problem kind is custom")
+    missing = [k for k in ("k1", "k2", "k3", "k4", "f") if getattr(cfg, k) is None]
+    if missing:
+        raise ValueError(f"custom problem missing keys: {', '.join(missing)}")
+    if cfg.f not in COEFFICIENT_CATALOG:
+        raise ValueError(f"f = {cfg.f!r} is not in the coefficient catalog")
+    problem = build_custom(cfg.alpha, k1=cfg.k1, k2=cfg.k2, k3=cfg.k3, k4=cfg.k4, f=COEFFICIENT_CATALOG[cfg.f],
+                           exact_space=cfg.exact_space, exact_power=cfg.exact_power)
+    if problem.exact is not None:
+        # an exact solution that misses the equation would make the error table meaningless
+        report = verify_forcing(problem)
+        if not report.passed:
+            raise ValueError(f"the declared exact solution does not solve the problem: forcing discrepancy "
+                             f"{report.max_discrepancy:.6e} exceeds {report.tol:g}")
+    return problem
 
 
 def _format_cell(value: float) -> str:
@@ -370,11 +362,12 @@ def _parse_argv(argv: List[str]) -> Tuple[str, dict]:
 
 
 def main(argv=None) -> int:
-    command, flags = _parse_argv(sys.argv[1:] if argv is None else list(argv))
-    cfg = RunConfig(**flags)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command, flags = _parse_argv(argv)
     try:
-        if cfg.config is not None:
-            _apply_config_file(cfg, set(flags), command)
+        if "config" in flags:
+            command, flags = _parse_argv(argv[:1] + _config_flags(flags["config"]) + argv[1:])
+        cfg = RunConfig(**flags)
         if command == "solve":
             return _cmd_solve(cfg)
         if command == "verify":

@@ -84,10 +84,16 @@ _LANCZOS_COEF = (
 def gamma(x: float) -> float:
     """Gamma function for real x, excluding the poles at 0, -1, -2, ...
 
+    As ``math.gamma``, gives inf at x = inf and NaN at NaN.
+
     Raises:
-        ValueError: if x is a non-positive integer (pole).
+        ValueError: if x is a non-positive integer (pole) or -inf.
     """
     x = float(x)
+    if x == math.inf:
+        return x
+    if x == -math.inf:
+        raise ValueError(f"gamma has no value at x = {x}")
     if x <= 0.0 and x == math.floor(x):
         raise ValueError(f"gamma pole at non-positive integer x = {x}")
     if x < 0.5:

@@ -155,6 +155,8 @@ def build_custom(
             raise ValueError(f"{label} = {key!r} is not in the coefficient catalog")
         coeffs[label] = COEFFICIENT_CATALOG[key]
     exact = None
+    if exact_power is not None and exact_space is None:
+        raise ValueError("exact_space is required together with exact_power")
     if exact_space is not None:
         if exact_space not in SPACE_FACTOR_CATALOG:
             raise ValueError(f"exact_space = {exact_space!r} is not in the space factor catalog")

@@ -14,7 +14,7 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from . import fracmath, kernels
-from .fracmath import _check_count, _worst, gamma, jacobi_rule, weighted_moment
+from .fracmath import DEFAULT_QUADRATURE_NODES, _check_count, _worst, gamma, jacobi_rule, weighted_moment
 from .operator import CollocationGrid, GramMatrix, Problem, _ctk_table, _dc_table, assemble_gram
 from .orthonormalize import GramAsymmetryError, NotPositiveDefiniteError, compute_beta
 from .problems import build_example51, build_example52, verify_forcing
@@ -197,7 +197,8 @@ def check_time_kernel_oracle(tol: float = 1e-8, samples: int = 12, seed: int = 7
 
 
 def check_double_caputo(tol_oracle: float = 1e-8, tol_nodes: float = 1e-10) -> CheckResult:
-    """The solver's double-transform table against the oracle at 64 nodes and against itself at 128.
+    """The solver's double-transform table against the oracle at ``DEFAULT_QUADRATURE_NODES`` nodes
+    and against itself at twice that many.
 
     The measure is the larger of the two halves', against ``tol_oracle``,
     unless only the node half fails: then it is that half's, against
@@ -207,9 +208,9 @@ def check_double_caputo(tol_oracle: float = 1e-8, tol_nodes: float = 1e-10) -> C
     t_i, t_j = np.array(pairs).T
     oracle, nodes = [], []
     for a in (0.7, 0.8, 0.9):
-        v64 = _dc_table(t_i, t_j, a, 64)
-        nodes.extend(np.abs(v64 - _dc_table(t_i, t_j, a, 128)).tolist())
-        oracle.extend(abs(v - double_caputo_oracle(*pair, a)) for v, pair in zip(v64.tolist(), pairs))
+        values = _dc_table(t_i, t_j, a, DEFAULT_QUADRATURE_NODES)
+        nodes.extend(np.abs(values - _dc_table(t_i, t_j, a, 2 * DEFAULT_QUADRATURE_NODES)).tolist())
+        oracle.extend(abs(v - double_caputo_oracle(*pair, a)) for v, pair in zip(values.tolist(), pairs))
     worst_oracle, worst_nodes = _worst(oracle), _worst(nodes)
     name = "double caputo transform vs oracle"
     if worst_oracle <= tol_oracle and worst_nodes > tol_nodes:

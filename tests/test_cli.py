@@ -228,18 +228,17 @@ class TestSolveCommand:
         ids=lambda argv: argv[0],
     )
     def test_no_subcommand_reads_nodes(self, tmp_path, capsys, argv):
-        # the double transform always takes the 64-node rule: a nodes flag is a
-        # malformed command line, and a nodes line an unknown config key
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--nodes", "64"])
-        assert exc.value.code == 1
-        lines = capsys.readouterr().err.splitlines()
-        assert lines[0].startswith(f"usage: rkburgers {argv[0]} ")
-        assert lines[1:] == [f"rkburgers: error: {argv[0]} does not read --nodes"]
+        # the double transform always takes the 64-node rule: a nodes flag, or a
+        # nodes line, which is the same flag, is a malformed command line
         cfg = tmp_path / "run.cfg"
         cfg.write_text("nodes = 64\n", encoding="utf-8")
-        assert main(argv + ["--config", str(cfg)]) == 1
-        assert capsys.readouterr().err == "validation error: unknown config key 'nodes'\n"
+        for extra in (["--nodes", "64"], ["--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + extra)
+            assert exc.value.code == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert lines[0].startswith(f"usage: rkburgers {argv[0]} ")
+            assert lines[1:] == [f"rkburgers: error: {argv[0]} does not read --nodes"]
 
     def test_metadata_stays_beside_output_in_dotted_directory(self, tmp_path):
         out_dir = tmp_path / "run.v2"
@@ -280,10 +279,33 @@ class TestConfigFile:
         meta = json.loads(_read(tmp_path / "err.meta.json"))
         assert meta["p"] == 4
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("example = 1\nbogus = 7\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", str(cfg)])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.splitlines()[1:] == ["rkburgers: error: solve does not read --bogus"]
+
+    def test_config_line_naming_a_config_file_rejected(self, tmp_path, capsys):
+        other = tmp_path / "other.cfg"
+        other.write_text("example = 1\n", encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"config = {other}\n", encoding="utf-8")
         assert main(["solve", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "validation error: a config file cannot name another config file\n"
+
+    def test_custom_problem_from_flags(self, tmp_path):
+        # the custom-problem keys are flags as every config key is; the same surface either way
+        cfg = tmp_path / "custom.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in _CUSTOM_FLAGS.items()), encoding="utf-8")
+        flags = [f"--{k}={v}" for k, v in _CUSTOM_FLAGS.items()]
+        tables = []
+        for name, extra in (("file", ["--config", str(cfg)]), ("flags", flags)):
+            out = tmp_path / f"{name}.csv"
+            assert main(["solve", "--p", "3", "--q", "3", "--surface", str(out), *extra]) == 0
+            tables.append(_read(out))
+        assert tables[0] == tables[1]
 
     def test_custom_problem_without_exact(self, tmp_path, capsys):
         cfg = tmp_path / "custom.cfg"
@@ -312,13 +334,29 @@ class TestConfigFile:
         ],
         ids=["convergence-format", "verify-example", "verify-custom"],
     )
-    def test_key_the_subcommand_does_not_read_rejected(self, tmp_path, argv, line):
+    def test_key_the_subcommand_does_not_read_rejected(self, tmp_path, capsys, argv, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"alpha = 0.9\n{line}\n", encoding="utf-8")
-        assert main(argv + ["--config", str(cfg)]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(cfg)])
+        assert exc.value.code == 1
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err.splitlines()[1:] == [f"rkburgers: error: {argv[0]} does not read --{key}"]
+
+    def test_declared_exact_solution_is_checked(self, tmp_path, capsys):
+        # sin(pi xi) eta**1.8 does not solve D_eta^alpha y + y_xixi = sin(pi xi), so the
+        # error table would measure the distance to another function
+        argv = ["solve", "--p", "3", "--q", "3", "--out", str(tmp_path / "t.csv")]
+        argv += [f"--{k}={v}" for k, v in _CUSTOM_FLAGS.items()]
+        assert main(argv + ["--exact_space", "sin_pi_xi", "--exact_power", "1.8"]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"validation error: the declared exact solution does not solve the problem: "
+                            r"forcing discrepancy 9\.\d{6}e\+00 exceeds 1e-10\n", err)
+        assert list(tmp_path.iterdir()) == []
 
 
 _CUSTOM = "problem = custom\nalpha = 0.9\nk1 = one\nk2 = zero\nk3 = zero\nk4 = zero\n"
+_CUSTOM_FLAGS = {"problem": "custom", "k1": "one", "k2": "zero", "k3": "zero", "k4": "zero", "f": "sin_pi_xi"}
 
 
 @pytest.mark.parametrize(
@@ -337,7 +375,7 @@ _CUSTOM = "problem = custom\nalpha = 0.9\nk1 = one\nk2 = zero\nk3 = zero\nk4 = z
         (["convergence", "--example", "1", "--sizes", "4", "--mesh", "0:1e-9:1"], None,
          "mesh spec '0:1e-9:1' gives more than 2500 values"),
         (["solve"], "example 1", "config line without '=': 'example 1'"),
-        (["solve", "--example", "1"], "p = two", "config key p='two': invalid literal for int() with base 10: 'two'"),
+        (["solve", "--example", "1"], "p = two", "--p: invalid int value 'two'"),
         (["solve"], _CUSTOM + "f = nope", "f = 'nope' is not in the coefficient catalog"),
         (["solve"], None, "select a problem with --example or a config file"),
         (["convergence", "--sizes", "4"], _CUSTOM + "f = sin_pi_xi",
@@ -350,20 +388,35 @@ _CUSTOM = "problem = custom\nalpha = 0.9\nk1 = one\nk2 = zero\nk3 = zero\nk4 = z
          "size '2.5x3' is neither a positive point count nor PxQ with positive P and Q"),
         (["convergence", "--example", "1", "--sizes", "0x3"], None,
          "size '0x3' is neither a positive point count nor PxQ with positive P and Q"),
+        (["solve"], "example = 2\nproblem = foo\nk1 = one",
+         "example 2 is a benchmark problem, which takes no problem, k1"),
+        (["solve"], "example = 1\n" + _CUSTOM + "f = sin_pi_xi",
+         "example 1 is a benchmark problem, which takes no problem, k1, k2, k3, k4, f"),
+        (["solve"], _CUSTOM.replace("problem = custom\n", "") + "f = sin_pi_xi",
+         "k1, k2, k3, k4, f need problem = custom"),
+        (["solve"], _CUSTOM.replace("custom", "foo") + "f = sin_pi_xi",
+         "unknown problem 'foo'; the one problem kind is custom"),
+        (["solve"], _CUSTOM + "f = sin_pi_xi\nexact_power = 1.8",
+         "exact_space is required together with exact_power"),
     ],
     ids=["p-zero", "picard-negative", "format-xml", "format-xml-flag", "example-3-flag", "mesh-two-fields", "mesh-degenerate", "mesh-infinite",
          "mesh-outside-the-square", "mesh-too-many-values", "convergence-mesh-too-many-values",
          "config-line-without-equals", "config-p-not-int", "custom-f-unknown", "no-problem",
          "convergence-without-exact", "sizes-negative", "sizes-three-factors", "sizes-not-integer",
-         "sizes-zero-factor"],
+         "sizes-zero-factor", "example-with-problem-keys", "example-with-custom-problem", "custom-keys-without-problem",
+         "problem-unknown", "exact-power-without-space"],
 )
 def test_validation_error_message(tmp_path, capsys, argv, config, first_line):
     if config is not None:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config + "\n", encoding="utf-8")
         argv = argv + ["--config", str(cfg)]
-    assert main(argv) == 1
-    assert capsys.readouterr().err.splitlines()[0] == f"validation error: {first_line}"
+    try:
+        code, prefix = main(argv), "validation error"
+    except SystemExit as exc:  # a config line the parser rejects, as it would the flag
+        code, prefix = exc.code, "rkburgers: error"
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"{prefix}: {first_line}"
 
 
 class TestVerifyCommand:

@@ -30,6 +30,17 @@ class TestGamma:
         with pytest.raises(ValueError):
             gamma(x)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_argument_as_the_stdlib(self, x):
+        # math.gamma gives inf at inf, NaN at NaN and a ValueError at -inf
+        if x == -math.inf:
+            with pytest.raises(ValueError):
+                math.gamma(x)
+            with pytest.raises(ValueError, match=r"x = -inf$"):
+                gamma(x)
+        else:
+            assert repr(gamma(x)) == repr(math.gamma(x))
+
     def test_against_stdlib_positive_axis(self):
         for x in np.linspace(0.02, 30.0, 700):
             assert gamma(float(x)) == pytest.approx(math.gamma(float(x)), rel=1e-13)
