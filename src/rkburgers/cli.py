@@ -29,7 +29,7 @@ from . import __version__
 from .fracmath import _check_count
 from .operator import CollocationGrid, GramAssemblyError
 from .orthonormalize import GramAsymmetryError, NotPositiveDefiniteError
-from .problems import build_custom, build_problem, COEFFICIENT_CATALOG, verify_forcing
+from .problems import build_problem
 from .solver import convergence_study, error_report, evaluate, solve
 
 __all__ = ["main", "RunConfig", "parse_mesh"]
@@ -41,15 +41,12 @@ __all__ = ["main", "RunConfig", "parse_mesh"]
 MAX_POINTS = 2_500
 
 # The flags each subcommand reads, and so the keys of its config file's lines.
-# The custom-problem keys build a problem from catalog names in place of --example.
-_CUSTOM_KEYS = ("problem", "k1", "k2", "k3", "k4", "f", "exact_space", "exact_power")
 _COMMAND_KEYS = {
-    "solve": ("example", "config", "alpha", "p", "q", "picard",
-              "mesh", "out", "format", "surface") + _CUSTOM_KEYS,
+    "solve": ("example", "config", "alpha", "p", "q", "picard", "mesh", "out", "format", "surface"),
     "verify": ("config", "alpha", "p", "q"),
-    "convergence": ("example", "config", "alpha", "picard", "mesh", "out", "sizes") + _CUSTOM_KEYS,
+    "convergence": ("example", "config", "alpha", "picard", "mesh", "out", "sizes"),
 }
-_CASTS = {"alpha": float, "p": int, "q": int, "picard": int, "exact_power": float}
+_CASTS = {"alpha": float, "p": int, "q": int, "picard": int}
 
 
 @dataclass
@@ -65,14 +62,6 @@ class RunConfig:
     format: str = "csv"
     surface: Optional[str] = None
     sizes: Optional[str] = None
-    problem: Optional[str] = None
-    k1: Optional[str] = None
-    k2: Optional[str] = None
-    k3: Optional[str] = None
-    k4: Optional[str] = None
-    f: Optional[str] = None
-    exact_space: Optional[str] = None
-    exact_power: Optional[float] = None
 
     def validate(self):
         _check_count("p", self.p)
@@ -129,7 +118,7 @@ def _config_flags(path: str) -> List[str]:
     """A config file's ``key = value`` lines as the ``--key=value`` flags they stand for."""
     flags = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is not part of the first key
             for raw in fh:
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -146,30 +135,9 @@ def _config_flags(path: str) -> List[str]:
 
 
 def _build_problem(cfg: RunConfig):
-    custom = [key for key in _CUSTOM_KEYS if getattr(cfg, key) is not None]
-    if cfg.example is not None:
-        if custom:
-            raise ValueError(f"example {cfg.example} is a benchmark problem, which takes no {', '.join(custom)}")
-        return build_problem(cfg.example, cfg.alpha)
-    if not custom:
+    if cfg.example is None:
         raise ValueError("select a problem with --example or a config file")
-    if cfg.problem != "custom":
-        raise ValueError(f"{', '.join(custom)} need problem = custom" if cfg.problem is None
-                         else f"unknown problem {cfg.problem!r}; the one problem kind is custom")
-    missing = [k for k in ("k1", "k2", "k3", "k4", "f") if getattr(cfg, k) is None]
-    if missing:
-        raise ValueError(f"custom problem missing keys: {', '.join(missing)}")
-    if cfg.f not in COEFFICIENT_CATALOG:
-        raise ValueError(f"f = {cfg.f!r} is not in the coefficient catalog")
-    problem = build_custom(cfg.alpha, k1=cfg.k1, k2=cfg.k2, k3=cfg.k3, k4=cfg.k4, f=COEFFICIENT_CATALOG[cfg.f],
-                           exact_space=cfg.exact_space, exact_power=cfg.exact_power)
-    if problem.exact is not None:
-        # an exact solution that misses the equation would make the error table meaningless
-        report = verify_forcing(problem)
-        if not report.passed:
-            raise ValueError(f"the declared exact solution does not solve the problem: forcing discrepancy "
-                             f"{report.max_discrepancy:.6e} exceeds {report.tol:g}")
-    return problem
+    return build_problem(cfg.example, cfg.alpha)
 
 
 def _format_cell(value: float) -> str:
@@ -231,18 +199,14 @@ def _cmd_solve(cfg: RunConfig) -> int:
     sol = solve(problem, CollocationGrid.uniform(cfg.p, cfg.q), picard_iters=cfg.picard)
     wall = time.perf_counter() - t0
 
-    report = None
-    if problem.exact is not None:
-        report = error_report(sol, [(x, e) for x in mesh for e in mesh])
-        errs = [row[3] for row in report.rows]
-        table = [errs[i : i + len(mesh)] for i in range(0, len(errs), len(mesh))]
-        if cfg.format == "csv":
-            _write_text(cfg.out, "\n".join(_error_table_lines(mesh, table)) + "\n")
-        else:
-            payload = {"mesh": mesh, "abs_error": table}
-            _write_text(cfg.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    report = error_report(sol, [(x, e) for x in mesh for e in mesh])
+    errs = [row[3] for row in report.rows]
+    table = [errs[i : i + len(mesh)] for i in range(0, len(errs), len(mesh))]
+    if cfg.format == "csv":
+        _write_text(cfg.out, "\n".join(_error_table_lines(mesh, table)) + "\n")
     else:
-        print("no exact solution declared; skipping the error table")
+        payload = {"mesh": mesh, "abs_error": table}
+        _write_text(cfg.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     if cfg.surface is not None:
         pts = [i / 50.0 for i in range(51)]
@@ -266,14 +230,13 @@ def _cmd_solve(cfg: RunConfig) -> int:
         "out": cfg.out,
         "format": cfg.format,
         "surface": cfg.surface,
-        "max_abs_error": report.max_abs_error if report else None,
-        "mean_abs_error": report.mean_abs_error if report else None,
+        "max_abs_error": report.max_abs_error,
+        "mean_abs_error": report.mean_abs_error,
         "wall_seconds": wall,
         "version": __version__,
     }
     _write_text(cfg.out and _meta_path(cfg.out), json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    if report is not None:
-        print(f"max abs error {report.max_abs_error:.6e}, mean {report.mean_abs_error:.6e}, {wall:.2f} s")
+    print(f"max abs error {report.max_abs_error:.6e}, mean {report.mean_abs_error:.6e}, {wall:.2f} s")
     return 0
 
 
@@ -297,8 +260,6 @@ def _cmd_convergence(cfg: RunConfig) -> int:
         if p * q > MAX_POINTS:
             raise ValueError(f"size {p}x{q} outside the guard rail")
     problem = _build_problem(cfg)
-    if problem.exact is None:
-        raise ValueError("convergence study requires a problem with an exact solution")
     mesh = parse_mesh(cfg.mesh)
     _check_writable(cfg.out)
     rows = convergence_study(problem, sizes, [(x, e) for x in mesh for e in mesh], picard_iters=cfg.picard)

@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .fracmath import _check_orders, _check_orders as _check_order  # the second name, for tests/oracles.py
+from .fracmath import _check_orders
 
 __all__ = ["r2", "r3"]
 

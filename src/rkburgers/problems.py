@@ -106,8 +106,8 @@ def build_problem(identifier: str, alpha) -> Problem:
     return PROBLEM_IDS[key](alpha)
 
 
-# Named coefficient/forcing atoms selectable from a config file.  Custom
-# problems pick entries by name; free-form expression parsing is out of scope.
+# Named coefficient/forcing atoms, the names that build_custom's k1-k4 take.
+# Free-form expression parsing is out of scope.
 COEFFICIENT_CATALOG = {
     "zero": lambda xi, eta: 0.0,
     "one": lambda xi, eta: 1.0,

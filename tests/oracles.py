@@ -23,8 +23,8 @@ import math
 import numpy as np
 from numpy.polynomial.polynomial import polyval2d
 
-from rkburgers.fracmath import DEFAULT_QUADRATURE_NODES, gamma, jacobi_rule
-from rkburgers.kernels import _D2, _D3, _check_order
+from rkburgers.fracmath import DEFAULT_QUADRATURE_NODES, _check_orders, gamma, jacobi_rule
+from rkburgers.kernels import _D2, _D3
 from rkburgers.operator import BasisFunction, Problem
 from rkburgers.orthonormalize import _ROW_BLOCK, _cholesky, _invert_lower, _two_sum_into
 
@@ -44,8 +44,8 @@ def _two_branch(tables, param, arg, d_param, d_arg):
 
 def r2(t: float, eta: float, dt_order: int = 0, deta_order: int = 0) -> float:
     """Second-order time kernel, or a partial derivative of it, at one pair."""
-    _check_order("dt_order", dt_order, 2)
-    _check_order("deta_order", deta_order, 2)
+    _check_orders("dt_order", dt_order, 2)
+    _check_orders("deta_order", deta_order, 2)
     t = _check_unit("t", t)
     eta = _check_unit("eta", eta)
     # a section with an underived slot pinned at eta = 0 (or t = 0) is
@@ -57,8 +57,8 @@ def r2(t: float, eta: float, dt_order: int = 0, deta_order: int = 0) -> float:
 
 def r3(x: float, xi: float, dx_order: int = 0, dxi_order: int = 0) -> float:
     """Third-order space kernel, or a partial derivative of it, at one pair."""
-    _check_order("dx_order", dx_order, 3)
-    _check_order("dxi_order", dxi_order, 3)
+    _check_orders("dx_order", dx_order, 3)
+    _check_orders("dxi_order", dxi_order, 3)
     x = _check_unit("x", x)
     xi = _check_unit("xi", xi)
     # sections pinned at an underived boundary slot are identically zero

@@ -262,6 +262,11 @@ class TestSolveCommand:
         assert header.count(",") == 4
 
 
+# The custom-problem keys the command line once read, each with a value it accepted.
+_RETIRED_CUSTOM_KEYS = {"problem": "custom", "k1": "one", "k2": "zero", "k3": "zero", "k4": "zero",
+                        "f": "sin_pi_xi", "exact_space": "sin_pi_xi", "exact_power": "1.8"}
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -295,33 +300,6 @@ class TestConfigFile:
         assert main(["solve", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == "validation error: a config file cannot name another config file\n"
 
-    def test_custom_problem_from_flags(self, tmp_path):
-        # the custom-problem keys are flags as every config key is; the same surface either way
-        cfg = tmp_path / "custom.cfg"
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in _CUSTOM_FLAGS.items()), encoding="utf-8")
-        flags = [f"--{k}={v}" for k, v in _CUSTOM_FLAGS.items()]
-        tables = []
-        for name, extra in (("file", ["--config", str(cfg)]), ("flags", flags)):
-            out = tmp_path / f"{name}.csv"
-            assert main(["solve", "--p", "3", "--q", "3", "--surface", str(out), *extra]) == 0
-            tables.append(_read(out))
-        assert tables[0] == tables[1]
-
-    def test_custom_problem_without_exact(self, tmp_path, capsys):
-        cfg = tmp_path / "custom.cfg"
-        cfg.write_text(
-            "problem = custom\nalpha = 0.9\np = 3\nq = 3\n"
-            "k1 = one\nk2 = zero\nk3 = zero\nk4 = zero\nf = sin_pi_xi\n",
-            encoding="utf-8",
-        )
-        assert main(["solve", "--config", str(cfg)]) == 0
-        assert "no exact solution" in capsys.readouterr().out
-
-    def test_custom_problem_missing_keys(self, tmp_path):
-        cfg = tmp_path / "custom.cfg"
-        cfg.write_text("problem = custom\nk1 = one\n", encoding="utf-8")
-        assert main(["solve", "--config", str(cfg)]) == 1
-
     def test_missing_config_file(self):
         assert main(["solve", "--config", "/nonexistent/run.cfg"]) == 1
 
@@ -343,20 +321,31 @@ class TestConfigFile:
         key = line.split(" = ")[0]
         assert capsys.readouterr().err.splitlines()[1:] == [f"rkburgers: error: {argv[0]} does not read --{key}"]
 
-    def test_declared_exact_solution_is_checked(self, tmp_path, capsys):
-        # sin(pi xi) eta**1.8 does not solve D_eta^alpha y + y_xixi = sin(pi xi), so the
-        # error table would measure the distance to another function
-        argv = ["solve", "--p", "3", "--q", "3", "--out", str(tmp_path / "t.csv")]
-        argv += [f"--{k}={v}" for k, v in _CUSTOM_FLAGS.items()]
-        assert main(argv + ["--exact_space", "sin_pi_xi", "--exact_power", "1.8"]) == 1
-        err = capsys.readouterr().err
-        assert re.fullmatch(r"validation error: the declared exact solution does not solve the problem: "
-                            r"forcing discrepancy 9\.\d{6}e\+00 exceeds 1e-10\n", err)
-        assert list(tmp_path.iterdir()) == []
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["solve", "convergence"])
+    @pytest.mark.parametrize("key", list(_RETIRED_CUSTOM_KEYS))
+    def test_retired_custom_problem_key_rejected(self, tmp_path, capsys, key, command, form):
+        # the command line solves examples 5.1 and 5.2; build_custom builds any other problem
+        value = _RETIRED_CUSTOM_KEYS[key]
+        argv = [command, "--example", "1"] + (["--sizes", "4"] if command == "convergence" else [])
+        if form == "flag":
+            argv += [f"--{key}", value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.splitlines()[1:] == [f"rkburgers: error: {command} does not read --{key}"]
 
-
-_CUSTOM = "problem = custom\nalpha = 0.9\nk1 = one\nk2 = zero\nk3 = zero\nk4 = zero\n"
-_CUSTOM_FLAGS = {"problem": "custom", "k1": "one", "k2": "zero", "k3": "zero", "k4": "zero", "f": "sin_pi_xi"}
+    def test_config_file_with_a_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("\ufeffexample = 1\np = 3\nq = 3\n".encode("utf-8"))
+        out = tmp_path / "err.csv"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        meta = json.loads(_read(tmp_path / "err.meta.json"))
+        assert (meta["example"], meta["p"], meta["q"]) == ("1", 3, 3)
 
 
 @pytest.mark.parametrize(
@@ -376,10 +365,7 @@ _CUSTOM_FLAGS = {"problem": "custom", "k1": "one", "k2": "zero", "k3": "zero", "
          "mesh spec '0:1e-9:1' gives more than 2500 values"),
         (["solve"], "example 1", "config line without '=': 'example 1'"),
         (["solve", "--example", "1"], "p = two", "--p: invalid int value 'two'"),
-        (["solve"], _CUSTOM + "f = nope", "f = 'nope' is not in the coefficient catalog"),
         (["solve"], None, "select a problem with --example or a config file"),
-        (["convergence", "--sizes", "4"], _CUSTOM + "f = sin_pi_xi",
-         "convergence study requires a problem with an exact solution"),
         (["convergence", "--example", "1", "--sizes", "9,-4"], None,
          "size '-4' is neither a positive point count nor PxQ with positive P and Q"),
         (["convergence", "--example", "1", "--sizes", "4x4x4"], None,
@@ -388,23 +374,11 @@ _CUSTOM_FLAGS = {"problem": "custom", "k1": "one", "k2": "zero", "k3": "zero", "
          "size '2.5x3' is neither a positive point count nor PxQ with positive P and Q"),
         (["convergence", "--example", "1", "--sizes", "0x3"], None,
          "size '0x3' is neither a positive point count nor PxQ with positive P and Q"),
-        (["solve"], "example = 2\nproblem = foo\nk1 = one",
-         "example 2 is a benchmark problem, which takes no problem, k1"),
-        (["solve"], "example = 1\n" + _CUSTOM + "f = sin_pi_xi",
-         "example 1 is a benchmark problem, which takes no problem, k1, k2, k3, k4, f"),
-        (["solve"], _CUSTOM.replace("problem = custom\n", "") + "f = sin_pi_xi",
-         "k1, k2, k3, k4, f need problem = custom"),
-        (["solve"], _CUSTOM.replace("custom", "foo") + "f = sin_pi_xi",
-         "unknown problem 'foo'; the one problem kind is custom"),
-        (["solve"], _CUSTOM + "f = sin_pi_xi\nexact_power = 1.8",
-         "exact_space is required together with exact_power"),
     ],
     ids=["p-zero", "picard-negative", "format-xml", "format-xml-flag", "example-3-flag", "mesh-two-fields", "mesh-degenerate", "mesh-infinite",
          "mesh-outside-the-square", "mesh-too-many-values", "convergence-mesh-too-many-values",
-         "config-line-without-equals", "config-p-not-int", "custom-f-unknown", "no-problem",
-         "convergence-without-exact", "sizes-negative", "sizes-three-factors", "sizes-not-integer",
-         "sizes-zero-factor", "example-with-problem-keys", "example-with-custom-problem", "custom-keys-without-problem",
-         "problem-unknown", "exact-power-without-space"],
+         "config-line-without-equals", "config-p-not-int", "no-problem",
+         "sizes-negative", "sizes-three-factors", "sizes-not-integer", "sizes-zero-factor"],
 )
 def test_validation_error_message(tmp_path, capsys, argv, config, first_line):
     if config is not None:

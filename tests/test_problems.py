@@ -196,6 +196,13 @@ class TestCustomProblems:
                 f=lambda x, e: 0.0, exact_space="sin_pi_xi",
             )
 
+    def test_exact_power_requires_space(self):
+        with pytest.raises(ValueError, match="exact_space is required together with exact_power"):
+            build_custom(
+                0.9, k1="zero", k2="zero", k3="zero", k4="zero",
+                f=lambda x, e: 0.0, exact_power=1.8,
+            )
+
     def test_separable_solution_evaluates(self):
         sp, sp1, sp2 = SPACE_FACTOR_CATALOG["xi_sq_minus_xi"]
         exact = SeparableSolution(space=sp, space_d1=sp1, space_d2=sp2, time_power=1.9)

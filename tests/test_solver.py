@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rkburgers.operator import CollocationGrid, Problem
-from rkburgers.problems import build_example51, build_example52
+from rkburgers.problems import COEFFICIENT_CATALOG, build_custom, build_example51, build_example52
 from rkburgers.solver import (
     convergence_study,
     error_report,
@@ -253,6 +253,29 @@ class TestErrorReport:
         report = error_report(sol, TABLE_POINTS)
         assert report.max_abs_error <= 6.62e-3
         assert report.rows[0][3] <= 2.39e-3  # point (0.1, 0.1)
+
+
+class TestCustomProblemWithoutExact:
+    """A catalog problem with no exact solution solves and evaluates; only the error paths need one."""
+
+    @pytest.fixture(scope="class")
+    def sol(self):
+        problem = build_custom(0.9, k1="one", k2="zero", k3="zero", k4="zero", f=COEFFICIENT_CATALOG["sin_pi_xi"])
+        assert problem.exact is None
+        return solve(problem, CollocationGrid.uniform(3, 3))
+
+    def test_surface_is_finite(self, sol):
+        pts = np.linspace(0.0, 1.0, 51)
+        values = evaluate(sol, pts[:, None], pts[None, :])
+        assert values.shape == (51, 51) and np.isfinite(values).all()
+
+    def test_error_report_names_the_missing_exact_solution(self, sol):
+        with pytest.raises(ValueError, match="requires a problem with an exact solution"):
+            error_report(sol, TABLE_POINTS)
+
+    def test_convergence_study_names_the_missing_exact_solution(self, sol):
+        with pytest.raises(ValueError, match="requires a problem with an exact solution"):
+            convergence_study(sol.problem, [(3, 3)], TABLE_POINTS)
 
 
 class TestTimeMajorSweep:
