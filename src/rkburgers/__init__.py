@@ -41,7 +41,6 @@ from .operator import (
 from .orthonormalize import GramAsymmetryError, NotPositiveDefiniteError, OrthonormalBasis, compute_beta
 from .problems import (
     SeparableSolution,
-    build_custom,
     build_example51,
     build_example52,
     build_problem,
@@ -79,7 +78,6 @@ __all__ = [
     "OrthonormalBasis",
     "compute_beta",
     "SeparableSolution",
-    "build_custom",
     "build_example51",
     "build_example52",
     "build_problem",

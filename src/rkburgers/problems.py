@@ -1,4 +1,4 @@
-"""Benchmark problem registry and the forcing consistency oracle.
+"""Examples 5.1 and 5.2 as ``Problem`` instances, and the forcing consistency oracle.
 
 Both benchmarks have separable exact solutions, a function of xi times a
 pure power of eta, which lets ``verify_forcing`` substitute the exact
@@ -19,11 +19,8 @@ __all__ = [
     "build_example51",
     "build_example52",
     "build_problem",
-    "build_custom",
     "verify_forcing",
     "PROBLEM_IDS",
-    "COEFFICIENT_CATALOG",
-    "SPACE_FACTOR_CATALOG",
 ]
 
 
@@ -58,9 +55,20 @@ def build_example51(alpha) -> Problem:
             - eta * math.sin(xi) * (xi * xi - xi) * (2.0 * xi - 1.0) * eta ** (2.0 + 2.0 * a)
         )
 
-    return build_custom(
-        a, k1="one_plus_xi_eta", k2="xi_squared", k3="xi_plus_one", k4="neg_eta_sin_xi", f=f,
-        exact_space="xi_sq_minus_xi", exact_power=1.0 + a, name="example51",
+    return Problem(
+        alpha=a,
+        k1=lambda xi, eta: 1.0 + xi * eta,
+        k2=lambda xi, eta: xi * xi,
+        k3=lambda xi, eta: xi + 1.0,
+        k4=lambda xi, eta: -eta * math.sin(xi),
+        f=f,
+        exact=SeparableSolution(
+            space=lambda xi: xi * xi - xi,
+            space_d1=lambda xi: 2.0 * xi - 1.0,
+            space_d2=lambda xi: 2.0,
+            time_power=1.0 + a,
+        ),
+        name="example51",
     )
 
 
@@ -84,9 +92,20 @@ def build_example52(alpha) -> Problem:
             - s * math.cos(math.pi * xi) * math.pi * eta ** (4.0 * a)
         )
 
-    return build_custom(
-        a, k1="neg_one", k2="zero", k3="zero", k4="neg_one", f=f,
-        exact_space="sin_pi_xi", exact_power=2.0 * a, name="example52",
+    return Problem(
+        alpha=a,
+        k1=lambda xi, eta: -1.0,
+        k2=lambda xi, eta: 0.0,
+        k3=lambda xi, eta: 0.0,
+        k4=lambda xi, eta: -1.0,
+        f=f,
+        exact=SeparableSolution(
+            space=lambda xi: math.sin(math.pi * xi),
+            space_d1=lambda xi: math.pi * math.cos(math.pi * xi),
+            space_d2=lambda xi: -math.pi * math.pi * math.sin(math.pi * xi),
+            time_power=2.0 * a,
+        ),
+        name="example52",
     )
 
 
@@ -102,69 +121,8 @@ def build_problem(identifier: str, alpha) -> Problem:
     """Look a benchmark up by identifier ('1', '2', 'example51', 'example52')."""
     key = str(identifier).strip().lower()
     if key not in PROBLEM_IDS:
-        raise ValueError(f"unknown problem identifier {identifier!r}; known: 1, 2")
+        raise ValueError(f"unknown problem identifier {identifier!r}; known: {', '.join(PROBLEM_IDS)}")
     return PROBLEM_IDS[key](alpha)
-
-
-# Named coefficient/forcing atoms, the names that build_custom's k1-k4 take.
-# Free-form expression parsing is out of scope.
-COEFFICIENT_CATALOG = {
-    "zero": lambda xi, eta: 0.0,
-    "one": lambda xi, eta: 1.0,
-    "neg_one": lambda xi, eta: -1.0,
-    "xi": lambda xi, eta: xi,
-    "eta": lambda xi, eta: eta,
-    "xi_squared": lambda xi, eta: xi * xi,
-    "xi_plus_one": lambda xi, eta: xi + 1.0,
-    "one_plus_xi_eta": lambda xi, eta: 1.0 + xi * eta,
-    "neg_eta_sin_xi": lambda xi, eta: -eta * math.sin(xi),
-    "sin_pi_xi": lambda xi, eta: math.sin(math.pi * xi),
-}
-
-# One-dimensional space factors (value, first and second derivative) for
-# separable exact solutions eta**s * space(xi).
-SPACE_FACTOR_CATALOG = {
-    "xi_sq_minus_xi": (
-        lambda xi: xi * xi - xi,
-        lambda xi: 2.0 * xi - 1.0,
-        lambda xi: 2.0,
-    ),
-    "sin_pi_xi": (
-        lambda xi: math.sin(math.pi * xi),
-        lambda xi: math.pi * math.cos(math.pi * xi),
-        lambda xi: -math.pi * math.pi * math.sin(math.pi * xi),
-    ),
-}
-
-
-def build_custom(
-    alpha,
-    k1: str,
-    k2: str,
-    k3: str,
-    k4: str,
-    f: Callable[[float, float], float],
-    exact_space: Optional[str] = None,
-    exact_power: Optional[float] = None,
-    name: str = "custom",
-) -> Problem:
-    """Assemble a problem from catalog names plus an explicit forcing callable."""
-    coeffs = {}
-    for label, key in (("k1", k1), ("k2", k2), ("k3", k3), ("k4", k4)):
-        if key not in COEFFICIENT_CATALOG:
-            raise ValueError(f"{label} = {key!r} is not in the coefficient catalog")
-        coeffs[label] = COEFFICIENT_CATALOG[key]
-    exact = None
-    if exact_power is not None and exact_space is None:
-        raise ValueError("exact_space is required together with exact_power")
-    if exact_space is not None:
-        if exact_space not in SPACE_FACTOR_CATALOG:
-            raise ValueError(f"exact_space = {exact_space!r} is not in the space factor catalog")
-        if exact_power is None:
-            raise ValueError("exact_power is required together with exact_space")
-        sp, sp1, sp2 = SPACE_FACTOR_CATALOG[exact_space]
-        exact = SeparableSolution(space=sp, space_d1=sp1, space_d2=sp2, time_power=float(exact_power))
-    return Problem(alpha=alpha, f=f, exact=exact, name=name, **coeffs)
 
 
 class ForcingReport(NamedTuple):

@@ -325,7 +325,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("command", ["solve", "convergence"])
     @pytest.mark.parametrize("key", list(_RETIRED_CUSTOM_KEYS))
     def test_retired_custom_problem_key_rejected(self, tmp_path, capsys, key, command, form):
-        # the command line solves examples 5.1 and 5.2; build_custom builds any other problem
+        # the command line solves examples 5.1 and 5.2; any other problem is a Problem built in Python
         value = _RETIRED_CUSTOM_KEYS[key]
         argv = [command, "--example", "1"] + (["--sizes", "4"] if command == "convergence" else [])
         if form == "flag":
@@ -355,7 +355,7 @@ class TestConfigFile:
         (["solve", "--example", "1", "--picard", "-1"], None, "picard must be an integer >= 0, got -1"),
         (["solve", "--example", "1"], "format = xml", "unknown output format 'xml'"),
         (["solve", "--example", "1", "--format", "xml"], None, "unknown output format 'xml'"),
-        (["solve", "--example", "3"], None, "unknown problem identifier '3'; known: 1, 2"),
+        (["solve", "--example", "3"], None, "unknown problem identifier '3'; known: 1, 2, example51, example52"),
         (["solve", "--example", "1", "--mesh", "1:2"], None, "mesh spec must be start:step:end, got '1:2'"),
         (["solve", "--example", "1", "--mesh", "0.5:0.1:0.1"], None, "degenerate mesh spec '0.5:0.1:0.1'"),
         (["solve", "--example", "1", "--mesh", "0:1:inf"], None, "mesh spec '0:1:inf' has a non-finite field"),

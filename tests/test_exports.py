@@ -14,3 +14,11 @@ def test_every_name_in_all_resolves(name):
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
 
+
+
+@pytest.mark.parametrize("name", ["rkburgers", "rkburgers.problems"])
+@pytest.mark.parametrize("retired", ["build_custom", "COEFFICIENT_CATALOG", "SPACE_FACTOR_CATALOG"])
+def test_retired_problem_catalog_names_are_gone(name, retired):
+    module = importlib.import_module(name)
+    assert not hasattr(module, retired)
+    assert retired not in module.__all__

@@ -5,10 +5,7 @@ import pytest
 from rkburgers.fracmath import caputo_power, gamma
 from rkburgers.operator import Problem
 from rkburgers.problems import (
-    COEFFICIENT_CATALOG,
-    SPACE_FACTOR_CATALOG,
     SeparableSolution,
-    build_custom,
     build_example51,
     build_example52,
     build_problem,
@@ -91,22 +88,8 @@ class TestBuildProblem:
         assert build_problem("example52", 0.8).name == "example52"
 
     def test_unknown_identifier(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"known: 1, 2, example51, example52$"):
             build_problem("3", 0.9)
-
-    @pytest.mark.parametrize(
-        "build, names, space",
-        [
-            (build_example51, ("one_plus_xi_eta", "xi_squared", "xi_plus_one", "neg_eta_sin_xi"), "xi_sq_minus_xi"),
-            (build_example52, ("neg_one", "zero", "zero", "neg_one"), "sin_pi_xi"),
-        ],
-        ids=["example51", "example52"],
-    )
-    def test_benchmarks_take_their_coefficients_from_the_catalogs(self, build, names, space):
-        problem = build(0.8)
-        assert [problem.k1, problem.k2, problem.k3, problem.k4] == [COEFFICIENT_CATALOG[k] for k in names]
-        exact = problem.exact
-        assert (exact.space, exact.space_d1, exact.space_d2) == SPACE_FACTOR_CATALOG[space]
 
 
 class TestVerifyForcing:
@@ -171,39 +154,8 @@ class TestProblemValidation:
 
 
 class TestCustomProblems:
-    def test_catalog_selection(self):
-        problem = build_custom(
-            0.9,
-            k1="one_plus_xi_eta",
-            k2="xi_squared",
-            k3="xi_plus_one",
-            k4="neg_eta_sin_xi",
-            f=lambda xi, eta: 0.0,
-        )
-        reference = build_example51(0.9)
-        for pt in ((0.2, 0.7), (0.9, 0.1)):
-            assert problem.k1(*pt) == reference.k1(*pt)
-            assert problem.k4(*pt) == reference.k4(*pt)
-
-    def test_unknown_catalog_name(self):
-        with pytest.raises(ValueError):
-            build_custom(0.9, k1="nope", k2="zero", k3="zero", k4="zero", f=lambda x, e: 0.0)
-
-    def test_exact_space_requires_power(self):
-        with pytest.raises(ValueError):
-            build_custom(
-                0.9, k1="zero", k2="zero", k3="zero", k4="zero",
-                f=lambda x, e: 0.0, exact_space="sin_pi_xi",
-            )
-
-    def test_exact_power_requires_space(self):
-        with pytest.raises(ValueError, match="exact_space is required together with exact_power"):
-            build_custom(
-                0.9, k1="zero", k2="zero", k3="zero", k4="zero",
-                f=lambda x, e: 0.0, exact_power=1.8,
-            )
-
     def test_separable_solution_evaluates(self):
-        sp, sp1, sp2 = SPACE_FACTOR_CATALOG["xi_sq_minus_xi"]
-        exact = SeparableSolution(space=sp, space_d1=sp1, space_d2=sp2, time_power=1.9)
+        exact = SeparableSolution(
+            space=lambda xi: xi * xi - xi, space_d1=lambda xi: 2.0 * xi - 1.0, space_d2=lambda xi: 2.0, time_power=1.9
+        )
         assert exact(0.5, 0.5) == pytest.approx(-0.25 * 0.5**1.9, rel=1e-15)
