@@ -100,10 +100,11 @@ class Problem:
         object.__setattr__(self, "alpha", order_value(self.alpha))
         if self.exact is not None:
             for s in (0.0, 0.25, 0.5, 0.75, 1.0):
-                for val in (self.exact(s, 0.0), self.exact(0.0, s), self.exact(1.0, s)):
-                    if abs(val) > _BOUNDARY_TOL:
+                for xi, eta in ((s, 0.0), (0.0, s), (1.0, s)):
+                    if not abs(self.exact(xi, eta)) <= _BOUNDARY_TOL:  # NaN fails too
                         raise ValueError(
                             "exact solution violates the homogeneous initial/boundary conditions"
+                            f" at ({xi}, {eta})"
                         )
 
 

@@ -27,7 +27,7 @@ n x n arrays are A (which becomes R) and L (which becomes X).  At
 desk-scale condition numbers (1e8 and above for the larger grids) this
 keeps the orthonormality defect at the floor imposed by storing the
 factor in 64-bit floats.  ``norm_recursion_defect`` checks the basis of
-a solution with the same error-free products.
+a solution in plain float64, as the orthonormality defect is checked.
 """
 
 import math
@@ -42,7 +42,7 @@ __all__ = ["OrthonormalBasis", "NotPositiveDefiniteError", "GramAsymmetryError",
 _SYMMETRY_TOL = 1e-8
 _SLICES = 3
 _INVERSE_BLOCK = 32  # below this size the triangular inverse is a row loop
-_ROW_BLOCK = 64  # rows of G per symmetry-check panel; rows per pass of _row_sigmas; rows, or columns of L L', per block of an error-free product; rows per refinement panel
+_ROW_BLOCK = 64  # rows of G per symmetry-check panel; rows per pass of _row_sigmas; columns of L L' per error-free tile; rows per refinement panel; prefixes per block of the norm-recursion defect
 _STRICT_UPPER = ~np.tri(_ROW_BLOCK, dtype=bool)  # zeroes a panel's diagonal block above its diagonal
 
 
@@ -143,23 +143,6 @@ def _two_sum_into(h, l, p):
     l += h
     l += e
     h[...] = s
-
-
-def add_exact_product(hi, lo, x, sigmas, y):
-    """hi + lo += x @ y', the product carried far beyond working precision.
-
-    sigmas are ``_row_sigmas(x)``, taken once for several y; hi covers
-    x's leading rows and y, split by rows, its leading columns, the rest
-    being zero.  x is sliced a block of rows at a time, and each of the
-    9 slice products is added with TwoSum, which keeps the products small.
-    """
-    ys = _slices(y, _row_sigmas(y))
-    for start in range(0, hi.shape[0], _ROW_BLOCK):
-        rows = slice(start, min(start + _ROW_BLOCK, hi.shape[0]))
-        h, l = hi[rows], lo[rows]
-        for xi in _slices(x[rows, : y.shape[1]], sigmas[:, rows]):
-            for yj in ys:
-                _two_sum_into(h, l, xi @ yj.T)
 
 
 def _square_tile(low, start, stop, sigmas):
@@ -326,68 +309,23 @@ def compute_beta(gram: GramMatrix) -> OrthonormalBasis:
     return OrthonormalBasis(beta=x, source=gram._replace(sweep_rows=None))
 
 
-_SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp split constant
-
-
-def _two_prod(a, b):
-    """Elementwise product with its exact floating-point error term."""
-    p = a * b
-    ah = a * _SPLITTER
-    ah = ah - (ah - a)
-    al = a - ah
-    bh = b * _SPLITTER
-    bh = bh - (bh - b)
-    bl = b - bh
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
-
-
 def norm_recursion_defect(s) -> float:
     """Max over prefixes m of | ||y_m||^2 - sum B_i^2 | / (1 + sum B_i^2) for a solution s.
 
-    The squared norm of the partial sum is the quadratic form of the raw
-    coefficient prefix u_m through the Gram matrix, evaluated with exact
-    products and compensated sums so the reported defect reflects the
-    orthonormalization itself rather than evaluation round-off: the rows
-    of U are the prefixes, G U' is carried as hi + lo, and each u_m' G u_m
-    is summed from TwoProd terms, one block of prefixes at a time.  As
-    beta is lower triangular, a block's prefixes vanish past its last
-    index, so only G's leading block is read, sliced a block of rows at a
-    time with rounding constants taken once from G's whole rows.
-    The normalization by 1 + sum B_i^2 matches the scale-aware form used
-    for the Gram symmetry tolerance; the unnormalized defect sits at the
-    64-bit representation floor of the triangular factor once the squared
-    norm is large and the Gram matrix is ill conditioned.
+    ||y_m||^2 is u_m' G u_m for the raw coefficient prefix u_m = sum_{i<=m}
+    B_i beta_i, in plain float64, 64 prefixes at a time; beta is lower
+    triangular, so those read only G's leading block.  The scale 1 + sum
+    B_i^2 is the Gram symmetry tolerance's: unscaled, the defect of a large
+    norm sits at the floor that a 64-bit beta sets.  NaN in B gives NaN.
     """
     n = s.n
-    quad = np.empty(n)
-    prefix = np.zeros(n)
     g = s.basis.source.entries
-    sigmas = _row_sigmas(g)  # of whole rows, as a split of all of G takes them
-    # The prefixes run in blocks of n/8 (at least _ROW_BLOCK), so the work
-    # arrays stay a fixed fraction of one n x n matrix.
-    width = max(_ROW_BLOCK, n // 8)
-    for start in range(0, n, width):
-        stop = min(start + width, n)
-        # Row m - start is the prefix u_{m+1}, accumulated in the order the sweep uses.
-        steps = s.B[start:stop, None] * s.basis.beta[start:stop, :stop]
-        u = np.cumsum(np.concatenate([prefix[None, :stop], steps]), axis=0)[1:]
-        prefix[:stop] = u[-1]
-        hi, lo = np.zeros((2, stop, stop - start))
-        add_exact_product(hi, lo, g, sigmas, u)
-        terms, err = _two_prod(u.T, hi)
-        err += u.T * lo
-        # row by row, as np.sum adds two or more columns; one column it would sum pairwise
-        comp = np.add.accumulate(err, axis=0)[-1]
-        block = np.zeros(stop - start)
-        for row in terms:
-            _two_sum_into(block, comp, row)
-        quad[start:stop] = block + comp
-
-    sq, sq_err = _two_prod(s.B, s.B)
-    running = np.empty(n)
-    acc = 0.0
-    for m in range(n):
-        acc = math.fsum((acc, sq[m], sq_err[m]))
-        running[m] = acc
+    u = s.B[:, None] * s.basis.beta
+    np.cumsum(u, axis=0, out=u)  # row m - 1 is u_m, summed in the sweep's order
+    quad = np.empty(n)
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n)
+        rows = u[start:stop, :stop]
+        quad[start:stop] = np.einsum("ij,ij->i", rows @ g[:stop, :stop], rows)
+    running = np.cumsum(s.B * s.B)
     return float(np.max(np.abs(quad - running) / (1.0 + running), initial=0.0))

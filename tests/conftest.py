@@ -1,6 +1,7 @@
 import functools
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from rkburgers import CollocationGrid, build_problem, solve
@@ -49,3 +50,20 @@ def overflowing_example51():
         f=lambda xi, eta: 1e150,
         name="example51-overflowing",
     )
+
+
+def defect_rounding_bound(s):
+    """How far a float64 ``norm_recursion_defect`` of s may sit from its exact value.
+
+    Each u_m' G u_m is a product U G and a dot product of at most n terms
+    each, so it rounds by at most gamma_2n |u_m|' |G| |u_m|; the running
+    sum of B_i^2 rounds by at most gamma_n of itself, which the same form
+    bounds, as ||y_m||^2 <= |u_m|' |G| |u_m|.  gamma_k = k u / (1 - k u)
+    for u = 2**-53 (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3).  The defect and its references all build the
+    prefixes u_m in the sweep's order, so they share them bit for bit.
+    """
+    u = np.cumsum(s.B[:, None] * s.basis.beta, axis=0)
+    form = np.einsum("ij,ij->i", np.abs(u) @ np.abs(s.basis.source.entries), np.abs(u))
+    k = 3 * s.n * 2.0**-53
+    return k / (1.0 - k) * float(np.max(form / (1.0 + np.cumsum(s.B * s.B))))

@@ -7,14 +7,16 @@ tables ``_D2`` and ``_D3``), the scalar Caputo time factors ``_ctk`` and
 ``_dc``, ``psi_eval``'s body, ``apply_operator`` and the scalar
 ``weighted_moment``; ``split_rows`` as it was when it split a whole
 matrix at once, slice after slice; ``norm_recursion_defect`` as it was
-when it multiplied all of G against every block of prefixes; and
-``compute_beta`` as it was when it split all of the Cholesky factor at
-once and refined with full n x n products.  The package's array code
-performs the same floating-point operations in the same order, its
-defect and beta too but for products with zeros and the order of the
-defect's compensation terms, so the tests compare it with these bit for
-bit (beta up to n = 100; on larger grids BLAS may add the terms of the
-package's shorter panel products in another order).  Do not change them
+when it multiplied all of G against every block of prefixes, with
+error-free products and compensated sums; and ``compute_beta`` as it was
+when it split all of the Cholesky factor at once and refined with full
+n x n products.  The package's array code performs the same
+floating-point operations in the same order, beta too but for products
+with zeros, so the tests compare it with these bit for bit (beta up to
+n = 100; on larger grids BLAS may add the terms of the package's shorter
+panel products in another order).  The defect is the exception: the
+package evaluates it in plain float64, and the tests hold it to this
+error-free reference within its forward-error bound.  Do not change them
 to follow the package: a change here moves the reference, not the code
 under test."""
 

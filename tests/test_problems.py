@@ -152,6 +152,20 @@ class TestProblemValidation:
                 exact=lambda xi, eta: 1.0 + xi,
             )
 
+    def test_nan_on_the_boundary_is_a_violation(self):
+        # abs(nan) > tol is False, so the check has to be written to fail on NaN
+        zero = lambda xi, eta: 0.0
+        with pytest.raises(ValueError, match=r"initial/boundary conditions at \(1\.0, 0\.5\)$"):
+            Problem(
+                alpha=0.5,
+                k1=zero,
+                k2=zero,
+                k3=zero,
+                k4=zero,
+                f=zero,
+                exact=lambda xi, eta: math.nan if (xi, eta) == (1.0, 0.5) else 0.0,
+            )
+
 
 class TestCustomProblems:
     def test_separable_solution_evaluates(self):

@@ -13,7 +13,7 @@ from rkburgers.solver import (
     residual,
     solve,
 )
-from tests.conftest import TABLE_POINTS, overflowing_example51, peak_bytes
+from tests.conftest import TABLE_POINTS, defect_rounding_bound, overflowing_example51, peak_bytes
 
 
 def _zero_data_problem():
@@ -201,15 +201,15 @@ class TestNormRecursion:
 
     @pytest.mark.parametrize("example,alpha,p", [("1", 0.9, 5), ("2", 0.8, 10)])
     def test_matches_the_prefix_loop(self, solution_factory, example, alpha, p):
-        # Both evaluate the quadratic forms nearly exactly, so they agree to a
-        # few units of 2**-53; plain sums after an exact G U already miss by 1e-15.
+        # The loop sums each quadratic form exactly; the plain one is off by
+        # at most its forward-error bound.
         sol = solution_factory(example, alpha, p, p)
         expected = _prefix_loop_norm_recursion_defect(sol)
-        assert norm_recursion_defect(sol) == pytest.approx(expected, rel=0, abs=4 * 2.0**-53)
+        assert abs(norm_recursion_defect(sol) - expected) <= defect_rounding_bound(sol)
 
     def test_memory_stays_below_three_matrices(self, solution_factory):
-        # G is sliced a block of rows at a time and no copy of it is kept;
-        # keeping its two rounded slices as int32 counts traced 3.24 n x n here.
+        # The prefixes U are the one n x n array; G's leading blocks are read
+        # in place.
         sol = solution_factory("2", 0.8, 20, 20)
         assert peak_bytes(norm_recursion_defect, sol) < 2.75 * 8 * sol.n**2
 
