@@ -9,7 +9,7 @@ line exits 1 with a usage line (``_parse_argv``).  A config file's
 the last value of a key wins.
 
 The solve subcommand writes the absolute-error table (rows xi, columns
-eta) as CSV or JSON next to a metadata JSON recording the run's settings,
+eta) as CSV next to a metadata JSON recording the run's settings,
 and optionally a 51 x 51 surface CSV of the approximate solution for
 external plotting.
 """
@@ -42,8 +42,8 @@ MAX_POINTS = 2_500
 
 # The flags each subcommand reads, and so the keys of its config file's lines.
 _COMMAND_KEYS = {
-    "solve": ("example", "config", "alpha", "p", "q", "picard", "mesh", "out", "format", "surface"),
-    "verify": ("config", "alpha", "p", "q"),
+    "solve": ("example", "config", "alpha", "p", "q", "picard", "mesh", "out", "surface"),
+    "verify": (),
     "convergence": ("example", "config", "alpha", "picard", "mesh", "out", "sizes"),
 }
 _CASTS = {"alpha": float, "p": int, "q": int, "picard": int}
@@ -59,7 +59,6 @@ class RunConfig:
     picard: int = 0
     mesh: str = "0.1:0.1:0.6"
     out: Optional[str] = None
-    format: str = "csv"
     surface: Optional[str] = None
     sizes: Optional[str] = None
 
@@ -69,8 +68,6 @@ class RunConfig:
         if self.p * self.q > MAX_POINTS:
             raise ValueError(f"p * q = {self.p * self.q} exceeds the guard rail {MAX_POINTS}")
         _check_count("picard", self.picard, 0)
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.format!r}")
 
 
 def parse_mesh(spec: str) -> List[float]:
@@ -202,11 +199,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
     report = error_report(sol, [(x, e) for x in mesh for e in mesh])
     errs = [row[3] for row in report.rows]
     table = [errs[i : i + len(mesh)] for i in range(0, len(errs), len(mesh))]
-    if cfg.format == "csv":
-        _write_text(cfg.out, "\n".join(_error_table_lines(mesh, table)) + "\n")
-    else:
-        payload = {"mesh": mesh, "abs_error": table}
-        _write_text(cfg.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(cfg.out, "\n".join(_error_table_lines(mesh, table)) + "\n")
 
     if cfg.surface is not None:
         pts = [i / 50.0 for i in range(51)]
@@ -228,7 +221,6 @@ def _cmd_solve(cfg: RunConfig) -> int:
         "picard_iters": cfg.picard,
         "mesh": cfg.mesh,
         "out": cfg.out,
-        "format": cfg.format,
         "surface": cfg.surface,
         "max_abs_error": report.max_abs_error,
         "mean_abs_error": report.mean_abs_error,
@@ -240,12 +232,11 @@ def _cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify() -> int:
     # Only this subcommand uses the check battery, so no other start pays for its import.
     from .verification import run_default_checks
 
-    cfg.validate()
-    results = run_default_checks(alpha=cfg.alpha, p=min(cfg.p, 4), q=min(cfg.q, 4))
+    results = run_default_checks()
     for res in results:
         print(res.line())
     return 0 if all(r.passed for r in results) else 2
@@ -273,7 +264,7 @@ def _cmd_convergence(cfg: RunConfig) -> int:
 def _usage(command: Optional[str]) -> str:
     if command not in _COMMAND_KEYS:
         return f"usage: rkburgers [--version] {{{','.join(_COMMAND_KEYS)}}} [--key VALUE ...]"
-    return f"usage: rkburgers {command} " + " ".join(f"[--{key} {key.upper()}]" for key in _COMMAND_KEYS[command])
+    return " ".join([f"usage: rkburgers {command}"] + [f"[--{key} {key.upper()}]" for key in _COMMAND_KEYS[command]])
 
 
 def _exit(code: int, *lines: str):
@@ -332,7 +323,7 @@ def main(argv=None) -> int:
         if command == "solve":
             return _cmd_solve(cfg)
         if command == "verify":
-            return _cmd_verify(cfg)
+            return _cmd_verify()
         return _cmd_convergence(cfg)
     except (NotPositiveDefiniteError, GramAsymmetryError, np.linalg.LinAlgError,  # ValueErrors, but numerical
             GramAssemblyError, ArithmeticError) as exc:

@@ -208,7 +208,7 @@ def psi_eval(b: BasisFunction, xi: float, eta: float, dxi_order: int = 0) -> flo
     ``BasisTables.psi``, over tables for this one point and function.
     """
     tables = BasisTables([b], [xi], [eta])
-    return float(tables.psi(tables.at(0), 0, dxi_order))
+    return float(tables.psi(tables.at([0]), 0, dxi_order)[0, 0])
 
 
 def _ctk_table(eta, t_i, a: float) -> np.ndarray:
@@ -314,8 +314,8 @@ class BasisTables:
     a row per distinct point coordinate.  ``psi`` and ``operator`` work on
     a block of points x functions: the points down the first axis, given
     by ``at`` from an index array (or slice), and the basis functions
-    ``fns`` (an index, index array or slice) across the last; a single
-    point index drops the points axis.  A block's space factors depend
+    ``fns`` (an index, index array or slice) across the last, with a
+    points axis even for one point.  A block's space factors depend
     only on its distinct point xi values and its time factors only on its
     distinct eta values, which ``at`` finds once for every block of
     functions at its points.  The gather reads and forms each factor once
@@ -362,13 +362,12 @@ class BasisTables:
             self._caputo_both = _dc_table(be[None, :], pe[:, None], a, DEFAULT_QUADRATURE_NODES).ravel()
 
     def at(self, points):
-        """The points of a block, for ``psi`` and ``operator``: an index array (or slice), or one index.
+        """The points of a block, for ``psi`` and ``operator``: an index array (or slice).
 
         The block holds the points in the index array's order, whatever
-        its shape, down its first axis; a single index gives a block with
-        no points axis.  Their distinct xi and eta rows are found here,
-        once, so one ``at`` serves every block of basis functions at the
-        same points.
+        its shape, down its first axis; one point is the block ``[i]``.
+        Their distinct xi and eta rows are found here, once, so one ``at``
+        serves every block of basis functions at the same points.
         """
         return _distinct(self._point_x[points]), _distinct(self._point_eta[points])
 
@@ -444,11 +443,8 @@ def _distinct(rows):
     ``rows`` are the points' row offsets, in any shape; they are taken in
     raveled order, so a factor of (distinct rows) x functions is expanded
     to points x functions by one ``take`` of each point's place among
-    them along axis 0.  A single point index is its own distinct set and
-    adds no axis.
+    them along axis 0.
     """
-    if rows.ndim == 0:
-        return rows, lambda factor: factor
     # raveled, so the inverse is flat under every numpy version
     distinct, inverse = np.unique(rows.ravel(), return_inverse=True)
     return distinct[:, None], lambda factor: factor.take(inverse, 0)

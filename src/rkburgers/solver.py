@@ -212,7 +212,7 @@ def residual(s: ApproximateSolution, xi: float, eta: float) -> float:
     """
     p = s.problem
     tables = BasisTables(s.basis_functions, [xi], [eta], with_operator=True)
-    rows = np.stack(tables.operator(tables.at(0), slice(None), p.k1(xi, eta), p.k2(xi, eta), p.k3(xi, eta)))
+    rows = np.concatenate(tables.operator(tables.at([0]), slice(None), p.k1(xi, eta), p.k2(xi, eta), p.k3(xi, eta)))
     fns = np.flatnonzero(s.raw_coeffs != 0.0)
     sums = np.zeros(3)
     for terms in (rows[:, fns] * s.raw_coeffs[fns]).T:

@@ -58,8 +58,9 @@ class TestSolveCommand:
         assert _table_cell(text, "1.00000e-01", "1.00000e-01") <= 2.39e-3
         meta = json.loads(_read(tmp_path / "err.meta.json"))
         for key in ("alpha", "p", "q", "n", "picard_iters",
-                    "mesh", "format", "max_abs_error", "wall_seconds", "version"):
+                    "mesh", "max_abs_error", "wall_seconds", "version"):
             assert key in meta
+        assert "format" not in meta  # the table is always CSV
         assert "quadrature_nodes" not in meta  # the rule is fixed at 64 nodes
         assert meta["n"] == 25
 
@@ -83,16 +84,12 @@ class TestSolveCommand:
         assert main(["solve", "--example", "1", "--p", "41", "--q", "61"]) == 1
         assert "p * q = 2501 exceeds the guard rail 2500" in capsys.readouterr().err
 
-    def test_json_format(self, tmp_path):
-        out = tmp_path / "err.json"
-        code = main(
-            ["solve", "--example", "1", "--alpha", "0.9", "--p", "3", "--q", "3",
-             "--format", "json", "--out", str(out)]
-        )
-        assert code == 0
-        payload = json.loads(_read(out))
-        assert payload["mesh"] == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
-        assert len(payload["abs_error"]) == 6
+    def test_table_has_one_format(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--example", "1", "--format", "json", "--out", str(tmp_path / "err.json")])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.splitlines()[1:] == ["rkburgers: error: solve does not read --format"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_surface_artifact(self, tmp_path):
         out = tmp_path / "err.csv"
@@ -237,8 +234,10 @@ class TestSolveCommand:
                 main(argv + extra)
             assert exc.value.code == 1
             lines = capsys.readouterr().err.splitlines()
-            assert lines[0].startswith(f"usage: rkburgers {argv[0]} ")
-            assert lines[1:] == [f"rkburgers: error: {argv[0]} does not read --nodes"]
+            # verify reads no config file either, so it stops at the --config flag
+            unread = extra[0] if extra[0][2:] not in _COMMAND_KEYS[argv[0]] else "--nodes"
+            assert lines[0].partition(" [")[0] == f"usage: rkburgers {argv[0]}"
+            assert lines[1:] == [f"rkburgers: error: {argv[0]} does not read {unread}"]
 
     def test_metadata_stays_beside_output_in_dotted_directory(self, tmp_path):
         out_dir = tmp_path / "run.v2"
@@ -307,10 +306,9 @@ class TestConfigFile:
         "argv, line",
         [
             (["convergence", "--example", "1", "--sizes", "9"], "format = json"),
-            (["verify"], "example = 1"),
-            (["verify"], "k1 = one"),
+            (["solve", "--example", "1"], "format = json"),
         ],
-        ids=["convergence-format", "verify-example", "verify-custom"],
+        ids=["convergence-format", "solve-format"],
     )
     def test_key_the_subcommand_does_not_read_rejected(self, tmp_path, capsys, argv, line):
         cfg = tmp_path / "run.cfg"
@@ -353,8 +351,6 @@ class TestConfigFile:
     [
         (["solve", "--example", "1", "--p", "0"], None, "p must be an integer >= 1, got 0"),
         (["solve", "--example", "1", "--picard", "-1"], None, "picard must be an integer >= 0, got -1"),
-        (["solve", "--example", "1"], "format = xml", "unknown output format 'xml'"),
-        (["solve", "--example", "1", "--format", "xml"], None, "unknown output format 'xml'"),
         (["solve", "--example", "3"], None, "unknown problem identifier '3'; known: 1, 2, example51, example52"),
         (["solve", "--example", "1", "--mesh", "1:2"], None, "mesh spec must be start:step:end, got '1:2'"),
         (["solve", "--example", "1", "--mesh", "0.5:0.1:0.1"], None, "degenerate mesh spec '0.5:0.1:0.1'"),
@@ -375,7 +371,7 @@ class TestConfigFile:
         (["convergence", "--example", "1", "--sizes", "0x3"], None,
          "size '0x3' is neither a positive point count nor PxQ with positive P and Q"),
     ],
-    ids=["p-zero", "picard-negative", "format-xml", "format-xml-flag", "example-3-flag", "mesh-two-fields", "mesh-degenerate", "mesh-infinite",
+    ids=["p-zero", "picard-negative", "example-3-flag", "mesh-two-fields", "mesh-degenerate", "mesh-infinite",
          "mesh-outside-the-square", "mesh-too-many-values", "convergence-mesh-too-many-values",
          "config-line-without-equals", "config-p-not-int", "no-problem",
          "sizes-negative", "sizes-three-factors", "sizes-not-integer", "sizes-zero-factor"],
@@ -395,10 +391,28 @@ def test_validation_error_message(tmp_path, capsys, argv, config, first_line):
 
 class TestVerifyCommand:
     def test_default_battery_passes(self, capsys):
-        assert main(["verify", "--p", "3", "--q", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
-        assert "FAIL" not in out
+        assert main(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 8 and all(line.startswith("PASS  ") for line in lines)
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [(["verify", "--p", "30", "--q", "30"], None), (["verify", "--alpha", "0.7"], None),
+         (["verify", "--config"], "alpha = 0.9\n")],
+        ids=["p", "alpha", "config"],
+    )
+    def test_reads_no_flag(self, tmp_path, capsys, argv, config):
+        # the battery runs at one alpha on one grid; a flag that once chose them is unread
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config, encoding="utf-8")
+            argv = argv + [str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["usage: rkburgers verify", f"rkburgers: error: verify does not read {argv[1]}"]
 
     def test_check_battery_imported_only_by_verify(self):
         # A fresh process: this one has imported rkburgers.verification already.
@@ -587,11 +601,11 @@ class TestCommandLineGrammar:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
-        usage = f"usage: rkburgers {argv[0] if argv and argv[0] in _COMMAND_KEYS else '[--version]'} "
+        usage = f"usage: rkburgers {argv[0]}" if argv and argv[0] in _COMMAND_KEYS else "usage: rkburgers"
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert lines[0].startswith(usage) and lines[1:] == [f"rkburgers: error: {error}"]
+        assert lines[0].partition(" [")[0] == usage and lines[1:] == [f"rkburgers: error: {error}"]
         assert list(tmp_path.iterdir()) == []
 
     def test_version_exits_0(self, capsys):
@@ -608,7 +622,8 @@ class TestCommandLineGrammar:
             main(argv)
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert out.startswith(f"usage: rkburgers {command} ") and out.count("\n") == 1
+        assert out.partition(" [")[0].rstrip("\n") == f"usage: rkburgers {command}"
+        assert out.count("\n") == 1 and not out.endswith(" \n")
         assert tuple(re.findall(r"\[--(\w+) ", out)) == _COMMAND_KEYS[command]
 
     def test_no_argparse_module_is_imported(self, tmp_path):

@@ -18,7 +18,7 @@ from rkburgers.fracmath import jacobi_rule, weighted_moment
 from rkburgers.kernels import r2, r3
 from rkburgers.operator import BasisTables, _dc_table
 from rkburgers.problems import build_example51
-from rkburgers.verification import check_time_kernel_oracle, double_caputo_oracle, time_kernel_oracle
+from rkburgers.verification import double_caputo_oracle, time_kernel_oracle
 
 
 @functools.lru_cache(maxsize=None)
@@ -28,7 +28,7 @@ def _solution():
 
 def _psi(order):
     tables = BasisTables(_solution().basis_functions, [0.3], [0.4])
-    return tables.psi(tables.at(0), slice(None), order)
+    return tables.psi(tables.at([0]), slice(None), order)
 
 
 # id: (call on the argument, a value it accepts, the name its error gives, whether it is an order)
@@ -51,7 +51,6 @@ ARGUMENTS = {
     "RunConfig-picard": (lambda v: RunConfig(picard=v).validate(), 1, "picard", False),
     "time_kernel_oracle-cells": (lambda v: time_kernel_oracle(0.4, 0.7, 0.8, cells=v), 100, "cells", False),
     "double_caputo_oracle-cells": (lambda v: double_caputo_oracle(0.4, 0.7, 0.8, cells=v), 100, "cells", False),
-    "check_time_kernel_oracle-samples": (lambda v: check_time_kernel_oracle(samples=v), 1, "samples", False),
 }
 ORDERS = {key: case for key, case in ARGUMENTS.items() if case[3]}
 

@@ -275,8 +275,8 @@ class TestTimeTables:
         tables = BasisTables(basis, [x for x, _ in points], [e for _, e in points], with_operator=True)
         fns = np.arange(len(basis))
         for i, (xi, eta) in enumerate(points):
-            row = tables.operator(tables.at(i), fns, problem.k1(xi, eta), problem.k2(xi, eta), problem.k3(xi, eta))[0]
-            assert _same(row, [apply_operator(b, problem, xi, eta) for b in basis])
+            row = tables.operator(tables.at([i]), fns, problem.k1(xi, eta), problem.k2(xi, eta), problem.k3(xi, eta))[0]
+            assert _same(row, [[apply_operator(b, problem, xi, eta) for b in basis]])
 
 
 def test_block_gathers_on_tables_of_unequal_widths():
@@ -321,7 +321,8 @@ def test_sweep_rows_take_both_orders_from_one_gather():
     for k, row0, row1 in _kept_rows(gram):
         cols = slice(0, row0.size)
         assert k <= row0.size < n
-        assert _same(row0, tables.psi(tables.at(k), cols, 0)) and _same(row1, tables.psi(tables.at(k), cols, 1))
+        at = tables.at([k])
+        assert _same(row0[None], tables.psi(at, cols, 0)) and _same(row1[None], tables.psi(at, cols, 1))
     # a gather takes one order
     steps = tables.at(np.arange(64, n)[:, None])
     with pytest.raises(ValueError, match=r"dxi_order must be an integer in 0\.\.1, got 2"):
@@ -568,14 +569,15 @@ class TestErrorContracts:
             evaluate(sol, 0.3, 0.4, order)
         tables = BasisTables(sol.basis_functions, [0.3], [0.4])
         with pytest.raises(ValueError, match=r"dxi_order must be an integer in 0\.\.1"):
-            tables.psi(tables.at(0), slice(None), order)
+            tables.psi(tables.at([0]), slice(None), order)
 
     def test_numpy_integer_orders_accepted(self, solution_factory):
         sol = solution_factory("1", 0.9, 5, 5)
         tables = BasisTables(sol.basis_functions, [0.3], [0.4])
         for order in (0, 1):
             assert evaluate(sol, 0.3, 0.4, np.int64(order)) == evaluate(sol, 0.3, 0.4, order)
-            assert _same(tables.psi(tables.at(0), slice(None), np.intp(order)), tables.psi(tables.at(0), slice(None), order))
+            at = tables.at([0])
+            assert _same(tables.psi(at, slice(None), np.intp(order)), tables.psi(at, slice(None), order))
 
     def test_values_take_one_order(self, solution_factory):
         sol = solution_factory("1", 0.9, 5, 5)

@@ -23,8 +23,19 @@ from tests.conftest import peak_bytes
 
 class TestDefaultBattery:
     def test_everything_passes(self):
-        results = run_default_checks(alpha=0.9, p=3, q=3)
+        results = run_default_checks()
         assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
+        # the lines ``rkburgers verify`` prints, in order
+        assert [r.name for r in results] == [
+            "gamma reflection identity",
+            "gauss-jacobi vs weighted moments",
+            "caputo power vs moment expansion",
+            "kernel reproducing properties",
+            "single caputo transform vs oracle",
+            "double caputo transform vs oracle",
+            "gram symmetry / orthonormality",
+            "forcing consistency",
+        ]
 
     def test_check_lines_are_printable(self):
         res = check_quadrature_vs_moments()
