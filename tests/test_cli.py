@@ -350,7 +350,11 @@ class TestConfigFile:
     "argv, config, first_line",
     [
         (["solve", "--example", "1", "--p", "0"], None, "p must be an integer >= 1, got 0"),
+        (["solve", "--example", "1", "--q", "0"], None, "q must be an integer >= 1, got 0"),
         (["solve", "--example", "1", "--picard", "-1"], None, "picard must be an integer >= 0, got -1"),
+        (["solve", "--example", "1", "--alpha", "1.2"], None,
+         "fractional order must satisfy 0 < alpha <= 1, got 1.2"),
+        (["solve", "--example", "2", "--alpha", "0.4"], None, "this problem requires 1/2 < alpha <= 1, got 0.4"),
         (["solve", "--example", "3"], None, "unknown problem identifier '3'; known: 1, 2, example51, example52"),
         (["solve", "--example", "1", "--mesh", "1:2"], None, "mesh spec must be start:step:end, got '1:2'"),
         (["solve", "--example", "1", "--mesh", "0.5:0.1:0.1"], None, "degenerate mesh spec '0.5:0.1:0.1'"),
@@ -371,7 +375,7 @@ class TestConfigFile:
         (["convergence", "--example", "1", "--sizes", "0x3"], None,
          "size '0x3' is neither a positive point count nor PxQ with positive P and Q"),
     ],
-    ids=["p-zero", "picard-negative", "example-3-flag", "mesh-two-fields", "mesh-degenerate", "mesh-infinite",
+    ids=["p-zero", "q-zero", "picard-negative", "alpha-above-one", "example-2-alpha-at-most-half", "example-3-flag", "mesh-two-fields", "mesh-degenerate", "mesh-infinite",
          "mesh-outside-the-square", "mesh-too-many-values", "convergence-mesh-too-many-values",
          "config-line-without-equals", "config-p-not-int", "no-problem",
          "sizes-negative", "sizes-three-factors", "sizes-not-integer", "sizes-zero-factor"],
@@ -397,9 +401,10 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "argv, config",
-        [(["verify", "--p", "30", "--q", "30"], None), (["verify", "--alpha", "0.7"], None),
+        [(["verify", "--p", "30", "--q", "30"], None), (["verify", "--q", "30"], None),
+         (["verify", "--alpha", "0.7"], None), (["verify", "--example", "1"], None),
          (["verify", "--config"], "alpha = 0.9\n")],
-        ids=["p", "alpha", "config"],
+        ids=["p", "q", "alpha", "example", "config"],
     )
     def test_reads_no_flag(self, tmp_path, capsys, argv, config):
         # the battery runs at one alpha on one grid; a flag that once chose them is unread

@@ -37,6 +37,12 @@ class TestDefaultBattery:
             "forcing consistency",
         ]
 
+    def test_time_kernel_check_draws_fixed_samples(self):
+        # the 12 samples come from one fixed seed, so the measure repeats and only tol varies
+        first, second = check_time_kernel_oracle(), check_time_kernel_oracle(tol=1e-14)
+        assert first.measure == second.measure > 1e-14
+        assert first.passed and not second.passed
+
     def test_check_lines_are_printable(self):
         res = check_quadrature_vs_moments()
         assert res.line().startswith("PASS")
