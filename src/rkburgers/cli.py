@@ -4,9 +4,8 @@ Exit codes: 0 success, 1 validation problem, 2 numerical failure.
 
 Flags are ``--key VALUE`` or ``--key=VALUE`` over the keys each subcommand
 reads (``_COMMAND_KEYS``), each cast by ``_CASTS``; a malformed command
-line exits 1 with a usage line (``_parse_argv``).  A config file's
-``key = value`` lines are flags placed before the command line's own, and
-the last value of a key wins.
+line exits 1 with a usage line (``_parse_argv``), and a repeated flag
+takes its last value.
 
 The solve subcommand writes the absolute-error table (rows xi, columns
 eta) as CSV next to a metadata JSON recording the run's settings,
@@ -40,11 +39,11 @@ __all__ = ["main", "RunConfig", "parse_mesh"]
 # factorization is O(n**3).
 MAX_POINTS = 2_500
 
-# The flags each subcommand reads, and so the keys of its config file's lines.
+# The flags each subcommand reads.
 _COMMAND_KEYS = {
-    "solve": ("example", "config", "alpha", "p", "q", "picard", "mesh", "out", "surface"),
+    "solve": ("example", "alpha", "p", "q", "picard", "mesh", "out", "surface"),
     "verify": (),
-    "convergence": ("example", "config", "alpha", "picard", "mesh", "out", "sizes"),
+    "convergence": ("example", "alpha", "picard", "mesh", "out", "sizes"),
 }
 _CASTS = {"alpha": float, "p": int, "q": int, "picard": int}
 
@@ -52,7 +51,6 @@ _CASTS = {"alpha": float, "p": int, "q": int, "picard": int}
 @dataclass
 class RunConfig:
     example: Optional[str] = None
-    config: Optional[str] = None
     alpha: float = 0.9
     p: int = 5
     q: int = 5
@@ -111,29 +109,9 @@ def _parse_sizes(spec: str) -> List[Tuple[int, int]]:
     return sizes
 
 
-def _config_flags(path: str) -> List[str]:
-    """A config file's ``key = value`` lines as the ``--key=value`` flags they stand for."""
-    flags = []
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is not part of the first key
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"config line without '=': {raw.strip()!r}")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key == "config":  # the command line's --config would override it unread
-                    raise ValueError("a config file cannot name another config file")
-                flags.append(f"--{key}={value}")
-    except OSError as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    return flags
-
-
 def _build_problem(cfg: RunConfig):
     if cfg.example is None:
-        raise ValueError("select a problem with --example or a config file")
+        raise ValueError("select a problem with --example")
     return build_problem(cfg.example, cfg.alpha)
 
 
@@ -213,7 +191,6 @@ def _cmd_solve(cfg: RunConfig) -> int:
     meta = {
         "command": "solve",
         "example": cfg.example,
-        "config": cfg.config,
         "alpha": problem.alpha,
         "p": cfg.p,
         "q": cfg.q,
@@ -317,8 +294,6 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command, flags = _parse_argv(argv)
     try:
-        if "config" in flags:
-            command, flags = _parse_argv(argv[:1] + _config_flags(flags["config"]) + argv[1:])
         cfg = RunConfig(**flags)
         if command == "solve":
             return _cmd_solve(cfg)

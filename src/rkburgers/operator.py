@@ -31,9 +31,9 @@ gathers each block's factors once per distinct point coordinate in the
 block, and combines them with array code; it holds the only
 implementation of psi and of L psi.  The time factors are ``_ctk_table`` (the single
 transform, in either slot) and ``_dc_table`` (the double transform), each
-the one formula for its transform; ``psi_eval`` is a 0-d call of the
-tables.  The scalar code they replaced is kept, frozen, as the tests'
-reference.
+the one formula for its transform; ``psi_eval`` gathers the one-point
+block ``tables.at([0])``.  The scalar code they replaced is kept, frozen,
+as the tests' reference.
 
 A build takes every r3 derivative order it needs from one ``r3`` call
 over stacked orders.  Where its point eta values are its basis eta

@@ -62,6 +62,7 @@ class TestSolveCommand:
             assert key in meta
         assert "format" not in meta  # the table is always CSV
         assert "quadrature_nodes" not in meta  # the rule is fixed at 64 nodes
+        assert "config" not in meta  # the command line is the only route to the settings
         assert meta["n"] == 25
 
     def test_output_deterministic_across_runs(self, tmp_path):
@@ -224,20 +225,14 @@ class TestSolveCommand:
         [["solve", "--example", "1"], ["verify"], ["convergence", "--example", "1", "--sizes", "4"]],
         ids=lambda argv: argv[0],
     )
-    def test_no_subcommand_reads_nodes(self, tmp_path, capsys, argv):
-        # the double transform always takes the 64-node rule: a nodes flag, or a
-        # nodes line, which is the same flag, is a malformed command line
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("nodes = 64\n", encoding="utf-8")
-        for extra in (["--nodes", "64"], ["--config", str(cfg)]):
-            with pytest.raises(SystemExit) as exc:
-                main(argv + extra)
-            assert exc.value.code == 1
-            lines = capsys.readouterr().err.splitlines()
-            # verify reads no config file either, so it stops at the --config flag
-            unread = extra[0] if extra[0][2:] not in _COMMAND_KEYS[argv[0]] else "--nodes"
-            assert lines[0].partition(" [")[0] == f"usage: rkburgers {argv[0]}"
-            assert lines[1:] == [f"rkburgers: error: {argv[0]} does not read {unread}"]
+    def test_no_subcommand_reads_nodes(self, capsys, argv):
+        # the double transform always takes the 64-node rule: a nodes flag is a malformed command line
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--nodes", "64"])
+        assert exc.value.code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].partition(" [")[0] == f"usage: rkburgers {argv[0]}"
+        assert lines[1:] == [f"rkburgers: error: {argv[0]} does not read --nodes"]
 
     def test_metadata_stays_beside_output_in_dotted_directory(self, tmp_path):
         out_dir = tmp_path / "run.v2"
@@ -266,131 +261,51 @@ _RETIRED_CUSTOM_KEYS = {"problem": "custom", "k1": "one", "k2": "zero", "k3": "z
                         "f": "sin_pi_xi", "exact_space": "sin_pi_xi", "exact_power": "1.8"}
 
 
-class TestConfigFile:
-    def test_config_supplies_defaults(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("example = 1\nalpha = 0.9\np = 3\nq = 3\n", encoding="utf-8")
-        out = tmp_path / "err.csv"
-        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-        meta = json.loads(_read(tmp_path / "err.meta.json"))
-        assert meta["p"] == 3
-
-    def test_flags_override_config(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("example = 1\nalpha = 0.9\np = 3\nq = 3\n", encoding="utf-8")
-        out = tmp_path / "err.csv"
-        assert main(["solve", "--config", str(cfg), "--p", "4", "--out", str(out)]) == 0
-        meta = json.loads(_read(tmp_path / "err.meta.json"))
-        assert meta["p"] == 4
-
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("example = 1\nbogus = 7\n", encoding="utf-8")
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--config", str(cfg)])
-        assert exc.value.code == 1
-        assert capsys.readouterr().err.splitlines()[1:] == ["rkburgers: error: solve does not read --bogus"]
-
-    def test_config_line_naming_a_config_file_rejected(self, tmp_path, capsys):
-        other = tmp_path / "other.cfg"
-        other.write_text("example = 1\n", encoding="utf-8")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"config = {other}\n", encoding="utf-8")
-        assert main(["solve", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err == "validation error: a config file cannot name another config file\n"
-
-    def test_missing_config_file(self):
-        assert main(["solve", "--config", "/nonexistent/run.cfg"]) == 1
-
-    @pytest.mark.parametrize(
-        "argv, line",
-        [
-            (["convergence", "--example", "1", "--sizes", "9"], "format = json"),
-            (["solve", "--example", "1"], "format = json"),
-        ],
-        ids=["convergence-format", "solve-format"],
-    )
-    def test_key_the_subcommand_does_not_read_rejected(self, tmp_path, capsys, argv, line):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"alpha = 0.9\n{line}\n", encoding="utf-8")
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--config", str(cfg)])
-        assert exc.value.code == 1
-        key = line.split(" = ")[0]
-        assert capsys.readouterr().err.splitlines()[1:] == [f"rkburgers: error: {argv[0]} does not read --{key}"]
-
-    @pytest.mark.parametrize("form", ["flag", "config"])
-    @pytest.mark.parametrize("command", ["solve", "convergence"])
-    @pytest.mark.parametrize("key", list(_RETIRED_CUSTOM_KEYS))
-    def test_retired_custom_problem_key_rejected(self, tmp_path, capsys, key, command, form):
-        # the command line solves examples 5.1 and 5.2; any other problem is a Problem built in Python
-        value = _RETIRED_CUSTOM_KEYS[key]
-        argv = [command, "--example", "1"] + (["--sizes", "4"] if command == "convergence" else [])
-        if form == "flag":
-            argv += [f"--{key}", value]
-        else:
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
-            argv += ["--config", str(cfg)]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 1
-        assert capsys.readouterr().err.splitlines()[1:] == [f"rkburgers: error: {command} does not read --{key}"]
-
-    def test_config_file_with_a_byte_order_mark(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_bytes("\ufeffexample = 1\np = 3\nq = 3\n".encode("utf-8"))
-        out = tmp_path / "err.csv"
-        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-        meta = json.loads(_read(tmp_path / "err.meta.json"))
-        assert (meta["example"], meta["p"], meta["q"]) == ("1", 3, 3)
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+@pytest.mark.parametrize("key", list(_RETIRED_CUSTOM_KEYS))
+def test_retired_custom_problem_key_rejected(capsys, key, command):
+    # the command line solves examples 5.1 and 5.2; any other problem is a Problem built in Python
+    argv = [command, "--example", "1"] + (["--sizes", "4"] if command == "convergence" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--{key}", _RETIRED_CUSTOM_KEYS[key]])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.splitlines()[1:] == [f"rkburgers: error: {command} does not read --{key}"]
 
 
 @pytest.mark.parametrize(
-    "argv, config, first_line",
+    "argv, first_line",
     [
-        (["solve", "--example", "1", "--p", "0"], None, "p must be an integer >= 1, got 0"),
-        (["solve", "--example", "1", "--q", "0"], None, "q must be an integer >= 1, got 0"),
-        (["solve", "--example", "1", "--picard", "-1"], None, "picard must be an integer >= 0, got -1"),
-        (["solve", "--example", "1", "--alpha", "1.2"], None,
-         "fractional order must satisfy 0 < alpha <= 1, got 1.2"),
-        (["solve", "--example", "2", "--alpha", "0.4"], None, "this problem requires 1/2 < alpha <= 1, got 0.4"),
-        (["solve", "--example", "3"], None, "unknown problem identifier '3'; known: 1, 2, example51, example52"),
-        (["solve", "--example", "1", "--mesh", "1:2"], None, "mesh spec must be start:step:end, got '1:2'"),
-        (["solve", "--example", "1", "--mesh", "0.5:0.1:0.1"], None, "degenerate mesh spec '0.5:0.1:0.1'"),
-        (["solve", "--example", "1", "--mesh", "0:1:inf"], None, "mesh spec '0:1:inf' has a non-finite field"),
-        (["solve", "--example", "1", "--mesh", "0.5:0.5:1.5"], None, "mesh spec '0.5:0.5:1.5' leaves [0, 1]"),
-        (["solve", "--example", "1", "--mesh", "0:1e-9:1"], None, "mesh spec '0:1e-9:1' gives more than 2500 values"),
-        (["convergence", "--example", "1", "--sizes", "4", "--mesh", "0:1e-9:1"], None,
+        (["solve", "--example", "1", "--p", "0"], "p must be an integer >= 1, got 0"),
+        (["solve", "--example", "1", "--q", "0"], "q must be an integer >= 1, got 0"),
+        (["solve", "--example", "1", "--picard", "-1"], "picard must be an integer >= 0, got -1"),
+        (["solve", "--example", "1", "--alpha", "1.2"], "fractional order must satisfy 0 < alpha <= 1, got 1.2"),
+        (["solve", "--example", "2", "--alpha", "0.4"], "this problem requires 1/2 < alpha <= 1, got 0.4"),
+        (["solve", "--example", "3"], "unknown problem identifier '3'; known: 1, 2, example51, example52"),
+        (["solve", "--example", "1", "--mesh", "1:2"], "mesh spec must be start:step:end, got '1:2'"),
+        (["solve", "--example", "1", "--mesh", "0.5:0.1:0.1"], "degenerate mesh spec '0.5:0.1:0.1'"),
+        (["solve", "--example", "1", "--mesh", "0:1:inf"], "mesh spec '0:1:inf' has a non-finite field"),
+        (["solve", "--example", "1", "--mesh", "0.5:0.5:1.5"], "mesh spec '0.5:0.5:1.5' leaves [0, 1]"),
+        (["solve", "--example", "1", "--mesh", "0:1e-9:1"], "mesh spec '0:1e-9:1' gives more than 2500 values"),
+        (["convergence", "--example", "1", "--sizes", "4", "--mesh", "0:1e-9:1"],
          "mesh spec '0:1e-9:1' gives more than 2500 values"),
-        (["solve"], "example 1", "config line without '=': 'example 1'"),
-        (["solve", "--example", "1"], "p = two", "--p: invalid int value 'two'"),
-        (["solve"], None, "select a problem with --example or a config file"),
-        (["convergence", "--example", "1", "--sizes", "9,-4"], None,
+        (["solve"], "select a problem with --example"),
+        (["convergence", "--example", "1", "--sizes", "9,-4"],
          "size '-4' is neither a positive point count nor PxQ with positive P and Q"),
-        (["convergence", "--example", "1", "--sizes", "4x4x4"], None,
+        (["convergence", "--example", "1", "--sizes", "4x4x4"],
          "size '4x4x4' is neither a positive point count nor PxQ with positive P and Q"),
-        (["convergence", "--example", "1", "--sizes", "2.5x3"], None,
+        (["convergence", "--example", "1", "--sizes", "2.5x3"],
          "size '2.5x3' is neither a positive point count nor PxQ with positive P and Q"),
-        (["convergence", "--example", "1", "--sizes", "0x3"], None,
+        (["convergence", "--example", "1", "--sizes", "0x3"],
          "size '0x3' is neither a positive point count nor PxQ with positive P and Q"),
     ],
     ids=["p-zero", "q-zero", "picard-negative", "alpha-above-one", "example-2-alpha-at-most-half", "example-3-flag", "mesh-two-fields", "mesh-degenerate", "mesh-infinite",
          "mesh-outside-the-square", "mesh-too-many-values", "convergence-mesh-too-many-values",
-         "config-line-without-equals", "config-p-not-int", "no-problem",
+         "no-problem",
          "sizes-negative", "sizes-three-factors", "sizes-not-integer", "sizes-zero-factor"],
 )
-def test_validation_error_message(tmp_path, capsys, argv, config, first_line):
-    if config is not None:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(config + "\n", encoding="utf-8")
-        argv = argv + ["--config", str(cfg)]
-    try:
-        code, prefix = main(argv), "validation error"
-    except SystemExit as exc:  # a config line the parser rejects, as it would the flag
-        code, prefix = exc.code, "rkburgers: error"
-    assert code == 1
-    assert capsys.readouterr().err.splitlines()[-1] == f"{prefix}: {first_line}"
+def test_validation_error_message(capsys, argv, first_line):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"validation error: {first_line}"
 
 
 class TestVerifyCommand:
@@ -400,17 +315,13 @@ class TestVerifyCommand:
         assert len(lines) == 8 and all(line.startswith("PASS  ") for line in lines)
 
     @pytest.mark.parametrize(
-        "argv, config",
-        [(["verify", "--p", "30", "--q", "30"], None), (["verify", "--q", "30"], None),
-         (["verify", "--alpha", "0.7"], None), (["verify", "--config"], "alpha = 0.9\n")],
+        "argv",
+        [["verify", "--p", "30", "--q", "30"], ["verify", "--q", "30"], ["verify", "--alpha", "0.7"],
+         ["verify", "--config", "run.cfg"]],
         ids=["p", "q", "alpha", "config"],
     )
-    def test_reads_no_flag(self, tmp_path, capsys, argv, config):
+    def test_reads_no_flag(self, capsys, argv):
         # the battery runs at one alpha on one grid; a flag that once chose them is unread
-        if config is not None:
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(config, encoding="utf-8")
-            argv = argv + [str(cfg)]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
@@ -541,6 +452,7 @@ class TestExitCodes:
         [
             ["convergence", "--example", "1", "--sizes", "9", "--format", "json"],
             ["convergence", "--example", "1", "--sizes", "9", "--p", "3"],
+            ["convergence", "--example", "1", "--sizes", "9", "--config", "run.cfg"],
             ["verify", "--out", "never.txt"],
             ["verify", "--mesh", "0:1:5"],
             ["verify", "--format", "json"],
@@ -579,8 +491,8 @@ class TestCommandLineGrammar:
         assert main(["solve", "--example", "1", "--p", "5", "--q", "2", "--p", "2", "--out", str(out)]) == 0
         assert json.loads(_read(tmp_path / "t.meta.json"))["p"] == 2
 
-    def test_flag_values_are_checked_like_config_values(self, tmp_path):
-        # build_problem knows example51 as it knows 1, from a flag as from a config line
+    def test_example_takes_an_alias_identifier(self, tmp_path):
+        # build_problem knows example51 as it knows 1
         out = tmp_path / "t.csv"
         assert main(["solve", "--example", "example51", "--p", "2", "--q", "2", "--out", str(out)]) == 0
         assert json.loads(_read(tmp_path / "t.meta.json"))["example"] == "example51"
@@ -594,10 +506,11 @@ class TestCommandLineGrammar:
             (["solve", "--p", "3", "extra"], "unexpected argument 'extra'"),
             (["solve", "--bogus", "1"], "solve does not read --bogus"),
             (["verify", "--example=1"], "verify does not read --example"),
+            (["solve", "--example", "1", "--config", "run.cfg"], "solve does not read --config"),
             (["plot"], "unknown subcommand 'plot'; choose solve, verify, convergence"),
             ([], "missing subcommand; choose solve, verify, convergence"),
         ],
-        ids=["no-value", "flag-for-value", "not-an-int", "positional", "unknown-flag", "unread-flag",
+        ids=["no-value", "flag-for-value", "not-an-int", "positional", "unknown-flag", "unread-flag", "config-file",
              "unknown-subcommand", "no-subcommand"],
     )
     def test_malformed_command_line_exits_1_with_a_usage_line(self, tmp_path, monkeypatch, capsys, argv, error):

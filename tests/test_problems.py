@@ -111,7 +111,7 @@ class TestVerifyForcing:
             alpha=base.alpha, k1=base.k1, k2=base.k2, k3=base.k3, k4=base.k4,
             f=lambda xi, eta: math.nan if (xi, eta) == (0.5, 0.5) else base.f(xi, eta), exact=base.exact,
         )
-        report = verify_forcing(nan_at_midpoint, mesh=[(0.25, 0.25), (0.5, 0.5), (0.75, 0.75)])
+        report = verify_forcing(nan_at_midpoint)  # (0.5, 0.5) is on the mesh, not its first point
         assert not report.passed
         assert math.isnan(report.max_discrepancy)
 
