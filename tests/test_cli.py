@@ -10,7 +10,7 @@ import pytest
 
 import rkburgers.solver
 from rkburgers import CollocationGrid, __version__, build_problem
-from rkburgers.cli import _COMMAND_KEYS, _format_cell, main, parse_mesh
+from rkburgers.cli import _CASTS, _COMMAND_KEYS, _format_cell, _parse_argv, main, parse_mesh
 from rkburgers.solver import error_report, evaluate, solve
 from tests.conftest import overflowing_example51
 
@@ -491,6 +491,38 @@ class TestCommandLineGrammar:
         assert main(["solve", "--example", "1", "--p", "5", "--q", "2", "--p", "2", "--out", str(out)]) == 0
         assert json.loads(_read(tmp_path / "t.meta.json"))["p"] == 2
 
+    # two values each key accepts; the second must be the one read
+    _TWO_VALUES = {"example": ("2", "1"), "alpha": ("0.7", "0.8"), "p": ("3", "4"), "q": ("3", "4"),
+                   "picard": ("0", "1"), "mesh": ("0:0.5:1", "0.1:0.1:0.6"), "out": ("a.csv", "b.csv"),
+                   "surface": ("a.csv", "b.csv"), "sizes": ("4", "9")}
+
+    @pytest.mark.parametrize(
+        "command, key", [(command, key) for command in ("solve", "convergence") for key in _COMMAND_KEYS[command]],
+        ids=lambda item: item,
+    )
+    def test_every_key_takes_its_last_value(self, command, key):
+        # with no config file, a repeated flag is the one way to override a setting, in either form
+        first, last = self._TWO_VALUES[key]
+        for argv in ([f"--{key}", first, f"--{key}={last}"], [f"--{key}={first}", f"--{key}", last]):
+            assert _parse_argv([command] + argv) == (command, {key: _CASTS.get(key, str)(last)})
+
+    @pytest.mark.parametrize("command", list(_COMMAND_KEYS))
+    @pytest.mark.parametrize("form", ["spaced", "joined", "missing-file"])
+    def test_config_file_is_never_opened(self, tmp_path, monkeypatch, capsys, command, form):
+        # a file of settings every subcommand once read is now an unread flag, whether or not it exists
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        if form != "missing-file":
+            cfg.write_text("example = 1\np = 3\nq = 3\nout = t.csv\n", encoding="utf-8")
+        argv = [command] + (["--config=run.cfg"] if form == "joined" else ["--config", "run.cfg"])
+        monkeypatch.setattr("builtins.open", lambda *args, **kwargs: pytest.fail(f"opened {args[0]}"))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        monkeypatch.undo()
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.splitlines()[1:] == [f"rkburgers: error: {command} does not read --config"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ([] if form == "missing-file" else ["run.cfg"])
+
     def test_example_takes_an_alias_identifier(self, tmp_path):
         # build_problem knows example51 as it knows 1
         out = tmp_path / "t.csv"
@@ -503,6 +535,8 @@ class TestCommandLineGrammar:
             (["solve", "--p"], "--p needs a value"),
             (["solve", "--out", "--surface", "s.csv"], "--out needs a value"),
             (["solve", "--p", "two"], "--p: invalid int value 'two'"),
+            (["solve", "--p=two"], "--p: invalid int value 'two'"),
+            (["convergence", "--alpha=nine"], "--alpha: invalid float value 'nine'"),
             (["solve", "--p", "3", "extra"], "unexpected argument 'extra'"),
             (["solve", "--bogus", "1"], "solve does not read --bogus"),
             (["verify", "--example=1"], "verify does not read --example"),
@@ -510,7 +544,7 @@ class TestCommandLineGrammar:
             (["plot"], "unknown subcommand 'plot'; choose solve, verify, convergence"),
             ([], "missing subcommand; choose solve, verify, convergence"),
         ],
-        ids=["no-value", "flag-for-value", "not-an-int", "positional", "unknown-flag", "unread-flag", "config-file",
+        ids=["no-value", "flag-for-value", "not-an-int", "joined-not-an-int", "not-a-float", "positional", "unknown-flag", "unread-flag", "config-file",
              "unknown-subcommand", "no-subcommand"],
     )
     def test_malformed_command_line_exits_1_with_a_usage_line(self, tmp_path, monkeypatch, capsys, argv, error):
