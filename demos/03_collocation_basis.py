@@ -41,8 +41,9 @@ etas = np.unique([e for _, e in grid.points])
 print("\nsingle Caputo transform table over eta = 1/3, 2/3, 1 (alpha = 0.9):")
 print(_ctk_table(etas[:, None], etas[None, :], problem.alpha))
 
-# Gram matrix: symmetric, positive definite, and orthonormalizable.
-gram = assemble_gram(grid, problem)
+# Gram matrix, a function of the basis alone (each psi_i is centred at its
+# collocation point): symmetric, positive definite, and orthonormalizable.
+gram = assemble_gram(basis)
 g = gram.entries
 print("\nGram matrix asymmetry:", float(np.max(np.abs(g - g.T))))
 onb = compute_beta(gram)

@@ -450,23 +450,18 @@ def _distinct(rows):
     return distinct[:, None], lambda factor: factor.take(inverse, 0)
 
 
-def assemble_gram(grid: CollocationGrid, problem: Problem, basis: Optional[list] = None) -> GramMatrix:
-    """All n x n Gram entries of ``basis`` (by default built from ``problem``) at the grid's points.
+def assemble_gram(basis: list) -> GramMatrix:
+    """All n x n Gram entries of ``basis``, at the basis functions' own centres.
 
-    Entry (i, j) is (L psi_j) at collocation point i, with the coefficients
-    frozen in psi_i, the basis function centred there; the rows are
-    gathered from ``BasisTables`` a block at a time.  Each block's gather
-    also forms psi_j and d_xi psi_j at its points, before L scales them;
-    the columns below the block's last row are kept as the block's
-    ``sweep_rows``.  The double transform takes the
-    ``DEFAULT_QUADRATURE_NODES``-point rule.
+    Entry (i, j) is (L psi_j) at collocation point i, the centre of psi_i,
+    with the coefficients frozen in psi_i; the rows are gathered from
+    ``BasisTables`` a block at a time.  Each block's gather also forms
+    psi_j and d_xi psi_j at its points, before L scales them; the columns
+    below the block's last row are kept as the block's ``sweep_rows``.
+    The double transform takes the ``DEFAULT_QUADRATURE_NODES``-point rule.
     """
-    if basis is None:
-        basis = build_basis(grid, problem)
-    n = grid.n
-    if len(basis) != n:
-        raise ValueError(f"{len(basis)} basis functions for {n} collocation points")
-    tables = BasisTables(basis, [x for x, _ in grid.points], [e for _, e in grid.points], with_operator=True)
+    n = len(basis)
+    tables = BasisTables(basis, [b.xi for b in basis], [b.eta for b in basis], with_operator=True)
     entries = np.empty((n, n))
     sweep_rows = []
     for start in range(0, n, _ROW_BLOCK):

@@ -108,7 +108,7 @@ def solve(problem: Problem, grid: CollocationGrid, picard_iters: int = 0) -> App
     """
     _check_count("picard_iters", picard_iters, 0)
     basis = build_basis(grid, problem)
-    gram = assemble_gram(grid, problem, basis=basis)
+    gram = assemble_gram(basis)
     onb = compute_beta(gram)
     beta = onb.beta
     n = grid.n
@@ -131,7 +131,7 @@ def solve(problem: Problem, grid: CollocationGrid, picard_iters: int = 0) -> App
     if picard_iters:
         tables = BasisTables(basis, [x for x, _ in grid.points], [e for _, e in grid.points])
         for _ in range(picard_iters):
-            y, dy = (_values(cum, tables, n, order).tolist() for order in (0, 1))
+            y, dy = (_values(cum, tables, order).tolist() for order in (0, 1))
             for k in range(n):
                 F[k] = _finite(f[k] - k4[k] * y[k] * dy[k], k)
             B = beta @ F
@@ -169,14 +169,14 @@ def evaluate(s: ApproximateSolution, xi, eta, dxi_order: int = 0):
     if outside.any():
         k = int(np.flatnonzero(outside)[0])
         raise ValueError(f"evaluation point ({xs.flat[k]}, {es.flat[k]}) outside [0, 1]^2")
-    values = _values(s.raw_coeffs, BasisTables(s.basis_functions, xs.ravel(), es.ravel()), xs.size, dxi_order)
+    values = _values(s.raw_coeffs, BasisTables(s.basis_functions, xs.ravel(), es.ravel()), dxi_order)
     if xs.ndim == 0:
         return float(values[0])
     return values.reshape(xs.shape)
 
 
-def _values(coeffs: np.ndarray, tables: BasisTables, size: int, dxi_order: int) -> np.ndarray:
-    """sum_l coeffs[l] psi_l (or its xi-derivative) at the tables' ``size`` points.
+def _values(coeffs: np.ndarray, tables: BasisTables, dxi_order: int) -> np.ndarray:
+    """sum_l coeffs[l] psi_l (or its xi-derivative) at every point of ``tables``, in their order.
 
     The sum runs over the nonzero coefficients, added in index order.  It
     is gathered a block of points by a block of basis functions at a
@@ -189,6 +189,7 @@ def _values(coeffs: np.ndarray, tables: BasisTables, size: int, dxi_order: int) 
     _check_count("dxi_order", dxi_order, 0, 1)  # psi checks it too, but is not called when every coefficient is zero
     fns = np.flatnonzero(coeffs != 0.0)
     scale = coeffs[fns]
+    size = tables._point_x.size
     values = np.zeros(size)
     for start in range(0, size, _POINT_BLOCK):
         at = tables.at(np.arange(start, min(start + _POINT_BLOCK, size))[:, None])

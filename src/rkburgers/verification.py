@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fracmath, kernels
 from .fracmath import DEFAULT_QUADRATURE_NODES, _check_count, _worst, gamma, jacobi_rule, weighted_moment
-from .operator import CollocationGrid, GramMatrix, Problem, _ctk_table, _dc_table, assemble_gram
+from .operator import CollocationGrid, GramMatrix, Problem, _ctk_table, _dc_table, assemble_gram, build_basis
 from .orthonormalize import GramAsymmetryError, NotPositiveDefiniteError, compute_beta
 from .problems import build_example51, build_example52, verify_forcing
 
@@ -220,7 +220,7 @@ def check_double_caputo(tol_oracle: float = 1e-8, tol_nodes: float = 1e-10) -> C
 
 def check_gram(problem: Problem, grid: CollocationGrid, tol: float = 1e-8) -> CheckResult:
     """Symmetry, positive definiteness, and orthonormalization residual in one pass."""
-    g = assemble_gram(grid, problem).entries  # the sweep rows, about one n x n, go at once
+    g = assemble_gram(build_basis(grid, problem)).entries  # the sweep rows, about one n x n, go at once
     asym = float(np.max(np.abs(g - g.T) / (1.0 + np.abs(g))))
     try:
         onb = compute_beta(GramMatrix(g))

@@ -151,9 +151,10 @@ class TestSolveCommand:
         assemble = rkburgers.solver.assemble_gram
         pair = {(1 / 3, 2 / 3), (2 / 3, 1 / 3)}
 
-        def skewed(grid, problem, basis=None):
-            gram = assemble(grid, problem, basis=basis)
-            i, j = (grid.points.index(point) for point in sorted(pair))
+        def skewed(basis):
+            gram = assemble(basis)
+            centres = [(b.xi, b.eta) for b in basis]
+            i, j = (centres.index(point) for point in sorted(pair))
             gram.entries[i, j] += 1e-3 * (1.0 + abs(gram.entries[i, j]))
             return gram
 

@@ -234,7 +234,7 @@ class TestGramEntry:
     def test_adjoint_symmetry_small_grid(self):
         problem = build_example51(0.9)
         grid = CollocationGrid.uniform(2, 2)
-        g = assemble_gram(grid, problem).entries
+        g = assemble_gram(build_basis(grid, problem)).entries
         for i in range(4):
             for j in range(4):
                 assert abs(g[i, j] - g[j, i]) <= 1e-8 * (1.0 + abs(g[i, j]))
@@ -244,7 +244,7 @@ class TestAssembleGram:
     def test_single_point_positive(self):
         problem = build_example51(0.9)
         grid = CollocationGrid.from_points([(0.4, 0.6)])
-        g = assemble_gram(grid, problem)
+        g = assemble_gram(build_basis(grid, problem))
         assert g.entries.shape == (1, 1)
         assert g.entries[0, 0] > 0.0
 
@@ -265,7 +265,7 @@ class TestAssembleGram:
         ids=["uniform", "from_points"],
     )
     def test_coefficient_failure_carries_indices(self, grid):
-        # build_basis samples the coefficients, so solve and assemble_gram name the same entry
+        # build_basis samples the coefficients, so solve names the entry build_basis names
         def bad_k1(xi, eta):
             if xi == 1.0 and eta == 1.0:
                 raise FloatingPointError("synthetic coefficient failure")
@@ -273,7 +273,7 @@ class TestAssembleGram:
 
         zero = lambda xi, eta: 0.0
         bad = Problem(alpha=0.5, k1=bad_k1, k2=zero, k3=zero, k4=zero, f=zero)
-        for call in (lambda: solve(bad, grid), lambda: assemble_gram(grid, bad)):
+        for call in (lambda: solve(bad, grid), lambda: build_basis(grid, bad)):
             with pytest.raises(GramAssemblyError, match=r"gram entry \(3, 0\) failed: synthetic") as err:
                 call()
             assert (err.value.row, err.value.col) == (3, 0)
@@ -282,8 +282,8 @@ class TestAssembleGram:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["k1", "k2", "k3"])
     def test_nonfinite_coefficient_carries_indices(self, name, value):
-        # a non-finite k1, k2 or k3 is named where it is sampled, not as a
-        # non-positive pivot after it has spread through the Gram matrix
+        # a non-finite k1, k2 or k3 is named where build_basis samples it, not
+        # as a non-positive pivot after it has spread through the Gram matrix
         grid = CollocationGrid.uniform(4, 4)
         index = grid.points.index((0.5, 0.5))
         coeffs = dict.fromkeys(("k1", "k2", "k3", "k4", "f"), lambda xi, eta: 1.0)
@@ -292,18 +292,11 @@ class TestAssembleGram:
         pattern = rf"gram entry \({index}, 0\) failed: non-finite {name} = {value} at collocation point \(0.5, 0.5\)$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in (lambda: solve(bad, grid), lambda: assemble_gram(grid, bad), lambda: build_basis(grid, bad)):
+            for call in (lambda: solve(bad, grid), lambda: build_basis(grid, bad)):
                 with pytest.raises(GramAssemblyError, match=pattern) as err:
                     call()
                 assert (err.value.row, err.value.col) == (index, 0)
                 assert isinstance(err.value.__cause__, ArithmeticError)
-
-    def test_gram_of_a_given_basis_reads_its_coefficients(self):
-        grid = CollocationGrid.uniform(3, 3)
-        problem = build_example51(0.8)
-        other = _pure_fractional_problem(0.8)
-        gram = assemble_gram(grid, other, basis=build_basis(grid, problem))
-        assert np.array_equal(gram.entries, assemble_gram(grid, problem).entries)
 
     def test_bad_node_count_is_a_value_error(self):
         # one check for every order and pair of times, including order 1 and
@@ -315,9 +308,3 @@ class TestAssembleGram:
                     _dc_table(t_i, t_j, a, nodes)
             with pytest.raises(ValueError, match="node count must be an integer >= 1"):
                 jacobi_rule(-0.5, nodes)
-
-    def test_basis_must_match_the_grid(self):
-        problem = build_example51(0.9)
-        basis = build_basis(CollocationGrid.uniform(2, 2), problem)
-        with pytest.raises(ValueError, match="3 basis functions for 4"):
-            assemble_gram(CollocationGrid.uniform(2, 2), problem, basis=basis[:3])

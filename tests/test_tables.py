@@ -57,6 +57,7 @@ _TIME_MAJOR = CollocationGrid.from_points([(i / 9, j / 9) for j in range(1, 10) 
 # the evaluation of the solution.  The last four hold one point less than a
 # block, one block, one point more, and two blocks and a point, so the rows
 # the Gram assembly keeps for the sweep end on each side of a block edge.
+# The alpha = 1.0 cases take the classical limit's branches of the time tables.
 CASES = {
     "ex1-alpha0.9-5x5": (build_example51, 0.9, CollocationGrid.uniform(5, 5)),
     "ex2-alpha0.8-6x6": (build_example52, 0.8, CollocationGrid.uniform(6, 6)),
@@ -64,6 +65,8 @@ CASES = {
     "ex2-alpha0.8-9x9": (build_example52, 0.8, CollocationGrid.uniform(9, 9)),
     "ex1-alpha0.9-jittered-9x8": (build_example51, 0.9, CollocationGrid.from_points(_jittered(9, 8))),
     "ex2-alpha0.8-9x9-time-major": (build_example52, 0.8, _TIME_MAJOR),
+    "ex1-alpha1.0-4x4": (build_example51, 1.0, CollocationGrid.uniform(4, 4)),
+    "ex2-alpha1.0-5x5": (build_example52, 1.0, CollocationGrid.uniform(5, 5)),
     "ex1-alpha0.9-jittered-9x7": (build_example51, 0.9, CollocationGrid.from_points(_jittered(9, 7))),
     "ex2-alpha0.8-jittered-8x8": (build_example52, 0.8, CollocationGrid.from_points(_jittered(8, 8))),
     "ex1-alpha0.9-jittered-13x5": (build_example51, 0.9, CollocationGrid.from_points(_jittered(13, 5))),
@@ -313,7 +316,7 @@ def test_sweep_rows_take_both_orders_from_one_gather():
     grid = CollocationGrid.from_points(_jittered(9, 8))
     problem = build_example51(0.9)
     basis = build_basis(grid, problem)
-    gram = assemble_gram(grid, problem, basis=basis)
+    gram = assemble_gram(basis)
     tables = _tables_at(grid, basis)
     n = grid.n
     # the Gram assembly keeps each block's rows below its last row, as a psi gather gives them
@@ -337,7 +340,7 @@ def test_time_major_sweep_rows_match_scalar_reference():
     grid = _TIME_MAJOR
     problem = build_example52(0.8)
     basis = build_basis(grid, problem)
-    for k, row0, row1 in _kept_rows(assemble_gram(grid, problem, basis=basis)):
+    for k, row0, row1 in _kept_rows(assemble_gram(basis)):
         xi, eta = grid.points[k]
         for order, row in ((0, row0), (1, row1)):
             assert _same(row, [psi_eval(b, xi, eta, order) for b in basis[: row.size]]), (k, order)
@@ -370,7 +373,7 @@ def test_solve_matches_scalar_reference(case):
     beta = compute_beta(GramMatrix(entries=gram)).beta
     F, B, raw = _reference_sweep(problem, grid, basis, beta)
 
-    assert _same(assemble_gram(grid, problem).entries, gram)
+    assert _same(assemble_gram(basis).entries, gram)
     sol = solve(problem, grid)
     assert _same(sol.basis.source.entries, gram)
     assert _same(sol.basis.beta, beta)
@@ -585,7 +588,7 @@ class TestErrorContracts:
         tables = BasisTables(sol.basis_functions, xs, es)
         for coeffs in (sol.raw_coeffs, np.zeros(sol.n)):  # no psi gather when every coefficient is zero
             with pytest.raises(ValueError, match=r"dxi_order must be an integer in 0\.\.1, got \(0, 1\)"):
-                _values(coeffs, tables, sol.n, (0, 1))
+                _values(coeffs, tables, (0, 1))
 
     def test_empty_point_list(self, solution_factory):
         sol = solution_factory("1", 0.9, 5, 5)

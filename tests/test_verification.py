@@ -87,8 +87,8 @@ class TestBrokenFixtures:
         # one entry skewed beyond the symmetry tolerance, as too few quadrature nodes leave it
         assemble = verification.assemble_gram
 
-        def skewed(grid, problem):
-            gram = assemble(grid, problem)
+        def skewed(basis):
+            gram = assemble(basis)
             gram.entries[0, 1] += 1e-6 * (1.0 + abs(gram.entries[0, 1]))
             return gram
 
