@@ -33,10 +33,10 @@ from .solver import convergence_study, error_report, evaluate, solve
 
 __all__ = ["main", "RunConfig", "parse_mesh"]
 
-# The largest n measured to solve in seconds: `solve` at n = 2500 took 4.0 s
-# and peaked at 299 MB on a 2-vCPU machine (README's scaling table).  Each
-# n x n matrix takes 8 n**2 bytes, 0.8 GB at n = 10,000, and the
-# factorization is O(n**3).
+# The most points a grid (--p x --q, each --sizes entry) or an error table (the
+# --mesh values squared, so at most 50 values) may have.  n = 2500 is the largest
+# n measured to solve in seconds: 4.0 s and 299 MB on a 2-vCPU machine (README's
+# scaling table); each n x n matrix takes 8 n**2 bytes, the factorization O(n**3).
 MAX_POINTS = 2_500
 
 # The flags each subcommand reads.
@@ -63,13 +63,18 @@ class RunConfig:
     def validate(self):
         _check_count("p", self.p)
         _check_count("q", self.q)
-        if self.p * self.q > MAX_POINTS:
-            raise ValueError(f"p * q = {self.p * self.q} exceeds the guard rail {MAX_POINTS}")
+        _check_points(f"grid {self.p}x{self.q}", self.p * self.q)
         _check_count("picard", self.picard, 0)
 
 
+def _check_points(what: str, points):
+    """ValueError if ``what``, which gives ``points`` points, passes the guard rail."""
+    if points > MAX_POINTS:
+        raise ValueError(f"{what} gives {points} points, more than the guard rail {MAX_POINTS}")
+
+
 def parse_mesh(spec: str) -> List[float]:
-    """Parse 'start:step:end' into an inclusive list of at most MAX_POINTS mesh values in [0, 1]."""
+    """Parse 'start:step:end' into an inclusive list of mesh values in [0, 1], at most 50."""
     try:
         start, step, end = (float(tok) for tok in spec.split(":"))
     except ValueError as exc:
@@ -79,10 +84,10 @@ def parse_mesh(spec: str) -> List[float]:
     if step <= 0 or end < start:
         raise ValueError(f"degenerate mesh spec {spec!r}")
     # the values start + i * step that do not pass end by more than rounding error;
-    # capped before rounding, as a quotient that overflowed to inf has no integer
-    count = math.floor(min((end - start) / step + 1e-9, MAX_POINTS)) + 1
-    if count > MAX_POINTS:
-        raise ValueError(f"mesh spec {spec!r} gives more than {MAX_POINTS} values")
+    # a quotient that overflowed to inf has no integer, and gives inf points
+    span = (end - start) / step + 1e-9
+    count = math.floor(span) + 1 if span < math.inf else math.inf
+    _check_points(f"mesh spec {spec!r}", count * count)
     mesh = [round(start + i * step, 12) for i in range(count)]
     if mesh[0] < 0.0 or mesh[-1] > 1.0:
         raise ValueError(f"mesh spec {spec!r} leaves [0, 1]")
@@ -175,8 +180,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
     wall = time.perf_counter() - t0
 
     report = error_report(sol, [(x, e) for x in mesh for e in mesh])
-    errs = [row[3] for row in report.rows]
-    table = [errs[i : i + len(mesh)] for i in range(0, len(errs), len(mesh))]
+    table = [report.errors[i : i + len(mesh)] for i in range(0, len(report.errors), len(mesh))]
     _write_text(cfg.out, "\n".join(_error_table_lines(mesh, table)) + "\n")
 
     if cfg.surface is not None:
@@ -225,8 +229,7 @@ def _cmd_convergence(cfg: RunConfig) -> int:
         raise ValueError("convergence requires --sizes, e.g. --sizes 9,25,49 or 3x3,5x5")
     sizes = _parse_sizes(cfg.sizes)
     for p, q in sizes:
-        if p * q > MAX_POINTS:
-            raise ValueError(f"size {p}x{q} outside the guard rail")
+        _check_points(f"size {p}x{q}", p * q)
     problem = _build_problem(cfg)
     mesh = parse_mesh(cfg.mesh)
     _check_writable(cfg.out)

@@ -127,7 +127,6 @@ def build_problem(identifier: str, alpha) -> Problem:
 
 class ForcingReport(NamedTuple):
     max_discrepancy: float
-    tol: float
     passed: bool
 
 
@@ -160,4 +159,4 @@ def verify_forcing(problem: Problem, tol: float = 1e-10) -> ForcingReport:
         )
         discrepancies.append(abs(lhs - problem.f(xi, eta)))
     worst = _worst(discrepancies)
-    return ForcingReport(max_discrepancy=worst, tol=tol, passed=worst <= tol)
+    return ForcingReport(max_discrepancy=worst, passed=worst <= tol)

@@ -223,24 +223,20 @@ def residual(s: ApproximateSolution, xi: float, eta: float) -> float:
 
 
 class ErrorReport(NamedTuple):
-    rows: List[Tuple[Tuple[float, float], float, float, float]]
+    errors: List[float]
     max_abs_error: float
     mean_abs_error: float
 
 
 def error_report(s: ApproximateSolution, eval_points: Sequence[Tuple[float, float]]) -> ErrorReport:
-    """Absolute errors |y_n - y| at the given points; requires problem.exact."""
+    """Absolute errors |y_n - y|, ``errors[k]`` at ``eval_points[k]``; requires problem.exact."""
     if s.problem.exact is None:
         raise ValueError("error report requires a problem with an exact solution")
     eval_points = list(eval_points)
     approx = evaluate(s, [x for x, _ in eval_points], [e for _, e in eval_points]).tolist()
-    rows = []
-    for (xi, eta), value in zip(eval_points, approx):
-        truth = s.problem.exact(xi, eta)
-        rows.append(((xi, eta), value, truth, abs(value - truth)))
-    errs = [r[3] for r in rows]
+    errs = [abs(value - s.problem.exact(xi, eta)) for (xi, eta), value in zip(eval_points, approx)]
     return ErrorReport(
-        rows=rows,
+        errors=errs,
         max_abs_error=_worst(errs),
         mean_abs_error=sum(errs) / len(errs) if errs else 0.0,
     )

@@ -83,7 +83,7 @@ class TestSolveCommand:
 
     def test_guard_rail_just_above_the_limit(self, capsys):
         assert main(["solve", "--example", "1", "--p", "41", "--q", "61"]) == 1
-        assert "p * q = 2501 exceeds the guard rail 2500" in capsys.readouterr().err
+        assert "grid 41x61 gives 2501 points, more than the guard rail 2500" in capsys.readouterr().err
 
     def test_table_has_one_format(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -286,9 +286,10 @@ def test_retired_custom_problem_key_rejected(capsys, key, command):
         (["solve", "--example", "1", "--mesh", "0.5:0.1:0.1"], "degenerate mesh spec '0.5:0.1:0.1'"),
         (["solve", "--example", "1", "--mesh", "0:1:inf"], "mesh spec '0:1:inf' has a non-finite field"),
         (["solve", "--example", "1", "--mesh", "0.5:0.5:1.5"], "mesh spec '0.5:0.5:1.5' leaves [0, 1]"),
-        (["solve", "--example", "1", "--mesh", "0:1e-9:1"], "mesh spec '0:1e-9:1' gives more than 2500 values"),
+        (["solve", "--example", "1", "--mesh", "0:1e-9:1"],
+         "mesh spec '0:1e-9:1' gives 1000000000000000000 points, more than the guard rail 2500"),
         (["convergence", "--example", "1", "--sizes", "4", "--mesh", "0:1e-9:1"],
-         "mesh spec '0:1e-9:1' gives more than 2500 values"),
+         "mesh spec '0:1e-9:1' gives 1000000000000000000 points, more than the guard rail 2500"),
         (["solve"], "select a problem with --example"),
         (["convergence", "--example", "1", "--sizes", "9,-4"],
          "size '-4' is neither a positive point count nor PxQ with positive P and Q"),
@@ -307,6 +308,39 @@ def test_retired_custom_problem_key_rejected(capsys, key, command):
 def test_validation_error_message(capsys, argv, first_line):
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines()[-1] == f"validation error: {first_line}"
+
+
+class TestPointBudget:
+    """One budget of MAX_POINTS points bounds the grid, each --sizes entry and the error table."""
+
+    @pytest.mark.parametrize("command", ["solve", "convergence"])
+    def test_a_50_value_mesh_runs(self, tmp_path, command):
+        out = tmp_path / "t.csv"
+        argv = [command, "--example", "1", "--mesh", "0:0.02:0.98", "--out", str(out)]
+        assert main(argv + (["--p", "2", "--q", "2"] if command == "solve" else ["--sizes", "4"])) == 0
+        lines = _read(out).splitlines()
+        if command == "solve":
+            assert len(lines) == 51 and all(len(line.split(",")) == 51 for line in lines)
+        else:
+            assert len(lines) == 2
+
+    @pytest.mark.parametrize(
+        "argv, what, points",
+        [
+            (["solve", "--example", "1", "--mesh", "0:0.02:1"], "mesh spec '0:0.02:1'", 2601),
+            (["convergence", "--example", "1", "--sizes", "4", "--mesh", "0:0.02:1"], "mesh spec '0:0.02:1'", 2601),
+            (["solve", "--example", "1", "--p", "50", "--q", "51"], "grid 50x51", 2550),
+            (["convergence", "--example", "1", "--sizes", "50x51"], "size 50x51", 2550),
+        ],
+        ids=["solve-51-value-mesh", "convergence-51-value-mesh", "solve-grid", "convergence-size"],
+    )
+    def test_past_the_budget_exits_1_before_the_solve(self, tmp_path, capsys, monkeypatch, argv, what, points):
+        monkeypatch.setattr("rkburgers.cli.solve", lambda *args, **kwargs: pytest.fail("solved before the check"))
+        monkeypatch.setattr("rkburgers.cli.convergence_study", lambda *args, **kwargs: pytest.fail("studied before the check"))
+        assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 1
+        message = f"validation error: {what} gives {points} points, more than the guard rail 2500"
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerifyCommand:
@@ -427,7 +461,7 @@ class TestConvergenceCommand:
         assert main(
             ["convergence", "--example", "1", "--alpha", "0.9", "--sizes", "41x61"]
         ) == 1
-        assert "size 41x61 outside the guard rail" in capsys.readouterr().err
+        assert "size 41x61 gives 2501 points, more than the guard rail 2500" in capsys.readouterr().err
 
     def test_non_square_count_rejected(self):
         assert main(

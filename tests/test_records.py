@@ -35,12 +35,12 @@ RECORDS = {
     GramMatrix: (("entries", "sweep_rows"), {"sweep_rows": None}),
     OrthonormalBasis: (("beta", "source"), {}),
     SeparableSolution: (("space", "space_d1", "space_d2", "time_power"), {}),
-    ForcingReport: (("max_discrepancy", "tol", "passed"), {}),
+    ForcingReport: (("max_discrepancy", "passed"), {}),
     ApproximateSolution: (
         ("B", "basis", "basis_functions", "problem", "grid", "F_values", "raw_coeffs", "picard_iters"),
         {"picard_iters": 0},
     ),
-    ErrorReport: (("rows", "max_abs_error", "mean_abs_error"), {}),
+    ErrorReport: (("errors", "max_abs_error", "mean_abs_error"), {}),
     ConvergenceRow: (("n", "max_abs_error", "wall_seconds"), {}),
     CheckResult: (("name", "passed", "measure", "tol"), {}),
 }

@@ -13,7 +13,7 @@ from rkburgers.solver import (
     residual,
     solve,
 )
-from tests.conftest import TABLE_POINTS, defect_rounding_bound, overflowing_example51, peak_bytes
+from tests.conftest import TABLE_POINTS, overflowing_example51, peak_bytes
 
 
 def _zero_data_problem():
@@ -163,49 +163,10 @@ class TestResidual:
         assert residual(sol, 0.4, 0.6) == pytest.approx(0.0, abs=1e-14)
 
 
-def _two_prod(a, b):
-    p = a * b
-    ah = a * 134217729.0
-    ah = ah - (ah - a)
-    al = a - ah
-    bh = b * 134217729.0
-    bh = bh - (bh - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _prefix_loop_norm_recursion_defect(s):
-    """Reference: one exactly summed quadratic form per prefix m."""
-    g = s.basis.source.entries
-    beta = s.basis.beta
-    worst = 0.0
-    running = 0.0
-    cum = np.zeros(s.n)
-    for m in range(1, s.n + 1):
-        cum[:m] += s.B[m - 1] * beta[m - 1, :m]
-        sq, sq_err = _two_prod(s.B[m - 1], s.B[m - 1])
-        running = math.fsum([running, float(sq), float(sq_err)])
-        u = cum[:m]
-        t1, e1 = _two_prod(np.broadcast_to(u[:, None], (m, m)), g[:m, :m])
-        t2, e2 = _two_prod(t1, np.broadcast_to(u[None, :], (m, m)))
-        tail = e1 * u[None, :]
-        quad = math.fsum(np.concatenate([t2.ravel(), e2.ravel(), tail.ravel()]).tolist())
-        worst = max(worst, abs(quad - running) / (1.0 + running))
-    return worst
-
-
 class TestNormRecursion:
     def test_prefix_identity_small_grid(self, solution_factory):
         sol = solution_factory("1", 0.9, 5, 5)
         assert norm_recursion_defect(sol) <= 1e-8
-
-    @pytest.mark.parametrize("example,alpha,p", [("1", 0.9, 5), ("2", 0.8, 10)])
-    def test_matches_the_prefix_loop(self, solution_factory, example, alpha, p):
-        # The loop sums each quadratic form exactly; the plain one is off by
-        # at most its forward-error bound.
-        sol = solution_factory(example, alpha, p, p)
-        expected = _prefix_loop_norm_recursion_defect(sol)
-        assert abs(norm_recursion_defect(sol) - expected) <= defect_rounding_bound(sol)
 
     def test_memory_stays_below_three_matrices(self, solution_factory):
         # The prefixes U are the one n x n array; G's leading blocks are read
@@ -228,6 +189,15 @@ class TestErrorReport:
         with pytest.raises(ValueError):
             error_report(sol, [(0.5, 0.5)])
 
+    def test_errors_are_the_pointwise_absolute_errors(self, solution_factory):
+        sol = solution_factory("2", 0.8, 4, 4)
+        points = TABLE_POINTS + [(0.0, 0.0), (1.0, 1.0), (0.37, 0.91)]
+        report = error_report(sol, points)
+        assert len(report.errors) == len(points)
+        for (xi, eta), err in zip(points, report.errors):
+            assert err == abs(evaluate(sol, xi, eta) - sol.problem.exact(xi, eta))  # bit for bit
+        assert report.max_abs_error == max(report.errors)
+
     def test_zero_data_errors_all_zero(self):
         sol = solve(_zero_data_problem(), CollocationGrid.uniform(2, 2))
         report = error_report(sol, [(0.25, 0.25), (0.5, 0.75)])
@@ -244,7 +214,7 @@ class TestErrorReport:
             exact=lambda xi, eta: math.nan if (xi, eta) == (0.5, 0.5) else exact(xi, eta),
         )
         report = error_report(sol._replace(problem=nan_at_midpoint), [(0.25, 0.25), (0.5, 0.5), (0.75, 0.75)])
-        assert math.isnan(report.rows[1][3]) and not math.isnan(report.rows[0][3])
+        assert math.isnan(report.errors[1]) and not math.isnan(report.errors[0])
         assert math.isnan(report.max_abs_error)
         assert math.isnan(report.mean_abs_error)
 
@@ -252,7 +222,7 @@ class TestErrorReport:
         sol = solution_factory("1", 0.9, 5, 5)
         report = error_report(sol, TABLE_POINTS)
         assert report.max_abs_error <= 6.62e-3
-        assert report.rows[0][3] <= 2.39e-3  # point (0.1, 0.1)
+        assert report.errors[0] <= 2.39e-3  # point (0.1, 0.1)
 
 
 @pytest.mark.parametrize(

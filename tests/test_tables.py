@@ -593,6 +593,6 @@ class TestErrorContracts:
     def test_empty_point_list(self, solution_factory):
         sol = solution_factory("1", 0.9, 5, 5)
         report = error_report(sol, [])
-        assert report.rows == []
+        assert report.errors == []
         assert report.max_abs_error == 0.0
         assert report.mean_abs_error == 0.0
