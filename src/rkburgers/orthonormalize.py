@@ -23,11 +23,12 @@ The step sets X <- X - Phi(X R X') X, where Phi keeps the strict lower
 triangle and half the diagonal, so X stays lower triangular; each 64-row
 panel of Phi is formed just before its update, from the last panel up,
 and needs only the leading block of R and X.  So besides G the only
-n x n arrays are A (which becomes R) and L (which becomes X).  At
-desk-scale condition numbers (1e8 and above for the larger grids) this
-keeps the orthonormality defect at the floor imposed by storing the
-factor in 64-bit floats.  ``norm_recursion_defect`` checks the basis of
-a solution in plain float64, as the orthonormality defect is checked.
+n x n arrays are A (which becomes R) and L (which becomes X), and the
+asymmetry check's two, freed before A is formed.  At desk-scale
+condition numbers (1e8 and above for the larger grids) this keeps the
+orthonormality defect at the floor imposed by storing the factor in
+64-bit floats.  ``norm_recursion_defect`` checks the basis of a
+solution in plain float64, as the orthonormality defect is checked.
 """
 
 import math
@@ -42,7 +43,7 @@ __all__ = ["OrthonormalBasis", "NotPositiveDefiniteError", "GramAsymmetryError",
 _SYMMETRY_TOL = 1e-8
 _SLICES = 3
 _INVERSE_BLOCK = 32  # below this size the triangular inverse is a row loop
-_ROW_BLOCK = 64  # rows of G per symmetry-check panel; rows per pass of _row_sigmas; columns of L L' per error-free tile; rows per refinement panel; prefixes per block of the norm-recursion defect
+_ROW_BLOCK = 64  # rows per pass of _row_sigmas; columns of L L' per error-free tile; rows per refinement panel; prefixes per block of the norm-recursion defect
 _STRICT_UPPER = ~np.tri(_ROW_BLOCK, dtype=bool)  # zeroes a panel's diagonal block above its diagonal
 
 
@@ -241,12 +242,14 @@ def compute_beta(gram: GramMatrix) -> OrthonormalBasis:
 
     Memory: besides G, the traced peak holds A and L with one column
     block's slices and products, whose rows from the block's start by
-    columns to its end reach n/2 x n/2 each: about 3.3 n x n arrays at
-    n = 900, 3.1 at 1600 and 4.2 at 400, where the blocks make a larger
-    share of n x n.  L is inverted in its own storage, so the inversion
-    holds A and L with its two n/2 x n/2 products, 2.5; the refinement
-    holds R and X with one 64-row panel of Phi and its products.
-    LAPACK's Cholesky call also takes an untraced copy of A.
+    columns to its end reach n/2 x n/2 each: about 3.25 n x n arrays at
+    n = 900, 3.0 at 1600, 4.1 at 400, 5.5 at 196 and 7.8 at 100, where
+    the blocks make a larger share of n x n.  The asymmetry check's two
+    n x n arrays are freed before A is formed, so they stay below that
+    peak.  L is inverted in its own storage, so the inversion holds A and
+    L with its two n/2 x n/2 products, 2.5; the refinement holds R and X
+    with one 64-row panel of Phi and its products.  LAPACK's Cholesky
+    call also takes an untraced copy of A.
 
     Raises:
         ValueError: if G is not square.
@@ -257,32 +260,27 @@ def compute_beta(gram: GramMatrix) -> OrthonormalBasis:
     n = g.shape[0]
     if g.shape != (n, n):
         raise ValueError(f"gram matrix must be square, got shape {g.shape}")
-    # One pass over row panels of G and the matching column panels checks
-    # the asymmetry and symmetrizes, so no temporary is larger than a panel.
-    # Each n x n intermediate after it is released once used: together they
-    # set the peak memory of a solve.
-    a = np.empty((n, n))
-    worst, where = -1.0, (0, 0)
-    for start in range(0, n, _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        panel, mirror = g[rows], g[:, rows].T
-        np.add(panel, mirror, out=a[rows])
-        if not math.isnan(worst):  # a NaN entry is left to the pivots, as argmax over all of G finds it first
-            asym = np.abs(panel - mirror) / (1.0 + np.abs(panel))
-            at = int(np.argmax(asym))
-            if not asym.flat[at] <= worst:  # larger, or NaN; a tie keeps the first in row-major order
-                worst, where = float(asym.flat[at]), (start + at // n, at % n)
-    if worst > _SYMMETRY_TOL:
-        raise GramAsymmetryError(*where, worst)
-    a *= 0.5
+    # An infinite entry makes NaN here (inf - inf, inf / inf) quietly and fails
+    # its pivot as a NaN entry does.  Each n x n array is freed once used.
+    with np.errstate(invalid="ignore"):
+        asym, scale = np.abs(g - g.T), np.abs(g)
+        scale += 1.0
+        asym /= scale
+        if n:
+            at = int(np.argmax(asym))  # the first NaN, left to the pivots; else the first maximum in row-major order
+            if asym.flat[at] > _SYMMETRY_TOL:
+                raise GramAsymmetryError(at // n, at % n, float(asym.flat[at]))
+        del asym, scale
+        a = g + g.T
+        a *= 0.5
 
-    diag = np.diag(a)
-    failed = np.flatnonzero(~(diag > 0.0))  # NaN included
-    if failed.size:
-        raise NotPositiveDefiniteError(int(failed[0]))
-    d = np.sqrt(diag)
-    a /= d[:, None]
-    a /= d[None, :]
+        diag = np.diag(a)
+        failed = np.flatnonzero(~(diag > 0.0))  # NaN included
+        if failed.size:
+            raise NotPositiveDefiniteError(int(failed[0]))
+        d = np.sqrt(diag)
+        a /= d[:, None]
+        a /= d[None, :]
 
     low = _cholesky(a)
     # R = A - L L' from error-free products, accumulated as -A + L L' and negated.

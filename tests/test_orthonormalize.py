@@ -139,9 +139,9 @@ class TestComputeBeta:
         return divmod(worst, g.shape[0]), asym.flat[worst]
 
     def test_asymmetry_ties_across_panel_edges_name_the_first(self):
-        # G is checked in 64-row panels.  Rows 63 and 64 lie on either side of
-        # the first panel edge and rows 127 and 128 of the second; all four
-        # entries tie, and the first in row-major order is named.
+        # Rows 63 and 64 lie on either side of the first 64-row block edge and
+        # rows 127 and 128 of the second; all four entries tie, and the first
+        # in row-major order is named.
         g = np.eye(150)
         for i in (63, 127):
             g[i, i + 1], g[i + 1, i] = 1e-6, -1e-6
@@ -163,6 +163,22 @@ class TestComputeBeta:
         with pytest.raises(NotPositiveDefiniteError) as err:
             compute_beta(_gram(g))
         assert err.value.pivot_index == nan_row
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("entries, pivot", [([(4, 2), (2, 4)], 4), ([(3, 3)], 3)], ids=["off-diagonal", "diagonal"])
+    def test_infinite_entry_fails_its_pivot_without_a_warning(self, entries, pivot):
+        # inf - inf in the asymmetry check and inf / inf in the equilibration
+        # make NaN, which goes on to the pivots as a NaN entry does
+        g = np.eye(6)
+        for at in entries:
+            g[at] = np.inf
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            compute_beta(_gram(g))
+        assert err.value.pivot_index == pivot
+
+    def test_empty_gram_gives_empty_beta(self):
+        beta = compute_beta(_gram(np.zeros((0, 0)))).beta
+        assert beta.shape == (0, 0)
 
     def test_indefinite_matrix_reports_pivot(self):
         g = np.diag([1.0, -1.0, 2.0])
