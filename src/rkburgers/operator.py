@@ -157,23 +157,16 @@ class BasisFunction(NamedTuple):
 
 
 class GramMatrix(NamedTuple):
-    """Pairwise inner products of the collocation basis functions.
-
-    ``sweep_rows`` holds, for each 64-row block of the entries, psi_l and
-    d_xi psi_l at the block's points for every l below its last row, as
-    one 2 x rows x l array: the rows the solver's sweep reads, gathered
-    with the block's entries.  They take about one n x n array, which
-    ``solve`` drops once it has swept.
-    """
+    """Pairwise inner products of the collocation basis functions, as a solution keeps them."""
 
     entries: np.ndarray
-    sweep_rows: Optional[tuple] = None
 
 
 class GramAssemblyError(RuntimeError):
-    """A Gram entry failed to evaluate; carries the failing (row, col) indices.
+    """A coefficient k1, k2 or k3 failed at a collocation point; carries (row, col) indices.
 
-    A coefficient that fails at collocation point i fails all of row i: (i, 0).
+    ``build_basis`` raises it: a coefficient that fails at point i fails
+    all of the Gram row i, reported as (i, 0).
     """
 
     def __init__(self, row: int, col: int, cause: Exception):
@@ -450,14 +443,15 @@ def _distinct(rows):
     return distinct[:, None], lambda factor: factor.take(inverse, 0)
 
 
-def assemble_gram(basis: list) -> GramMatrix:
-    """All n x n Gram entries of ``basis``, at the basis functions' own centres.
+def assemble_gram(basis: list) -> tuple:
+    """(G, sweep_rows): the n x n Gram array of ``basis`` and, per 64-row block, the rows the sweep reads.
 
-    Entry (i, j) is (L psi_j) at collocation point i, the centre of psi_i,
-    with the coefficients frozen in psi_i; the rows are gathered from
-    ``BasisTables`` a block at a time.  Each block's gather also forms
+    Entry (i, j) of G is (L psi_j) at collocation point i, the centre of
+    psi_i, with the coefficients frozen in psi_i; the rows are gathered
+    from ``BasisTables`` a block at a time.  Each block's gather also forms
     psi_j and d_xi psi_j at its points, before L scales them; the columns
-    below the block's last row are kept as the block's ``sweep_rows``.
+    below the block's last row are its 2 x rows x last ``sweep_rows`` entry,
+    about one n x n array in all, which a caller that does not sweep drops.
     The double transform takes the ``DEFAULT_QUADRATURE_NODES``-point rule.
     """
     n = len(basis)
@@ -470,4 +464,4 @@ def assemble_gram(basis: list) -> GramMatrix:
         entries[start : start + _ROW_BLOCK] = lpsi
         last = int(rows[-1, 0])
         sweep_rows.append(np.stack((psi0[:, :last], psi1[:, :last])))
-    return GramMatrix(entries=entries, sweep_rows=tuple(sweep_rows))
+    return entries, tuple(sweep_rows)

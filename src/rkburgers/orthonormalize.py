@@ -69,10 +69,7 @@ class GramAsymmetryError(ValueError):
 
 
 class OrthonormalBasis(NamedTuple):
-    """Lower-triangular orthonormalization coefficients and their source Gram matrix.
-
-    ``source`` keeps the Gram entries, not its ``sweep_rows``.
-    """
+    """Lower-triangular orthonormalization coefficients and their source Gram matrix, as a solution keeps them."""
 
     beta: np.ndarray
     source: GramMatrix
@@ -237,8 +234,8 @@ def _invert_lower(low, out):
     np.negative(out[h:, h:] @ (low[h:, :h] @ out[:h, :h]), out=out[h:, :h])
 
 
-def compute_beta(gram: GramMatrix) -> OrthonormalBasis:
-    """Orthonormalization coefficients beta = L**-1 where (G + G')/2 = L L'.
+def compute_beta(g: np.ndarray) -> np.ndarray:
+    """Read-only orthonormalization coefficients beta = L**-1 of the n x n Gram array G, where (G + G')/2 = L L'.
 
     Memory: besides G, the traced peak holds A and L with one column
     block's slices and products, whose rows from the block's start by
@@ -256,7 +253,7 @@ def compute_beta(gram: GramMatrix) -> OrthonormalBasis:
         GramAsymmetryError: if G is asymmetric beyond tolerance.
         NotPositiveDefiniteError: at the first non-positive pivot.
     """
-    g = np.asarray(gram.entries, dtype=float)
+    g = np.asarray(g, dtype=float)
     n = g.shape[0]
     if g.shape != (n, n):
         raise ValueError(f"gram matrix must be square, got shape {g.shape}")
@@ -304,7 +301,7 @@ def compute_beta(gram: GramMatrix) -> OrthonormalBasis:
     del a
     x /= d[None, :]
     x.flags.writeable = False
-    return OrthonormalBasis(beta=x, source=gram._replace(sweep_rows=None))
+    return x
 
 
 def norm_recursion_defect(s) -> float:

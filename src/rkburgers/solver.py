@@ -16,9 +16,9 @@ problem, a grid and that pass count, nothing else.
 Step k needs psi_l(x_k) and d_xi psi_l(x_k) for l < k: row k of the
 matrices Psi0 and Psi1, so y_{k-1}(x_k) is the dot product of the
 raw-coefficient prefix with that row.  The Gram assembly forms these
-values when it applies L to psi_l at the collocation points and keeps
-them below each block's last row (``GramMatrix.sweep_rows``); the sweep
-reads them there and drops them, so they are gathered once per solve.
+values when it applies L to psi_l at the collocation points and returns
+them below each block's last row, beside G; the sweep reads them there
+and drops them, so they are gathered once per solve.
 Evaluation anywhere else builds tables at its own points, with
 ``evaluate`` taking whole arrays of points and gathering one block of
 points by one block of basis functions at a time, so its memory does not
@@ -48,6 +48,7 @@ from .fracmath import _check_count, _worst
 from .operator import (
     BasisTables,
     CollocationGrid,
+    GramMatrix,
     Problem,
     assemble_gram,
     build_basis,
@@ -102,44 +103,60 @@ def solve(problem: Problem, grid: CollocationGrid, picard_iters: int = 0) -> App
     """Run the sequential collocation sweep on the given grid, then ``picard_iters`` fixed-point passes.
 
     Samples each problem callable once per point: k1, k2, k3 in
-    ``build_basis``, f and k4 for the sweep and every Picard pass.  A pass
-    count that is not an integer >= 0 (a bool, a float, a negative) raises
-    ValueError before any work; numpy integers pass.
+    ``build_basis``, f and k4 for the sweep and every Picard pass.  An f or
+    k4 that raises, or gives no real number, at point k raises
+    ArithmeticError naming it and k; so does a non-finite F_k, B_k or raw
+    coefficient, named by its step in the sweep and by its first index
+    after a Picard pass.  A pass count that is not an integer >= 0 (a bool,
+    a float, a negative) raises ValueError before any work; numpy integers
+    pass.
     """
     _check_count("picard_iters", picard_iters, 0)
     basis = build_basis(grid, problem)
-    gram = assemble_gram(basis)
-    onb = compute_beta(gram)
-    beta = onb.beta
+    g, sweep_rows = assemble_gram(basis)
+    beta = compute_beta(g)
     n = grid.n
     # Python floats: an overflow gives inf, which the checks below name, rather than a numpy warning.
-    f, k4 = np.array([(problem.f(xi, eta), problem.k4(xi, eta)) for xi, eta in grid.points], dtype=float).T.tolist()
+    f, k4 = [], []
+    for k, (xi, eta) in enumerate(grid.points):
+        try:
+            for name, values in (("f", f), ("k4", k4)):
+                values.append(float(getattr(problem, name)(xi, eta)))
+        except Exception as exc:
+            raise ArithmeticError(f"{name} failed at collocation index {k}: {exc}") from exc
 
     F = np.zeros(n)
     B = np.zeros(n)
     cum = np.zeros(n)  # prefix of beta' B, coefficients over the raw basis
-    rows = (pair for block in gram.sweep_rows for pair in zip(*block))
-    for k, (row0, row1) in enumerate(rows):
-        yv = float(np.dot(cum[:k], row0[:k]))  # +0.0 at k = 0, an empty sum
-        dyv = float(np.dot(cum[:k], row1[:k]))
-        F[k] = _finite(f[k] - k4[k] * yv * dyv, k)
-        b = beta[k, : k + 1]
-        B[k] = float(np.dot(b, F[: k + 1]))
-        cum[: k + 1] += B[k] * b
-    del gram, rows  # the sweep rows, about one n x n array; the solution keeps G through onb
+    rows = (pair for block in sweep_rows for pair in zip(*block))
+    # An overflow is named by value below, not by the floating-point flags, which a threaded BLAS sets in its own threads.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (row0, row1) in enumerate(rows):
+            yv = float(np.dot(cum[:k], row0[:k]))  # +0.0 at k = 0, an empty sum
+            dyv = float(np.dot(cum[:k], row1[:k]))
+            F[k] = _finite(f[k] - k4[k] * yv * dyv, k)
+            b = beta[k, : k + 1]
+            B[k] = float(np.dot(b, F[: k + 1]))
+            cum[: k + 1] += B[k] * b
+            if not np.isfinite(cum[: k + 1]).all():  # cum[k] is B_k beta_kk, so this checks B_k too
+                raise ArithmeticError(f"non-finite coefficient at collocation index {k}")
+        del sweep_rows, rows  # about one n x n array; the solution keeps G
 
-    if picard_iters:
-        tables = BasisTables(basis, [x for x, _ in grid.points], [e for _, e in grid.points])
-        for _ in range(picard_iters):
-            y, dy = (_values(cum, tables, order).tolist() for order in (0, 1))
-            for k in range(n):
-                F[k] = _finite(f[k] - k4[k] * y[k] * dy[k], k)
-            B = beta @ F
-            cum = beta.T @ B
+        if picard_iters:
+            tables = BasisTables(basis, [x for x, _ in grid.points], [e for _, e in grid.points])
+            for _ in range(picard_iters):
+                y, dy = (_values(cum, tables, order).tolist() for order in (0, 1))
+                for k in range(n):
+                    F[k] = _finite(f[k] - k4[k] * y[k] * dy[k], k)
+                B = beta @ F
+                cum = beta.T @ B
+                bad = np.flatnonzero(~(np.isfinite(B) & np.isfinite(cum)))
+                if bad.size:
+                    raise ArithmeticError(f"non-finite coefficient at collocation index {bad[0]} after a Picard pass")
 
     return ApproximateSolution(
         B=B,
-        basis=onb,
+        basis=OrthonormalBasis(beta, GramMatrix(g)),
         basis_functions=basis,
         problem=problem,
         grid=grid,

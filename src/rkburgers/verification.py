@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fracmath, kernels
 from .fracmath import DEFAULT_QUADRATURE_NODES, _check_count, _worst, gamma, jacobi_rule, weighted_moment
-from .operator import CollocationGrid, GramMatrix, Problem, _ctk_table, _dc_table, assemble_gram, build_basis
+from .operator import CollocationGrid, Problem, _ctk_table, _dc_table, assemble_gram, build_basis
 from .orthonormalize import GramAsymmetryError, NotPositiveDefiniteError, compute_beta
 from .problems import build_example51, build_example52, verify_forcing
 
@@ -223,14 +223,14 @@ def check_gram(problem: Problem, grid: CollocationGrid, tol: float = 1e-8) -> Ch
 
     The measure is ``compute_beta``'s asymmetry if it rejects G, else the residual.
     """
-    g = assemble_gram(build_basis(grid, problem)).entries  # the sweep rows, about one n x n, go at once
+    g = assemble_gram(build_basis(grid, problem))[0]  # the sweep rows, about one n x n, go at once
     try:
-        onb = compute_beta(GramMatrix(g))
+        beta = compute_beta(g)
     except GramAsymmetryError as exc:
         return CheckResult("gram symmetry / orthonormality", False, exc.asymmetry, tol)
     except NotPositiveDefiniteError:
         return CheckResult("gram symmetry / positive definiteness", False, math.inf, tol)
-    resid = float(np.max(np.abs(onb.beta @ g @ onb.beta.T - np.eye(grid.n))))
+    resid = float(np.max(np.abs(beta @ g @ beta.T - np.eye(grid.n))))
     return CheckResult("gram symmetry / orthonormality", resid <= tol, resid, tol)
 
 

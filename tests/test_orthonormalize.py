@@ -11,7 +11,6 @@ from rkburgers.operator import CollocationGrid, GramMatrix, assemble_gram, build
 from rkburgers.orthonormalize import (
     GramAsymmetryError,
     NotPositiveDefiniteError,
-    OrthonormalBasis,
     _invert_lower,
     _row_sigmas,
     _slices,
@@ -21,10 +20,6 @@ from rkburgers.orthonormalize import (
 )
 from rkburgers.problems import build_problem
 from tests.conftest import TABLE_POINTS, defect_rounding_bound, peak_bytes
-
-
-def _gram(entries):
-    return GramMatrix(entries=np.asarray(entries, dtype=float))
 
 
 def _fsum_row_dot(a0, xs, ys):
@@ -95,13 +90,13 @@ def _schur_negative_at_7(seed):
 
 class TestComputeBeta:
     def test_identity_maps_to_identity(self):
-        onb = compute_beta(_gram(np.eye(5)))
-        assert np.allclose(onb.beta, np.eye(5), atol=1e-15)
+        beta = compute_beta(np.eye(5))
+        assert np.allclose(beta, np.eye(5), atol=1e-15)
 
     def test_two_by_two_hand_factorization(self):
         # G = [[4, 2], [2, 2]] has Cholesky factor [[2, 0], [1, 1]]
-        onb = compute_beta(_gram([[4.0, 2.0], [2.0, 2.0]]))
-        assert np.allclose(onb.beta, [[0.5, 0.0], [-0.5, 1.0]], atol=1e-15)
+        beta = compute_beta([[4.0, 2.0], [2.0, 2.0]])
+        assert np.allclose(beta, [[0.5, 0.0], [-0.5, 1.0]], atol=1e-15)
 
     def test_duplicated_row_fails_at_duplicate_pivot(self):
         g = np.array(
@@ -112,20 +107,20 @@ class TestComputeBeta:
             ]
         )
         with pytest.raises(NotPositiveDefiniteError) as err:
-            compute_beta(_gram(g))
+            compute_beta(g)
         assert err.value.pivot_index == 2
 
     def test_asymmetric_input_rejected(self):
         g = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ValueError):
-            compute_beta(_gram(g))
+            compute_beta(g)
 
     def test_asymmetry_names_the_worst_entry(self):
         g = np.eye(4)
         g[1, 3], g[3, 1] = 0.5, 0.5 + 1e-9
         g[2, 0] = 1e-6
         with pytest.raises(GramAsymmetryError) as err:
-            compute_beta(_gram(g))
+            compute_beta(g)
         assert (err.value.row, err.value.col) == (0, 2)
         assert err.value.asymmetry == pytest.approx(1e-6)
         assert "at entry (0, 2)" in str(err.value)
@@ -146,7 +141,7 @@ class TestComputeBeta:
         for i in (63, 127):
             g[i, i + 1], g[i + 1, i] = 1e-6, -1e-6
         with pytest.raises(GramAsymmetryError) as err:
-            compute_beta(_gram(g))
+            compute_beta(g)
         where, value = self._check_over_all_of_g(g)
         assert (err.value.row, err.value.col) == where == (63, 64)
         assert err.value.asymmetry == value
@@ -161,7 +156,7 @@ class TestComputeBeta:
         _, value = self._check_over_all_of_g(g)
         assert math.isnan(value)
         with pytest.raises(NotPositiveDefiniteError) as err:
-            compute_beta(_gram(g))
+            compute_beta(g)
         assert err.value.pivot_index == nan_row
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -173,23 +168,28 @@ class TestComputeBeta:
         for at in entries:
             g[at] = np.inf
         with pytest.raises(NotPositiveDefiniteError) as err:
-            compute_beta(_gram(g))
+            compute_beta(g)
         assert err.value.pivot_index == pivot
 
+    def test_a_gram_record_is_not_an_array(self):
+        # compute_beta takes G itself; to it a GramMatrix is a 1 x n x n array
+        with pytest.raises(ValueError, match=r"got shape \(1, 3, 3\)"):
+            compute_beta(GramMatrix(np.eye(3)))
+
     def test_empty_gram_gives_empty_beta(self):
-        beta = compute_beta(_gram(np.zeros((0, 0)))).beta
+        beta = compute_beta(np.zeros((0, 0)))
         assert beta.shape == (0, 0)
 
     def test_indefinite_matrix_reports_pivot(self):
         g = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(NotPositiveDefiniteError) as err:
-            compute_beta(_gram(g))
+            compute_beta(g)
         assert err.value.pivot_index == 1
 
     @pytest.mark.parametrize("seed", range(5))
     def test_negative_schur_complement_reports_its_pivot(self, seed):
         g = _schur_negative_at_7(seed)
-        for factor in (_fsum_beta, lambda g: compute_beta(_gram(g))):
+        for factor in (_fsum_beta, compute_beta):
             with pytest.raises(NotPositiveDefiniteError) as err:
                 factor(g)
             assert err.value.pivot_index == 7
@@ -197,7 +197,7 @@ class TestComputeBeta:
     def test_nan_entry_reports_its_row(self):
         g = np.eye(6)
         g[4, 2] = g[2, 4] = np.nan
-        for factor in (_fsum_beta, lambda g: compute_beta(_gram(g))):
+        for factor in (_fsum_beta, compute_beta):
             with pytest.raises(NotPositiveDefiniteError) as err:
                 factor(g)
             assert err.value.pivot_index == 4
@@ -206,7 +206,7 @@ class TestComputeBeta:
         rng = np.random.default_rng(0)
         m = rng.normal(size=(8, 8))
         for g in (m @ m.T + 8 * np.eye(8), solution_factory("2", 0.8, 14, 14).basis.source.entries):
-            beta = compute_beta(_gram(g)).beta
+            beta = compute_beta(g)
             n = g.shape[0]
             assert np.all(beta[np.triu_indices(n, k=1)] == 0.0)
             assert np.all(np.diag(beta) > 0.0)
@@ -218,8 +218,8 @@ class TestComputeBeta:
         rng = np.random.default_rng(1)
         m = rng.normal(size=(20, 20))
         g = m @ m.T + 1e-6 * np.eye(20)
-        onb = compute_beta(_gram(g))
-        resid = onb.beta @ g @ onb.beta.T - np.eye(20)
+        beta = compute_beta(g)
+        resid = beta @ g @ beta.T - np.eye(20)
         assert np.max(np.abs(resid)) < 1e-10
 
     def test_acceptance_grid_orthonormality(self, solution_factory):
@@ -234,7 +234,7 @@ class TestAgainstFsumFactorization:
     @pytest.mark.parametrize("example,alpha,p", [("1", 0.9, 5), ("2", 0.8, 10), ("2", 0.8, 14)])
     def test_orthonormality_defect_within_the_oracle(self, solution_factory, example, alpha, p):
         g = solution_factory(example, alpha, p, p).basis.source.entries
-        new = _defect(compute_beta(_gram(g)).beta, g)
+        new = _defect(compute_beta(g), g)
         oracle = _defect(_fsum_beta(g), g)
         assert new <= 1.25 * oracle
 
@@ -246,7 +246,7 @@ class TestAgainstFsumFactorization:
         monkeypatch.setattr(
             rkburgers.solver,
             "compute_beta",
-            lambda gram: OrthonormalBasis(beta=_fsum_beta(gram.entries), source=gram),
+            _fsum_beta,
         )
         oracle = rkburgers.solver.evaluate(rkburgers.solver.solve(problem, grid), xs, es)
         assert np.max(np.abs(new - oracle)) <= 1e-8 * np.max(np.abs(oracle))
@@ -317,22 +317,22 @@ class TestFrozenReference:
     @pytest.mark.parametrize("example", ["1", "2"])
     @pytest.mark.parametrize("alpha", [0.7, 0.8, 0.9])
     def test_uniform_grids_bit_for_bit(self, solution_factory, example, alpha, p):
-        gram = solution_factory(example, alpha, p, p).basis.source
-        assert _same_bits(compute_beta(gram).beta, oracles.compute_beta(gram.entries))
+        g = solution_factory(example, alpha, p, p).basis.source.entries
+        assert _same_bits(compute_beta(g), oracles.compute_beta(g))
 
     @pytest.mark.parametrize("example,alpha", [("1", 0.9), ("2", 0.8)])
     def test_scattered_grid_bit_for_bit(self, example, alpha):
         grid = CollocationGrid.from_points(_scattered_points(1))
         problem = build_problem(example, alpha)
-        gram = assemble_gram(build_basis(grid, problem))
-        assert _same_bits(compute_beta(gram).beta, oracles.compute_beta(gram.entries))
+        g, _ = assemble_gram(build_basis(grid, problem))
+        assert _same_bits(compute_beta(g), oracles.compute_beta(g))
 
     @pytest.mark.parametrize("example,alpha,p", [("1", 0.9, 14), ("2", 0.8, 14), ("2", 0.8, 20)])
     def test_larger_grids_within_summation_order(self, solution_factory, example, alpha, p):
         # The panels' products have a shorter inner dimension than the full
         # ones, so BLAS may add their terms in another order.
-        gram = solution_factory(example, alpha, p, p).basis.source
-        got, want = compute_beta(gram).beta, oracles.compute_beta(gram.entries)
+        g = solution_factory(example, alpha, p, p).basis.source.entries
+        got, want = compute_beta(g), oracles.compute_beta(g)
         assert np.max(np.abs(got - want)) <= 1e-18 * np.max(np.abs(want))
 
     def test_peak_memory_stays_blocked(self, solution_factory):
@@ -341,9 +341,9 @@ class TestFrozenReference:
         # products, one of the triangular inverse's halves or a 64-row panel.
         # Whole-matrix slices and full refinement products traced 6.3 n x n
         # here.
-        gram = solution_factory("2", 0.8, 20, 20).basis.source
-        n = gram.entries.shape[0]
-        assert peak_bytes(compute_beta, gram) < 5.0 * 8 * n**2
+        g = solution_factory("2", 0.8, 20, 20).basis.source.entries
+        n = g.shape[0]
+        assert peak_bytes(compute_beta, g) < 5.0 * 8 * n**2
 
 
 class TestBlockEdges:
@@ -359,7 +359,7 @@ class TestBlockEdges:
             q, _ = np.linalg.qr(rng.normal(size=(n, n)))
             g = (q * np.logspace(0, -8, n)) @ q.T
             g = 0.5 * (g + g.T)
-            new.append(_defect(compute_beta(_gram(g)).beta, g))
+            new.append(_defect(compute_beta(g), g))
             oracle.append(_defect(_fsum_beta(g), g))
         assert np.mean(new) <= 1.25 * np.mean(oracle)
 

@@ -42,6 +42,25 @@ def _linear_example51(alpha=0.9):
     )
 
 
+def _example51_forced(f, k4):
+    """Example 5.1's k1-k3 at alpha = 0.9 with the given f and k4."""
+    base = build_example51(0.9)
+    return Problem(alpha=base.alpha, k1=base.k1, k2=base.k2, k3=base.k3, k4=k4, f=f)
+
+
+_POINT_3 = CollocationGrid.uniform(3, 3).points[3]
+
+
+def _raising_at_point_3(xi, eta):
+    if (xi, eta) == _POINT_3:
+        raise ValueError("boom")
+    return 0.0
+
+
+def _complex_at_point_3(xi, eta):
+    return 1j if (xi, eta) == _POINT_3 else 0.0
+
+
 class TestSolveBasics:
     def test_zero_data_gives_zero_solution(self):
         sol = solve(_zero_data_problem(), CollocationGrid.uniform(3, 3))
@@ -85,6 +104,16 @@ class TestSolveBasics:
         with pytest.raises(ArithmeticError, match="index 0"):
             solve(overflowing_example51(), grid, picard_iters=1)
 
+    @pytest.mark.parametrize(
+        "name, fn, cause", [("f", _raising_at_point_3, ValueError), ("k4", _complex_at_point_3, TypeError)]
+    )
+    def test_failing_f_or_k4_names_itself_and_its_index(self, name, fn, cause):
+        zero = lambda xi, eta: 0.0
+        problem = _example51_forced(**{"f": zero, "k4": zero, name: fn})
+        with pytest.raises(ArithmeticError, match=f"^{name} failed at collocation index 3: ") as err:
+            solve(problem, CollocationGrid.uniform(3, 3))
+        assert type(err.value.__cause__) is cause
+
     def test_each_problem_callable_sampled_once_per_point(self):
         base = build_example51(0.9)
         calls = {name: 0 for name in ("k1", "k2", "k3", "k4", "f")}
@@ -99,6 +128,33 @@ class TestSolveBasics:
         problem = Problem(alpha=base.alpha, **{name: counted(name) for name in calls})
         solve(problem, CollocationGrid.uniform(3, 3), picard_iters=2)
         assert calls == {name: 9 for name in calls}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestCoefficientOverflow:
+    """A coefficient past the float range raises ArithmeticError naming its index, and no warning.
+
+    The checks read values, not the floating-point flags, which a threaded
+    BLAS sets in its own threads; so these tests also run on one BLAS thread.
+    """
+
+    @pytest.mark.parametrize(
+        "points, index", [([(0.5, 0.5), (0.25, 0.5)], 1), ([(0.25, 0.5), (0.5, 0.5)], 0)], ids=["B_1", "B_0"]
+    )
+    def test_sweep_names_the_step_that_overflows(self, points, index):
+        # every F_k is 1e308, finite; beta_00 = 1.45 at (0.25, 0.5) takes B_0
+        # past the float range, and after (0.5, 0.5) B_1 goes there
+        problem = _example51_forced(f=lambda xi, eta: 1e308, k4=lambda xi, eta: 0.0)
+        with pytest.raises(ArithmeticError, match=f"coefficient at collocation index {index}$"):
+            solve(problem, CollocationGrid.from_points(points))
+
+    def test_picard_pass_names_the_first_non_finite_coefficient(self):
+        # the sweep and the pass's B are finite; its raw coefficients beta' B are not
+        problem = _example51_forced(f=lambda xi, eta: 1e300, k4=lambda xi, eta: -1e-295)
+        grid = CollocationGrid.from_points([(0.25, 0.5), (0.5, 0.5)])
+        assert np.all(np.isfinite(solve(problem, grid).raw_coeffs))
+        with pytest.raises(ArithmeticError, match="coefficient at collocation index 0 after a Picard pass"):
+            solve(problem, grid, picard_iters=1)
 
 
 class TestCollocationExactness:

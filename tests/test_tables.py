@@ -11,6 +11,7 @@ import collections
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from rkburgers.kernels import r2, r3
 from rkburgers.operator import (
     BasisTables,
     CollocationGrid,
-    GramMatrix,
     _ctk_table,
     _dc_table,
     assemble_gram,
@@ -306,9 +306,9 @@ def test_block_gathers_on_tables_of_unequal_widths():
     assert _same(psi0, tables.psi(block, fns, 0)) and _same(psi1, tables.psi(block, fns, 1))
 
 
-def _kept_rows(gram):
+def _kept_rows(sweep_rows):
     """(k, psi row, d_xi psi row) for each collocation point k, as the Gram assembly kept them for the sweep."""
-    return [(k, row0, row1) for k, (row0, row1) in enumerate(pair for block in gram.sweep_rows for pair in zip(*block))]
+    return [(k, row0, row1) for k, (row0, row1) in enumerate(pair for block in sweep_rows for pair in zip(*block))]
 
 
 def test_sweep_rows_take_both_orders_from_one_gather():
@@ -316,12 +316,12 @@ def test_sweep_rows_take_both_orders_from_one_gather():
     grid = CollocationGrid.from_points(_jittered(9, 8))
     problem = build_example51(0.9)
     basis = build_basis(grid, problem)
-    gram = assemble_gram(basis)
+    _, sweep_rows = assemble_gram(basis)
     tables = _tables_at(grid, basis)
     n = grid.n
     # the Gram assembly keeps each block's rows below its last row, as a psi gather gives them
-    assert [block.shape for block in gram.sweep_rows] == [(2, 64, 63), (2, 8, 71)]
-    for k, row0, row1 in _kept_rows(gram):
+    assert [block.shape for block in sweep_rows] == [(2, 64, 63), (2, 8, 71)]
+    for k, row0, row1 in _kept_rows(sweep_rows):
         cols = slice(0, row0.size)
         assert k <= row0.size < n
         at = tables.at([k])
@@ -340,7 +340,7 @@ def test_time_major_sweep_rows_match_scalar_reference():
     grid = _TIME_MAJOR
     problem = build_example52(0.8)
     basis = build_basis(grid, problem)
-    for k, row0, row1 in _kept_rows(assemble_gram(basis)):
+    for k, row0, row1 in _kept_rows(assemble_gram(basis)[1]):
         xi, eta = grid.points[k]
         for order, row in ((0, row0), (1, row1)):
             assert _same(row, [psi_eval(b, xi, eta, order) for b in basis[: row.size]]), (k, order)
@@ -370,10 +370,10 @@ def test_solve_matches_scalar_reference(case):
     problem = build(alpha)
     basis = build_basis(grid, problem)
     gram = _reference_gram(grid, problem, basis)
-    beta = compute_beta(GramMatrix(entries=gram)).beta
+    beta = compute_beta(gram)
     F, B, raw = _reference_sweep(problem, grid, basis, beta)
 
-    assert _same(assemble_gram(basis).entries, gram)
+    assert _same(assemble_gram(basis)[0], gram)
     sol = solve(problem, grid)
     assert _same(sol.basis.source.entries, gram)
     assert _same(sol.basis.beta, beta)
@@ -448,10 +448,27 @@ def test_sweep_reads_the_rows_the_gram_assembly_kept(monkeypatch):
     monkeypatch.setattr(BasisTables, "psi", _counting(calls, "psi", BasisTables.psi))
     problem, grid = build_example51(0.9), CollocationGrid.uniform(9, 8)
     sol = solve(problem, grid)
-    assert calls == {} and sol.basis.source.sweep_rows is None
+    assert calls == {} and tuple(sol.basis.source) == (sol.basis.source.entries,)
     solve(problem, grid, picard_iters=1)
     # one gather per order for each of the 72 points' two 64-function blocks
     assert calls == {"psi": 4}
+
+
+def test_the_solution_keeps_the_assembled_g_and_no_sweep_rows(monkeypatch):
+    returned = []
+
+    def kept(basis):
+        returned.append(assemble_gram(basis))
+        return returned[-1]
+
+    monkeypatch.setattr("rkburgers.solver.assemble_gram", kept)
+    sol = solve(build_example51(0.9), CollocationGrid.uniform(9, 8))
+    [(g, sweep_rows)] = returned
+    assert sol.basis.source.entries is g
+    # the two blocks' rows outlive this test's references only if the solution holds them
+    alive = [weakref.ref(block) for block in sweep_rows]
+    del returned, sweep_rows
+    assert len(alive) == 2 and all(ref() is None for ref in alive)
 
 
 def test_solve_and_error_report_build_each_factor_once_per_table_set(monkeypatch):
